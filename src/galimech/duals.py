@@ -212,16 +212,6 @@ def _take(x, bit):
     return MultiDual(t)
 
 
-def _strip(x, bit):
-    if not isinstance(x, MultiDual):
-        return x
-    mask = 1 << bit
-    t = {k: v for k, v in x.terms.items() if not (k & mask)}
-    if len(t) == 1 and 0 in t:
-        return t[0]
-    return MultiDual(t) if t else 0.0
-
-
 def partial(fn, point, idx):
     """Exact first partial of ``fn(point)`` along coordinate ``idx``.
 
@@ -252,7 +242,8 @@ def partial2(fn, point, i, j):
 
 
 def partial_multi(fn, point, idx):
-    """First partial of a nested-list-valued ``fn`` along coordinate ``idx``.
+    """First partial of a ``fn`` valued in nested lists, tuples and dicts
+    along coordinate ``idx``.
 
     Evaluates ``fn`` once with a single seeded slot and extracts the
     derivative from every entry, preserving the nesting structure.
@@ -267,6 +258,8 @@ def partial_multi(fn, point, idx):
 
 
 def _map_take(obj, bit):
+    if isinstance(obj, dict):
+        return {k: _map_take(o, bit) for k, o in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_map_take(o, bit) for o in obj]
     return _take(obj, bit)

@@ -45,9 +45,6 @@ class Chart:
         """Phase-chart slot of the i-th velocity (i in 1..n)."""
         return self.n + i
 
-    def space_labels(self):
-        return [f"x{i}" for i in range(1, self.n + 1)]
-
 
 @dataclass(frozen=True)
 class PhasePoint:

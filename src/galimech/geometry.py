@@ -73,6 +73,17 @@ class Metric:
             return [row[:] for row in self._const_inv]
         return duals.invert_generic(self.mat(xs))
 
+    def norm_sq(self, xs):
+        """G(v, v) for the velocity slots v of a phase point."""
+        n = self.chart.n
+        v = xs[n + 1 : 2 * n + 1]
+        gm = self.mat(xs)
+        out = 0.0
+        for a in range(n):
+            for b in range(n):
+                out = out + gm[a][b] * v[a] * v[b]
+        return out
+
     def check_spd(self, points):
         """Cholesky probe at sample points; raises on failure."""
         for xs in points:
@@ -92,14 +103,29 @@ def identity_metric(chart):
     )
 
 
-class SpacetimeConnection:
-    """dt-preserving torsion-free linear connection, stored by its
-    coefficient fields K[lam][i][mu] with the (lam, mu) symmetry shared
-    structurally (one field object per unordered pair)."""
+def _field_blocks(sym):
+    """Evaluator of a coefficient set given by fields {(lam, mu): [n fields]}."""
 
-    def __init__(self, chart, sym):
+    def blocks(xs):
+        return {k: [f(xs) for f in fs] for k, fs in sym.items()}
+
+    return blocks
+
+
+class SpacetimeConnection:
+    """dt-preserving torsion-free linear connection K[lam][i][mu], with the
+    (lam, mu) symmetry shared structurally (one entry per unordered pair).
+
+    ``blocks`` evaluates the whole connection in one pass: at a point it
+    returns {(lam, mu) with lam <= mu: [n values]}.  The fields in ``sym``
+    are per-component views for code that reads a single coefficient; a
+    connection built from fields alone evaluates those fields.
+    """
+
+    def __init__(self, chart, sym, blocks=None):
         """``sym`` maps (lam, mu) with lam <= mu to a list of n fields
-        (component index i = 1..n)."""
+        (component index i = 1..n); ``blocks``, when given, is the evaluator
+        those fields are views of."""
         self.chart = chart
         n = chart.n
         self.sym = {}
@@ -109,6 +135,7 @@ class SpacetimeConnection:
                 if fields is None:
                     fields = [ZERO] * n
                 self.sym[(lam, mu)] = list(fields)
+        self.blocks = blocks or _field_blocks(self.sym)
 
     def entry(self, lam, i, mu):
         """Coefficient field K_lam^i_mu (i spatial, 1..n)."""
@@ -116,14 +143,80 @@ class SpacetimeConnection:
 
     def values(self, xs):
         """All coefficients at a point: dict {(lam, mu): [n values]}."""
-        return {k: [f(xs) for f in fs] for k, fs in self.sym.items()}
-
-    def is_flat_zero(self):
-        return all(f.is_zero for fs in self.sym.values() for f in fs)
+        return self.blocks(xs)
 
 
 def zero_connection(chart):
     return SpacetimeConnection(chart, {})
+
+
+class MetricBlocks:
+    """One-pass evaluator of a metric-compatible connection.
+
+    At a point it returns every coefficient block {(lam, mu): [n values]}
+    from one metric inverse and one seeded metric evaluation per spacetime
+    direction.  ``phi2`` and ``time_gauge`` are the gauge inputs of
+    :func:`metric_connection`; ``em`` is a minimally coupled field, whose
+    (q/m)-scaled raised entries enter the time-space blocks at half weight
+    and the time-time block at full weight.
+    """
+
+    def __init__(self, G, phi2, time_gauge, em=None):
+        self.G = G
+        self.phi2 = phi2
+        self.time_gauge = time_gauge
+        self.em = em
+
+    def __call__(self, xs):
+        G, phi2, em = self.G, self.phi2, self.em
+        n = G.chart.n
+        ginv = G.inv(xs)
+        # dg[lam][h][b] = d_lam G_(h+1)(b+1); zero for a constant metric
+        dg = None if G.is_constant else [
+            duals.partial_multi(G.mat, xs, lam) for lam in range(n + 1)
+        ]
+
+        def raised(low):
+            if not any(low):  # exact float zeros, as for a flat metric
+                return [0.0] * n
+            return [sum(ginv[i][h] * low[h] for h in range(n)) for i in range(n)]
+
+        out = {}
+        for a in range(1, n + 1):
+            for b in range(a, n + 1):
+                out[(a, b)] = [0.0] * n if dg is None else raised([
+                    -0.5 * (dg[a][h - 1][b - 1] + dg[b][h - 1][a - 1] - dg[h][a - 1][b - 1])
+                    for h in range(1, n + 1)
+                ])
+        for b in range(1, n + 1):
+            low = []
+            for h in range(1, n + 1):
+                v = 0.0 if dg is None else -0.5 * dg[0][h - 1][b - 1]
+                key = _sym_key(h, b)
+                if key in phi2 and h != b:
+                    sgn = 1.0 if h < b else -1.0
+                    v = v + 0.5 * sgn * phi2[key](xs)
+                if em is not None:
+                    v = v + 0.5 * em.coupling * em.value(h, b, xs)
+                low.append(v)
+            out[(0, b)] = raised(low)
+        tt = [0.0] * n if self.time_gauge is None else [f(xs) for f in self.time_gauge]
+        if em is not None:
+            f0 = raised([em.coupling * em.value(h, 0, xs) for h in range(1, n + 1)])
+            tt = [t + f for t, f in zip(tt, f0)]
+        out[(0, 0)] = tt
+        return out
+
+
+def _derived_connection(chart, blocks):
+    """Spacetime connection of an evaluator, with per-component views."""
+    n = chart.n
+    views = {
+        (lam, mu): [Field(lambda xs, k=(lam, mu), i=i: blocks(xs)[k][i]) for i in range(n)]
+        for lam in range(0, n + 1)
+        for mu in range(lam, n + 1)
+    }
+    return SpacetimeConnection(chart, views, blocks)
 
 
 def metric_connection(chart, G, phi2=None, time_gauge=None, probe_points=None):
@@ -135,90 +228,12 @@ def metric_connection(chart, G, phi2=None, time_gauge=None, probe_points=None):
     time-space coefficients, and ``time_gauge`` (n fields, raised index)
     fixes the time-time coefficients.  Both default to zero.
     """
-    n = chart.n
     phi2 = {k: as_field(f) for k, f in (phi2 or {}).items() if not as_field(f).is_zero}
     if probe_points is not None:
         G.check_spd(probe_points)
-
-    # per-point shared state: the metric inverse and the metric partials are
-    # reused across all coefficient fields evaluated at the same point
-    import threading
-
-    local = threading.local()
-
-    def shared(xs):
-        st = getattr(local, "st", None)
-        if st is None or st["xs"] is not xs:
-            st = {"xs": xs, "ginv": None, "dg": {}}
-            local.st = st
-        return st
-
-    def ginv_at(xs):
-        st = shared(xs)
-        if st["ginv"] is None:
-            st["ginv"] = G.inv(xs)
-        return st["ginv"]
-
-    def dg(xs, lam, a, b):
-        st = shared(xs)
-        key = (lam, a, b) if a <= b else (lam, b, a)
-        if key not in st["dg"]:
-            st["dg"][key] = G.entry(key[1], key[2]).partial((lam,), xs)
-        return st["dg"][key]
-
-    def make_spatial(a, b):
-        def vec(xs):
-            ginv = ginv_at(xs)
-            low = [
-                -0.5 * (dg(xs, a, h, b) + dg(xs, b, h, a) - dg(xs, h, a, b))
-                for h in range(1, n + 1)
-            ]
-            return [
-                sum(ginv[i - 1][h - 1] * low[h - 1] for h in range(1, n + 1))
-                for i in range(1, n + 1)
-            ]
-
-        return vec
-
-    def make_time_space(b):
-        def vec(xs):
-            ginv = ginv_at(xs)
-            low = []
-            for h in range(1, n + 1):
-                v = -0.5 * dg(xs, 0, h, b)
-                key = _sym_key(h, b)
-                if key in phi2 and h != b:
-                    sgn = 1.0 if h < b else -1.0
-                    v = v + 0.5 * sgn * phi2[key](xs)
-                low.append(v)
-            return [
-                sum(ginv[i - 1][h - 1] * low[h - 1] for h in range(1, n + 1))
-                for i in range(1, n + 1)
-            ]
-
-        return vec
-
-    sym = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            if G.is_constant:
-                sym[(a, b)] = [ZERO] * n
-                continue
-            vec = make_spatial(a, b)
-            sym[(a, b)] = [
-                Field(lambda xs, v=vec, i=i: v(xs)[i - 1]) for i in range(1, n + 1)
-            ]
-    for b in range(1, n + 1):
-        if G.is_constant and not any(b in key for key in phi2):
-            sym[(0, b)] = [ZERO] * n
-            continue
-        vec = make_time_space(b)
-        sym[(0, b)] = [
-            Field(lambda xs, v=vec, i=i: v(xs)[i - 1]) for i in range(1, n + 1)
-        ]
     if time_gauge is not None:
-        sym[(0, 0)] = [as_field(f) for f in time_gauge]
-    return SpacetimeConnection(chart, sym)
+        time_gauge = [as_field(f) for f in time_gauge]
+    return _derived_connection(chart, MetricBlocks(G, phi2, time_gauge))
 
 
 def gauge_from_potential(G, A):
@@ -248,86 +263,102 @@ def gauge_from_potential(G, A):
     return phi2, time_gauge
 
 
+def _phase_sym(vel, aff, n):
+    """Spacetime indexing {(lam, mu): fields} of phase-connection data."""
+    return {
+        (lam, mu): vel[(lam, mu)] if mu else aff[lam]
+        for lam in range(0, n + 1)
+        for mu in range(lam, n + 1)
+    }
+
+
+def _phase_maps(sym, n):
+    """Phase-connection data (vel, aff) of a spacetime-indexed field set."""
+    vel = {(lam, k): sym[_sym_key(lam, k)] for lam in range(0, n + 1) for k in range(1, n + 1)}
+    aff = {lam: sym[_sym_key(lam, 0)] for lam in range(0, n + 1)}
+    return vel, aff
+
+
+def _dynamical_sym(quad, lin, const, n):
+    """Spacetime indexing {(lam, mu): fields} of second-order data."""
+    sym = {(0, 0): const}
+    for h in range(1, n + 1):
+        sym[(0, h)] = lin[h]
+        for k in range(h, n + 1):
+            sym[(h, k)] = quad[(h, k)]
+    return sym
+
+
 class PhaseConnection:
     """Affine connection of the velocity bundle.
 
     ``vel[(lam, k)]`` holds the n fields multiplying v^k in the lift along
     d^lam; ``aff[lam]`` the velocity-independent part.  The correspondence
     with a spacetime connection is pure re-indexing, so the maps below
-    share field objects and round-trip exactly.
+    share field objects and round-trip exactly, and hand along the one-pass
+    evaluator ``blocks`` (spacetime indexing); the fields are views.
     """
 
-    def __init__(self, chart, vel, aff):
+    def __init__(self, chart, vel, aff, blocks=None):
         self.chart = chart
         self.vel = vel
         self.aff = aff
+        self.blocks = blocks or _field_blocks(_phase_sym(vel, aff, chart.n))
 
     def lift_values(self, xs):
         """gl[k][lam]: value of the lift coefficient for component k along
         d^lam, as a full (affine in velocity) function of the phase point."""
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
-        vel_vals = {key: [f(xs) for f in fs] for key, fs in self.vel.items()}
-        aff_vals = {lam: [f(xs) for f in fs] for lam, fs in self.aff.items()}
+        kv = self.blocks(xs)
         gl = []
-        for k in range(1, n + 1):
+        for k in range(n):
             row = []
             for lam in range(0, n + 1):
-                s = aff_vals[lam][k - 1]
+                s = kv[_sym_key(lam, 0)][k]
                 for j in range(1, n + 1):
-                    s = s + vel_vals[(lam, j)][k - 1] * v[j - 1]
+                    s = s + kv[_sym_key(lam, j)][k] * v[j - 1]
                 row.append(s)
             gl.append(row)
         return gl
 
 
 def phase_from_spacetime(K):
-    chart = K.chart
-    n = chart.n
-    vel = {}
-    aff = {}
-    for lam in range(0, n + 1):
-        vel.update({(lam, k): K.sym[_sym_key(lam, k)] for k in range(1, n + 1)})
-        aff[lam] = K.sym[_sym_key(lam, 0)]
-    return PhaseConnection(chart, vel, aff)
+    vel, aff = _phase_maps(K.sym, K.chart.n)
+    return PhaseConnection(K.chart, vel, aff, K.blocks)
 
 
 def spacetime_from_phase(gamma):
     chart = gamma.chart
-    n = chart.n
-    sym = {}
-    for lam in range(0, n + 1):
-        for mu in range(lam, n + 1):
-            if mu == 0:
-                sym[(lam, mu)] = gamma.aff[lam]
-            else:
-                sym[(lam, mu)] = gamma.vel[(lam, mu)]
-    return SpacetimeConnection(chart, sym)
+    return SpacetimeConnection(chart, _phase_sym(gamma.vel, gamma.aff, chart.n), gamma.blocks)
 
 
 class DynamicalConnection:
-    """Second-order connection with coefficients polynomial in velocity."""
+    """Second-order connection with coefficients polynomial in velocity.
 
-    def __init__(self, chart, quad, lin, const):
+    Evaluated in one pass through ``blocks`` (spacetime indexing, shared
+    with the phase connection it corresponds to); the fields are views.
+    """
+
+    def __init__(self, chart, quad, lin, const, blocks=None):
         self.chart = chart
         self.quad = quad  # {(h, k) h <= k: [n fields]}
         self.lin = lin  # {h: [n fields]}
         self.const = const  # [n fields]
+        self.blocks = blocks or _field_blocks(_dynamical_sym(quad, lin, const, chart.n))
 
     def gamma00_values(self, xs):
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
+        kv = self.blocks(xs)
         out = []
-        quad_vals = {key: [f(xs) for f in fs] for key, fs in self.quad.items()}
-        lin_vals = {h: [f(xs) for f in fs] for h, fs in self.lin.items()}
-        const_vals = [f(xs) for f in self.const]
-        for i in range(self.chart.n):
-            s = const_vals[i]
+        for i in range(n):
+            s = kv[(0, 0)][i]
             for h in range(1, n + 1):
-                s = s + 2.0 * lin_vals[h][i] * v[h - 1]
+                s = s + 2.0 * kv[(0, h)][i] * v[h - 1]
                 for k in range(h, n + 1):
                     mult = 1.0 if h == k else 2.0
-                    s = s + mult * quad_vals[(h, k)][i] * v[h - 1] * v[k - 1]
+                    s = s + mult * kv[(h, k)][i] * v[h - 1] * v[k - 1]
             out.append(s)
         return out
 
@@ -346,20 +377,13 @@ def dynamical_from_phase(gamma):
         lin[h] = gamma.aff[h]
         for k in range(h, n + 1):
             quad[(h, k)] = gamma.vel[(h, k)]
-    return DynamicalConnection(chart, quad, lin, gamma.aff[0])
+    return DynamicalConnection(chart, quad, lin, gamma.aff[0], gamma.blocks)
 
 
 def phase_from_dynamical(dyn):
-    chart = dyn.chart
-    n = chart.n
-    vel = {}
-    aff = {0: dyn.const}
-    for h in range(1, n + 1):
-        aff[h] = dyn.lin[h]
-        vel[(0, h)] = dyn.lin[h]
-        for k in range(1, n + 1):
-            vel[(h, k)] = dyn.quad[_sym_key(h, k)]
-    return PhaseConnection(chart, vel, aff)
+    n = dyn.chart.n
+    vel, aff = _phase_maps(_dynamical_sym(dyn.quad, dyn.lin, dyn.const, n), n)
+    return PhaseConnection(dyn.chart, vel, aff, dyn.blocks)
 
 
 class EMField:
@@ -398,18 +422,6 @@ class EMField:
         f = self._e.get((lam, mu))
         return 0.0 if f is None else sgn * f(xs)
 
-    def raised_entry(self, G, i, lam):
-        """Field for f^i_lam with the first index raised by the metric."""
-        n = self.chart.n
-
-        def fn(xs):
-            ginv = G.inv(xs)
-            return sum(
-                ginv[i - 1][a - 1] * self.value(a, lam, xs) for a in range(1, n + 1)
-            )
-
-        return Field(fn)
-
 
 class Observer:
     """Section of the phase bundle: n velocity fields on E."""
@@ -417,9 +429,6 @@ class Observer:
     def __init__(self, chart, comps=None):
         self.chart = chart
         self.comps = [as_field(c) for c in (comps or [ZERO] * chart.n)]
-
-    def is_adapted(self):
-        return all(c.is_zero for c in self.comps)
 
     def phase_point(self, xs_e):
         return list(xs_e[: self.chart.n + 1]) + [c(xs_e) for c in self.comps]
@@ -483,11 +492,6 @@ class PhaseTwoForm:
         return float(np.linalg.det(np.array(rows)))
 
 
-def dynamical_two_form(G, gamma_conn, p):
-    """Evaluation matrix of the two-form at a phase point."""
-    return PhaseTwoForm(G, gamma_conn).matrix(p.coords() if hasattr(p, "coords") else p)
-
-
 def minimal_coupling(omega, em):
     """Total structure absorbing an electromagnetic field.
 
@@ -495,30 +499,15 @@ def minimal_coupling(omega, em):
     time-time coefficients pick up the raised field entries scaled by
     q/(2m) and q/m respectively.  Entrywise the evaluation matrix equals
     the matrix of ``omega`` plus the (q/m)-scaled field embedded in the
-    spacetime block.
+    spacetime block.  ``omega`` must come from a metric connection.
     """
     if em is None or em.coupling == 0.0 or not em._e:
         return omega
-    G = omega.G
-    chart = G.chart
-    n = chart.n
-    k_nat = spacetime_from_phase(omega.conn)
-    qm = em.coupling
-    sym = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            sym[(a, b)] = k_nat.sym[(a, b)]
-    for b in range(1, n + 1):
-        sym[(0, b)] = [
-            k_nat.sym[(0, b)][i - 1] + constant(0.5 * qm) * em.raised_entry(G, i, b)
-            for i in range(1, n + 1)
-        ]
-    sym[(0, 0)] = [
-        k_nat.sym[(0, 0)][i - 1] + constant(qm) * em.raised_entry(G, i, 0)
-        for i in range(1, n + 1)
-    ]
-    k_total = SpacetimeConnection(chart, sym)
-    return PhaseTwoForm(G, phase_from_spacetime(k_total))
+    nat = omega.conn.blocks
+    if not isinstance(nat, MetricBlocks):
+        raise TypeError("minimal coupling needs the two-form of a metric connection")
+    total = MetricBlocks(nat.G, nat.phi2, nat.time_gauge, em)
+    return PhaseTwoForm(omega.G, phase_from_spacetime(_derived_connection(omega.chart, total)))
 
 
 def euler_lagrange_matrix(G, dyn, p, accel):
@@ -545,14 +534,7 @@ class PoincareCartan:
         self.A = [as_field(a) for a in A]
 
     def theta0(self, xs):
-        n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        gm = self.G.mat(xs)
-        kin = 0.0
-        for a in range(n):
-            for b in range(n):
-                kin = kin + gm[a][b] * v[a] * v[b]
-        return -0.5 * kin + self.A[0](xs)
+        return -0.5 * self.G.norm_sq(xs) + self.A[0](xs)
 
     def theta_spatial(self, a, xs):
         """Component along d^a, a = 1..n."""
@@ -582,30 +564,20 @@ class LagrangianForm:
     def value(self, xs):
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
-        gm = self.G.mat(xs)
-        kin = 0.0
-        for a in range(n):
-            for b in range(n):
-                kin = kin + gm[a][b] * v[a] * v[b]
         lin = sum(self.A[a](xs) * v[a - 1] for a in range(1, n + 1))
-        return 0.5 * kin + lin + self.A[0](xs)
+        return 0.5 * self.G.norm_sq(xs) + lin + self.A[0](xs)
 
 
 class MomentumForm:
-    """Velocity derivative of the Lagrangian, contact-horizontal components."""
+    """Velocity derivative of the Lagrangian, contact-horizontal components:
+    the spatial components of the potential form it was split from."""
 
     def __init__(self, G, A):
         self.chart = G.chart
         self.G = G
         self.A = A
 
-    def component(self, a, xs):
-        n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        return (
-            sum(self.G.entry(a, b)(xs) * v[b - 1] for b in range(1, n + 1))
-            + self.A[a](xs)
-        )
+    component = PoincareCartan.theta_spatial
 
 
 def poincare_cartan(G, A):

@@ -18,7 +18,7 @@ import numpy as np
 from . import duals
 from .duals import value, partial_multi
 from .fields import Field, as_field, constant
-from .geometry import SingularOmegaError
+from .geometry import SingularOmegaError, _sym_key, lagrangian_and_momentum
 
 
 TOL_PASS = 1e-9
@@ -178,16 +178,12 @@ def lie_phase_connection(X, pconn):
 
     def at(xs):
         v = xs[n + 1 : 2 * n + 1]
+        kv = pconn.blocks(xs)
         gl = pconn.lift_values(xs)
+        # dgl[lam][i][mu]: derivative along x^lam of the lift coefficient
+        # (mu, i) at fixed velocity
+        dgl = [partial_multi(pconn.lift_values, xs, lam) for lam in range(n + 1)]
         xhat = [X.hat(i, xs) for i in range(1, n + 1)]
-
-        def dgl(lam, mu, i):
-            # derivative along x^lam of the full lift coefficient (mu, i)
-            s = pconn.aff[mu][i - 1].partial((lam,), xs)
-            for k in range(1, n + 1):
-                s = s + pconn.vel[(mu, k)][i - 1].partial((lam,), xs) * v[k - 1]
-            return s
-
         out = []
         for mu in range(0, n + 1):
             row = []
@@ -199,11 +195,11 @@ def lie_phase_connection(X, pconn):
                     s = s + ci.partial((k, mu), xs) * v[k - 1]
                 for lam in range(1, n + 1):
                     s = s - gl[i - 1][lam] * X.comps[lam - 1].partial((mu,), xs)
-                s = s - X.x0 * dgl(0, mu, i)
+                s = s - X.x0 * dgl[0][i - 1][mu]
                 for lam in range(1, n + 1):
-                    s = s - X.comps[lam - 1](xs) * dgl(lam, mu, i)
+                    s = s - X.comps[lam - 1](xs) * dgl[lam][i - 1][mu]
                 for k in range(1, n + 1):
-                    s = s - xhat[k - 1] * pconn.vel[(mu, k)][i - 1](xs)
+                    s = s - xhat[k - 1] * kv[_sym_key(mu, k)][i - 1]
                     s = s + gl[k - 1][mu] * X.comps[i - 1].partial((k,), xs)
                 row.append(s)
             out.append(row)
@@ -254,12 +250,12 @@ def lie_spacetime_connection(X, K):
 
     def at(te):
         xdot = te[n + 1 : 2 * n + 2]
+        kv = K.values(te)
+        # dkv[al]: every coefficient block differentiated along x^al
+        dkv = [partial_multi(K.values, te, al) for al in range(n + 1)]
 
         def kentry(lam, i, mu):
-            return K.entry(lam, i, mu)(te)
-
-        def dk(al, lam, i, mu):
-            return K.entry(lam, i, mu).partial((al,), te)
+            return kv[_sym_key(lam, mu)][i - 1]
 
         dx = [[X.comps[j - 1].partial((lam,), te) for lam in range(0, n + 1)] for j in range(1, n + 1)]
         out = []
@@ -268,9 +264,10 @@ def lie_spacetime_connection(X, K):
             for i in range(1, n + 1):
                 s = 0.0
                 for nu in range(0, n + 1):
-                    t = X.x0 * dk(0, lam, i, nu)
+                    key = _sym_key(lam, nu)
+                    t = X.x0 * dkv[0][key][i - 1]
                     for al in range(1, n + 1):
-                        t = t + X.comps[al - 1](te) * dk(al, lam, i, nu)
+                        t = t + X.comps[al - 1](te) * dkv[al][key][i - 1]
                     s = s + t * xdot[nu]
                 for j in range(1, n + 1):
                     for rho in range(0, n + 1):
@@ -524,12 +521,13 @@ def vertical_projector_spacetime(K):
         dim = 2 * (n + 1)
         m = [[0.0] * dim for _ in range(dim)]
         m[n + 1][n + 1] = 1.0  # time dot-row
+        kv = K.values(te)
         for i in range(1, n + 1):
             m[n + 1 + i][n + 1 + i] = 1.0
             for lam in range(0, n + 1):
                 s = 0.0
                 for nu in range(0, n + 1):
-                    s = s + K.entry(lam, i, nu)(te) * xdot[nu]
+                    s = s + kv[_sym_key(lam, nu)][i - 1] * xdot[nu]
                 m[n + 1 + i][lam] = -s
         return m
 
@@ -622,19 +620,13 @@ def check_equivalences(model, X, points_e, points_phase, points_te, points_j2,
             max(abs(value(x)) for x in lie_one_form(vec, model.theta.components, p))
             for p in points_phase
         )
-        lag, _ = _split_cached(model)
+        lag, _ = lagrangian_and_momentum(model.theta)
         ll = lie_lagrangian(X, lag)
         res["lagrangian"] = max(abs(value(ll(p))) for p in points_phase)
 
     return EquivalenceReport(
         getattr(model, "name", "?"), X.label or "X", res, tol_pass, tol_fail
     )
-
-
-def _split_cached(model):
-    from .geometry import lagrangian_and_momentum
-
-    return lagrangian_and_momentum(model.theta)
 
 
 # -- quantisable phase functions -------------------------------------------
@@ -654,20 +646,12 @@ class SpecialQuadratic:
     def value(self, xs):
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
-        gm = self.G.mat(xs)
-        quad = 0.0
-        for a in range(n):
-            for b in range(n):
-                quad = quad + gm[a][b] * v[a] * v[b]
-        s = 0.5 * self.f0(xs) * quad + self.fconst(xs)
+        s = 0.5 * self.f0(xs) * self.G.norm_sq(xs) + self.fconst(xs)
         for a in range(n):
             s = s + self.flin[a](xs) * v[a]
         return s
 
     __call__ = value
-
-    def time_component(self, xs_e):
-        return self.f0(xs_e)
 
     def has_constant_time_component(self, points, tol=1e-12):
         vals = [value(self.f0(p)) for p in points]
@@ -820,19 +804,21 @@ def tau_lift_values(fn, tau, omega, xs):
     y_sp = [
         -sum(ginv[h][k] * df[n + 1 + k] for k in range(n)) for h in range(n)
     ]
-    y_vel = []
-    for h in range(n):
-        s = 0.0
-        for k in range(n):
-            inner = df[1 + k]
-            for l in range(n):
-                corr = gl[l][1 + k]
-                for r in range(n):
-                    for t in range(n):
-                        corr = corr - gmat[k][r] * ginv[l][t] * gl[r][1 + t]
-                inner = inner + corr * df[n + 1 + l]
-            s = s + ginv[h][k] * inner
-        y_vel.append(s)
+    # correction matrix corr[k][l] = gl[l][1+k] - sum_{r,t} gmat[k][r]
+    # ginv[l][t] gl[r][1+t], built once per point through the product
+    # gl_ginv[r][l] = sum_t gl[r][1+t] ginv[l][t]
+    gl_ginv = [
+        [sum(gl[r][1 + t] * ginv[l][t] for t in range(n)) for l in range(n)]
+        for r in range(n)
+    ]
+    inner = []
+    for k in range(n):
+        s = df[1 + k]
+        for l in range(n):
+            corr = gl[l][1 + k] - sum(gmat[k][r] * gl_ginv[r][l] for r in range(n))
+            s = s + corr * df[n + 1 + l]
+        inner.append(s)
+    y_vel = [sum(ginv[h][k] * inner[k] for k in range(n)) for h in range(n)]
 
     out = [tau]
     for a in range(n):
@@ -966,7 +952,7 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, probe=None, validate_at=Non
                     f"probe residual {abs(value(got) - value(pred)):.3e} at {base}",
                 )
         gm = [[value(x) for x in row] for row in G.mat(base + [0.0] * n)]
-        qm = [[value(quad[_sym_key2(h, k)]) for k in range(n)] for h in range(n)]
+        qm = [[value(quad[_sym_key(h, k)]) for k in range(n)] for h in range(n)]
         tr = sum(
             sum(np.linalg.inv(np.array(gm))[h][k] * qm[k][h] for k in range(n))
             for h in range(n)
@@ -988,7 +974,7 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, probe=None, validate_at=Non
         tr = 0.0
         for h in range(n):
             for k in range(n):
-                tr = tr + ginv[h][k] * quad[_sym_key2(k, h)]
+                tr = tr + ginv[h][k] * quad[_sym_key(k, h)]
         return tr / n
 
     def lin_fn(a):
@@ -1008,10 +994,6 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, probe=None, validate_at=Non
     sq = SpecialQuadratic(G, Field(f0_fn), [lin_fn(a) for a in range(n)], Field(const_fn))
     sq.validate = check
     return sq
-
-
-def _sym_key2(h, k):
-    return (h, k) if h <= k else (k, h)
 
 
 # -- brackets ----------------------------------------------------------------

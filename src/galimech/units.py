@@ -57,9 +57,6 @@ class UnitDim:
         k = _frac(k)
         return UnitDim(self.time_exp * k, self.length_exp * k, self.mass_exp * k)
 
-    def is_dimensionless(self):
-        return self == DIMENSIONLESS
-
     def exponents(self):
         return (self.time_exp, self.length_exp, self.mass_exp)
 
@@ -117,11 +114,6 @@ class ScaledScalar:
         if isinstance(other, ScaledScalar):
             return ScaledScalar(self.value / other.value, self.dim / other.dim)
         return ScaledScalar(self.value / other, self.dim)
-
-
-def mul_dim(a, b):
-    """Componentwise exponent sum."""
-    return a * b
 
 
 def check_dim(x, expected):

@@ -174,6 +174,47 @@ def test_metric_compatibility_holds_for_any_gauge():
         assert metric_compat_residual(K, G, p) < 1e-12
 
 
+def test_connection_values_follow_in_place_mutation(rigidbody):
+    # a point list changed in place must not return values of its old content
+    for evaluate in (rigidbody.dyn.gamma00_values, rigidbody.K.values):
+        xs = rigidbody.sample_phase(1, seed=3)[0]
+        evaluate(xs)
+        xs[2] = 2.0
+        assert evaluate(xs) == evaluate(list(xs))
+
+
+@pytest.mark.parametrize("name", ["rigidbody", "cyclotron", "random"])
+def test_block_derivative_matches_component_partials(name):
+    model = random_compatible_model(5) if name == "random" else load_model(name)
+    n = model.chart.n
+    K = model.K
+    for p in model.sample_phase(2, seed=11):
+        xs = p[: n + 1]
+        for al in range(n + 1):
+            blocks = partial_multi(K.values, xs, al)
+            for (lam, mu), row in blocks.items():
+                for i in range(1, n + 1):
+                    want = value(K.entry(lam, i, mu).partial((al,), xs))
+                    assert abs(value(row[i - 1]) - want) <= 1e-12
+        # the phase and second-order connections re-index the same blocks
+        kv = K.values(p)
+        v = p[n + 1 :]
+
+        def k(lam, i, mu):
+            return value(kv[(min(lam, mu), max(lam, mu))][i - 1])
+
+        u = [1.0] + v  # contact direction (d0 + v^a d_a)
+        gl = model.pconn.lift_values(p)
+        g00 = model.dyn.gamma00_values(p)
+        for i in range(1, n + 1):
+            for lam in range(n + 1):
+                want = sum(k(lam, i, mu) * u[mu] for mu in range(n + 1))
+                assert abs(value(gl[i - 1][lam]) - want) <= 1e-12
+            want = sum(k(lam, i, mu) * u[lam] * u[mu]
+                       for lam in range(n + 1) for mu in range(n + 1))
+            assert abs(value(g00[i - 1]) - want) <= 1e-12
+
+
 def test_spd_probe():
     chart = Chart(2)
     G = Metric(chart, {
