@@ -35,7 +35,6 @@ from .geometry import (
     Metric,
     Observer,
     PhaseTwoForm,
-    gauge_from_potential,
     identity_metric,
     metric_connection,
     minimal_coupling,
@@ -73,8 +72,7 @@ class Model:
         probe = self.sample_e(8)
         G.check_spd(probe)
 
-        phi2, time_gauge = gauge_from_potential(G, self.A)
-        k_nat = metric_connection(chart, G, phi2, time_gauge)
+        k_nat = metric_connection(chart, G, A=self.A)
         omega_nat = PhaseTwoForm(G, phase_from_spacetime(k_nat))
         self.omega = minimal_coupling(omega_nat, em)
         self.pconn = self.omega.conn
@@ -382,10 +380,14 @@ def _parse_scaled(spec, what):
         dim = UnitDim.from_triple(spec.get("dim", [0, 0, 0]))
     except (UnitMismatchError, TypeError, ValueError) as exc:
         raise UnitMismatchError(f"{what}: bad dimension triple: {exc}")
+    if "value" not in spec:
+        raise ModelError(f"{what}: missing 'value'")
     return ScaledScalar(float(spec["value"]), dim)
 
 
 def model_from_config(cfg):
+    if not isinstance(cfg, dict):
+        raise ModelError(f"config must be a JSON object, got {type(cfg).__name__}")
     n = int(cfg.get("n", 3))
     chart = Chart(n)
     name = cfg.get("name", "custom")
@@ -455,6 +457,8 @@ def named_charges(model, names=None, check_points=None):
 
     Returns an ordered dict label -> SpecialQuadratic for every generator of
     every action whose potential-form invariance holds (skips the rest).
+    With ``names``, only the named generators are verified, and the result
+    holds exactly those charges in that order.
     """
     from .symmetry import noether_charge
 
@@ -464,10 +468,12 @@ def named_charges(model, names=None, check_points=None):
     out = {}
     for action in model.actions.values():
         for gen in action.generators:
-            label = gen.label or action.name
+            key = f"charge_{gen.label or action.name}"
+            if names is not None and key not in names:
+                continue
             charge, residual, conserved = noether_charge(gen, model.theta, pts)
             if conserved:
-                out[f"charge_{label}"] = charge
+                out[key] = charge
     if names is not None:
         missing = [nm for nm in names if nm not in out]
         if missing:

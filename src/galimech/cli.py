@@ -123,8 +123,8 @@ class _ExprParser:
         if self.peek() == "^":
             self.take()
             t = self.take()
-            if not (isinstance(t, tuple) and t[0] == "num"):
-                raise ParseError("exponent must be a number")
+            if not (isinstance(t, tuple) and t[0] == "num" and t[1].is_integer()):
+                raise ParseError("exponent must be an integer")
             return base ** int(t[1])
         return base
 

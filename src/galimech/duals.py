@@ -106,12 +106,13 @@ class MultiDual:
             return (self._recip()) ** (-k)
         out = MultiDual({0: 1.0})
         base = self
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     # -- ordering on the real part (used for pivoting) -------------------
 

@@ -8,6 +8,7 @@ equally on floats and on dual numbers, which gives exact partial
 derivatives to total order 2 through :func:`Field.partial`.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -55,8 +56,6 @@ class PhasePoint:
     v: tuple
 
     def __post_init__(self):
-        import math
-
         if not all(math.isfinite(c) for c in (self.t, *self.x, *self.v)):
             raise ValueError("phase point entries must be finite")
 
@@ -188,55 +187,60 @@ def polynomial(terms):
         for c, expo in cooked:
             t = c
             for slot, p in expo:
-                t = t * xs[slot] ** p
+                t = t * (xs[slot] if p == 1 else xs[slot] ** p)
             total = total + t
         return total
 
     return Field(fn)
 
 
+_OF_FIELD = {"sin": sin_of, "cos": cos_of, "exp": exp_of}
+
+
+def _exponent(x):
+    """An integer power from a config; anything else is an input error."""
+    if type(x) is int or (type(x) is float and x.is_integer()):
+        return int(x)
+    raise ValueError(f"powers must be integers, got {x!r}")
+
+
 def from_config(spec):
     """Build a field from a JSON-style constructor description.
 
-    Supported kinds: constant, coord, polynomial (``coeffs`` maps a
-    space-separated exponent key per slot to a coefficient, or a list of
+    Supported kinds: constant, coord, polynomial (``coeffs`` is a list of
     ``[coeff, [slot, power, slot, power, ...]]``), sin/cos/exp of a nested
-    spec, sum, product, scale, pow.
+    spec, sum, product, scale, pow.  A malformed spec raises ValueError.
     """
     if isinstance(spec, (int, float)):
         return constant(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"field spec must be a number or an object, got {spec!r}")
     kind = spec.get("kind")
+
+    def arg(key):
+        if key not in spec:
+            raise ValueError(f"field constructor {kind!r} needs {key!r}")
+        return spec[key]
+
     if kind == "constant":
-        return constant(spec["value"])
+        return constant(arg("value"))
     if kind == "coord":
-        return coordinate(int(spec["index"]))
+        return coordinate(int(arg("index")))
     if kind == "polynomial":
-        terms = []
-        for entry in spec["coeffs"]:
-            c, flat = entry[0], entry[1]
-            expo = {int(flat[i]): int(flat[i + 1]) for i in range(0, len(flat), 2)}
-            terms.append((c, expo))
-        return polynomial(terms)
-    if kind == "sin":
-        return sin_of(from_config(spec["of"]))
-    if kind == "cos":
-        return cos_of(from_config(spec["of"]))
-    if kind == "exp":
-        return exp_of(from_config(spec["of"]))
+        return polynomial([
+            (c, {int(flat[i]): _exponent(flat[i + 1]) for i in range(0, len(flat), 2)})
+            for c, flat in arg("coeffs")
+        ])
+    if kind in _OF_FIELD:
+        return _OF_FIELD[kind](from_config(arg("of")))
     if kind == "sum":
-        out = ZERO
-        for t in spec["terms"]:
-            out = out + from_config(t)
-        return out
+        return sum((from_config(t) for t in arg("terms")), ZERO)
     if kind == "product":
-        out = ONE
-        for t in spec["factors"]:
-            out = out * from_config(t)
-        return out
+        return math.prod((from_config(t) for t in arg("factors")), start=ONE)
     if kind == "scale":
-        return constant(spec["by"]) * from_config(spec["of"])
+        return constant(arg("by")) * from_config(arg("of"))
     if kind == "pow":
-        return from_config(spec["of"]) ** int(spec["exp"])
+        return from_config(arg("of")) ** _exponent(arg("exp"))
     raise ValueError(f"unknown field constructor kind {kind!r}")
 
 
@@ -270,7 +274,15 @@ def fd_oracle(f, alpha, xs, h):
 
 # -- deterministic sample points -----------------------------------------
 
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+def _primes(count):
+    """The first ``count`` primes, the bases of the Halton sequence."""
+    out = []
+    p = 2
+    while len(out) < count:
+        if all(p % q for q in out if q * q <= p):
+            out.append(p)
+        p += 1
+    return out
 
 
 def _halton(index, base):
@@ -289,19 +301,14 @@ def sample_points(count, box, seed=0):
     rotation is applied to the underlying Halton sequence so different
     seeds give different (but reproducible) point sets.
     """
-    dim = len(box)
-    if dim > len(_PRIMES):
-        raise ValueError("sample dimension too large")
     rng = random.Random(seed)
-    shift = [rng.random() for _ in range(dim)]
+    axes = list(zip(box, _primes(len(box)), [rng.random() for _ in box]))
     pts = []
     for k in range(count):
         p = []
-        for d in range(dim):
-            u = _halton(k + 1, _PRIMES[d]) + shift[d]
-            u -= int(u)
-            lo, hi = box[d]
-            p.append(lo + u * (hi - lo))
+        for (lo, hi), base, shift in axes:
+            u = _halton(k + 1, base) + shift
+            p.append(lo + (u - int(u)) * (hi - lo))
         pts.append(p)
     return pts
 

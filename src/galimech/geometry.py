@@ -128,13 +128,11 @@ class SpacetimeConnection:
         those fields are views of."""
         self.chart = chart
         n = chart.n
-        self.sym = {}
-        for lam in range(0, n + 1):
-            for mu in range(lam, n + 1):
-                fields = sym.get((lam, mu))
-                if fields is None:
-                    fields = [ZERO] * n
-                self.sym[(lam, mu)] = list(fields)
+        self.sym = {
+            (lam, mu): list(sym.get((lam, mu), [ZERO] * n))
+            for lam in range(0, n + 1)
+            for mu in range(lam, n + 1)
+        }
         self.blocks = blocks or _field_blocks(self.sym)
 
     def entry(self, lam, i, mu):
@@ -154,32 +152,53 @@ class MetricBlocks:
     """One-pass evaluator of a metric-compatible connection.
 
     At a point it returns every coefficient block {(lam, mu): [n values]}
-    from one metric inverse and one seeded metric evaluation per spacetime
-    direction.  ``phi2`` and ``time_gauge`` are the gauge inputs of
-    :func:`metric_connection`; ``em`` is a minimally coupled field, whose
-    (q/m)-scaled raised entries enter the time-space blocks at half weight
-    and the time-time block at full weight.
+    from one metric inverse and one seeded pass per spacetime direction
+    over the pair (metric, gauge potential A), which differentiates G and A
+    together.  The gauge part is read from dA: its spatial curl fixes the
+    antisymmetric part of the lowered time-space blocks, and
+    d_a A_0 - d_0 A_a, raised by the same inverse, is the time-time block.
+    Without A, the explicit gauge fields ``phi2`` and ``time_gauge`` of
+    :func:`metric_connection` are read once per point instead.  ``em`` is a
+    minimally coupled field, whose (q/m)-scaled raised entries enter the
+    time-space blocks at half weight and the time-time block at full weight.
     """
 
-    def __init__(self, G, phi2, time_gauge, em=None):
+    def __init__(self, G, A=None, phi2=None, time_gauge=None, em=None):
         self.G = G
-        self.phi2 = phi2
+        self.A = None if A is None or all(a.is_zero for a in A) else A
+        self.phi2 = phi2 or {}
         self.time_gauge = time_gauge
         self.em = em
 
     def __call__(self, xs):
-        G, phi2, em = self.G, self.phi2, self.em
+        G, A, em = self.G, self.A, self.em
         n = G.chart.n
         ginv = G.inv(xs)
-        # dg[lam][h][b] = d_lam G_(h+1)(b+1); zero for a constant metric
-        dg = None if G.is_constant else [
-            duals.partial_multi(G.mat, xs, lam) for lam in range(n + 1)
+
+        def seeded(p):  # each part is empty when it has no partials
+            return [] if G.is_constant else G.mat(p), [] if A is None else [a(p) for a in A]
+
+        # d[lam] = (dg[lam], da[lam]) with dg[lam][h][b] = d_lam G_(h+1)(b+1)
+        # and da[lam][mu] = d_lam A_mu; dg is None for a constant metric
+        d = None if G.is_constant and A is None else [
+            duals.partial_multi(seeded, xs, lam) for lam in range(n + 1)
         ]
+        dg = None if G.is_constant else [dl[0] for dl in d]
 
         def raised(low):
             if not any(low):  # exact float zeros, as for a flat metric
                 return [0.0] * n
             return [sum(ginv[i][h] * low[h] for h in range(n)) for i in range(n)]
+
+        if A is None:
+            curl = {k: f(xs) for k, f in self.phi2.items()}
+            tt = [0.0] * n if self.time_gauge is None else [f(xs) for f in self.time_gauge]
+        else:
+            da = [dl[1] for dl in d]
+            curl = {
+                (a, b): da[a][b] - da[b][a] for a in range(1, n + 1) for b in range(a + 1, n + 1)
+            }
+            tt = raised([da[a][0] - da[0][a] for a in range(1, n + 1)])
 
         out = {}
         for a in range(1, n + 1):
@@ -193,14 +212,13 @@ class MetricBlocks:
             for h in range(1, n + 1):
                 v = 0.0 if dg is None else -0.5 * dg[0][h - 1][b - 1]
                 key = _sym_key(h, b)
-                if key in phi2 and h != b:
+                if key in curl and h != b:
                     sgn = 1.0 if h < b else -1.0
-                    v = v + 0.5 * sgn * phi2[key](xs)
+                    v = v + 0.5 * sgn * curl[key]
                 if em is not None:
                     v = v + 0.5 * em.coupling * em.value(h, b, xs)
                 low.append(v)
             out[(0, b)] = raised(low)
-        tt = [0.0] * n if self.time_gauge is None else [f(xs) for f in self.time_gauge]
         if em is not None:
             f0 = raised([em.coupling * em.value(h, 0, xs) for h in range(1, n + 1)])
             tt = [t + f for t, f in zip(tt, f0)]
@@ -219,48 +237,21 @@ def _derived_connection(chart, blocks):
     return SpacetimeConnection(chart, views, blocks)
 
 
-def metric_connection(chart, G, phi2=None, time_gauge=None, probe_points=None):
-    """Metric-compatible connection with explicit gauge inputs.
+def metric_connection(chart, G, phi2=None, time_gauge=None, A=None):
+    """Metric-compatible connection.
 
     The spatial block and the symmetric time part are determined by the
-    metric; ``phi2`` (antisymmetric spatial fields, entered as a dict
-    {(a, b): Field} for a < b) fixes the antisymmetric part of the lowered
-    time-space coefficients, and ``time_gauge`` (n fields, raised index)
-    fixes the time-time coefficients.  Both default to zero.
+    metric.  The gauge part comes from a spacetime 1-form potential ``A``
+    (n+1 fields), chosen so the derived two-form is exact, or else from
+    explicit fields: ``phi2`` (antisymmetric spatial fields, entered as a
+    dict {(a, b): Field} for a < b) fixes the antisymmetric part of the
+    lowered time-space coefficients, and ``time_gauge`` (n fields, raised
+    index) fixes the time-time coefficients.  All default to zero.
     """
     phi2 = {k: as_field(f) for k, f in (phi2 or {}).items() if not as_field(f).is_zero}
-    if probe_points is not None:
-        G.check_spd(probe_points)
     if time_gauge is not None:
         time_gauge = [as_field(f) for f in time_gauge]
-    return _derived_connection(chart, MetricBlocks(G, phi2, time_gauge))
-
-
-def gauge_from_potential(G, A):
-    """Gauge inputs (phi2, time_gauge) of a metric connection induced by a
-    spacetime 1-form potential, chosen so the derived two-form is exact."""
-    chart = G.chart
-    n = chart.n
-    if all(as_field(a).is_zero for a in A):
-        return {}, None
-    phi2 = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            def fn(xs, a=a, b=b):
-                return A[b].partial((a,), xs) - A[a].partial((b,), xs)
-
-            phi2[(a, b)] = Field(fn)
-
-    def tg_vec(xs):
-        ginv = G.inv(xs)
-        low = [A[0].partial((a,), xs) - A[a].partial((0,), xs) for a in range(1, n + 1)]
-        return [
-            sum(ginv[i - 1][a - 1] * low[a - 1] for a in range(1, n + 1))
-            for i in range(1, n + 1)
-        ]
-
-    time_gauge = [Field(lambda xs, v=tg_vec, i=i: v(xs)[i - 1]) for i in range(1, n + 1)]
-    return phi2, time_gauge
+    return _derived_connection(chart, MetricBlocks(G, A, phi2, time_gauge))
 
 
 def _phase_sym(vel, aff, n):
@@ -506,7 +497,7 @@ def minimal_coupling(omega, em):
     nat = omega.conn.blocks
     if not isinstance(nat, MetricBlocks):
         raise TypeError("minimal coupling needs the two-form of a metric connection")
-    total = MetricBlocks(nat.G, nat.phi2, nat.time_gauge, em)
+    total = MetricBlocks(nat.G, nat.A, nat.phi2, nat.time_gauge, em)
     return PhaseTwoForm(omega.G, phase_from_spacetime(_derived_connection(omega.chart, total)))
 
 
@@ -554,7 +545,10 @@ class PoincareCartan:
 
 
 class LagrangianForm:
-    """Time-horizontal part of a Poincare-Cartan form (its d0 coefficient)."""
+    """Contact splitting of a Poincare-Cartan form, sharing its metric and
+    gauge data: ``value`` is the Lagrangian (the time-horizontal d0
+    coefficient) and ``component`` the momentum (the velocity derivative of
+    the Lagrangian: the spatial components of the form)."""
 
     def __init__(self, G, A):
         self.chart = G.chart
@@ -567,16 +561,6 @@ class LagrangianForm:
         lin = sum(self.A[a](xs) * v[a - 1] for a in range(1, n + 1))
         return 0.5 * self.G.norm_sq(xs) + lin + self.A[0](xs)
 
-
-class MomentumForm:
-    """Velocity derivative of the Lagrangian, contact-horizontal components:
-    the spatial components of the potential form it was split from."""
-
-    def __init__(self, G, A):
-        self.chart = G.chart
-        self.G = G
-        self.A = A
-
     component = PoincareCartan.theta_spatial
 
 
@@ -586,8 +570,10 @@ def poincare_cartan(G, A):
 
 
 def lagrangian_and_momentum(theta):
-    """Contact splitting of the potential form; shares its coefficient data."""
-    return LagrangianForm(theta.G, theta.A), MomentumForm(theta.G, theta.A)
+    """Contact splitting of the potential form: (Lagrangian, momentum), one
+    object that shares the form's coefficient data."""
+    split = LagrangianForm(theta.G, theta.A)
+    return split, split
 
 
 def cartan_from_lagrangian(lag, mom):

@@ -259,3 +259,71 @@ def test_named_charges_selection(free3d):
     assert list(charges) == ["charge_d1", "charge_d0"]
     with pytest.raises(ModelError):
         named_charges(free3d, ["charge_zz"])
+
+
+def test_named_charges_verifies_only_named(rigidbody, monkeypatch):
+    from galimech import symmetry
+
+    everything = named_charges(rigidbody)
+    calls = []
+    verify = symmetry.noether_charge
+    monkeypatch.setattr(symmetry, "noether_charge",
+                        lambda *a, **k: calls.append(a[0].label) or verify(*a, **k))
+    charges = named_charges(rigidbody, ["charge_d0", "charge_Rz"])
+    assert sorted(calls) == ["Rz", "d0"]
+    assert list(charges) == ["charge_d0", "charge_Rz"]
+    for p in rigidbody.sample_phase(3, seed=4):
+        for nm, q in charges.items():
+            assert value(q.value(p)) == value(everything[nm].value(p))
+    with pytest.raises(ModelError):
+        named_charges(rigidbody, ["charge_d0", "charge_zz"])
+
+
+def test_check_symmetry_four_dimensional_chart(tmp_path):
+    # a jet sample on n = 4 has 13 coordinates, each with its own Halton prime base
+    def poly(base, slot):
+        return {"kind": "polynomial", "coeffs": [[base, []], [0.05, [slot, 1]], [0.03, [0, 2]]]}
+
+    cfg = {
+        "n": 4,
+        "metric": {"entries": {f"{a},{a}": poly(2.0, a) for a in range(1, 5)}},
+        "potential": [poly(0.0, lam) for lam in range(5)],
+    }
+    path = tmp_path / "n4.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli(["check-symmetry", "--model", str(path), "--field", "x1 d2 - x2 d1",
+                    "--points", "2", "--out", str(tmp_path)])
+    assert code in (0, 2)
+    assert len(json.load(open(tmp_path / "check-symmetry.json"))["checks"]) == 9
+
+
+def _input_error(args, capsys):
+    code = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+def test_config_top_level_list_is_input_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert "JSON object" in _input_error(["derive", "--model", str(path)], capsys)
+
+
+def test_config_constant_without_value_is_input_error(tmp_path, capsys):
+    path = tmp_path / "novalue.json"
+    path.write_text(json.dumps({"n": 2, "metric": {"entries": {"1,1": {"kind": "constant"}}}}))
+    assert "'value'" in _input_error(["derive", "--model", str(path)], capsys)
+
+
+def test_field_fractional_exponent_is_input_error(capsys):
+    args = ["check-symmetry", "--model", "free3d", "--field", "x1^2.5 d1"]
+    assert "integer" in _input_error(args, capsys)
+
+
+def test_config_fractional_pow_is_input_error(tmp_path, capsys):
+    spec = {"kind": "pow", "of": {"kind": "coord", "index": 1}, "exp": 2.5}
+    path = tmp_path / "pow.json"
+    path.write_text(json.dumps({"n": 2, "potential": [spec, 0.0, 0.0]}))
+    assert "integer" in _input_error(["derive", "--model", str(path)], capsys)

@@ -52,6 +52,20 @@ def test_division_and_powers():
     assert abs(partial(g, [2.0], 0) - (-2 * 2.0 ** -3)) < 1e-15
 
 
+def test_power_matches_repeated_multiplication(monkeypatch):
+    # dyadic coefficients keep every product exact, so terms compare bit for bit
+    for x in (MultiDual({0: 1.5, 1: -0.75}), MultiDual({0: -1.25, 1: 0.5, 2: 2.0, 3: 0.25})):
+        want = MultiDual({0: 1.0})
+        for k in range(6):
+            assert (x ** k).terms == want.terms
+            want = want * x
+    calls = []
+    mul = MultiDual.__mul__
+    monkeypatch.setattr(MultiDual, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    MultiDual({0: 1.5, 1: 1.0}) ** 1
+    assert len(calls) == 1
+
+
 def test_sqrt():
     def f(xs):
         return duals.sqrt(xs[0] * xs[0] + xs[1])

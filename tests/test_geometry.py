@@ -8,6 +8,7 @@ from galimech import duals
 from galimech.duals import value, partial_multi
 from galimech.catalog import (
     load_model,
+    model_from_config,
     nonclosed_field_model,
     nonmetric_connection_model,
     random_compatible_model,
@@ -24,7 +25,6 @@ from galimech.geometry import (
     dphi_residual,
     dynamical_from_phase,
     euler_lagrange_matrix,
-    gauge_from_potential,
     identity_metric,
     lagrangian_and_momentum,
     cartan_from_lagrangian,
@@ -213,6 +213,73 @@ def test_block_derivative_matches_component_partials(name):
             want = sum(k(lam, i, mu) * u[lam] * u[mu]
                        for lam in range(n + 1) for mu in range(n + 1))
             assert abs(value(g00[i - 1]) - want) <= 1e-12
+
+
+def potential_reference_connection(model):
+    """Connection of a potential model rebuilt from explicit gauge fields:
+    the curl d_a A_b - d_b A_a and the raised G^-1 (d_a A_0 - d_0 A_a)."""
+    G, A, n = model.G, model.A, model.chart.n
+    phi2 = {
+        (a, b): Field(lambda xs, a=a, b=b: A[b].partial((a,), xs) - A[a].partial((b,), xs))
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+    }
+
+    def raised(xs, i):
+        ginv = G.inv(xs)
+        return sum(ginv[i][a - 1] * (A[0].partial((a,), xs) - A[a].partial((0,), xs))
+                   for a in range(1, n + 1))
+
+    time_gauge = [Field(lambda xs, i=i: raised(xs, i)) for i in range(n)]
+    return metric_connection(model.chart, G, phi2=phi2, time_gauge=time_gauge)
+
+
+def generated_n2_model():
+    def poly(base, seed):
+        rng = random.Random(seed)
+        terms = [[base + rng.uniform(-0.1, 0.1), []]]
+        terms += [[rng.uniform(-0.1, 0.1), [slot, 1]] for slot in range(3)]
+        terms.append([rng.uniform(-0.05, 0.05), [rng.randrange(3), 2]])
+        return {"kind": "polynomial", "coeffs": terms}
+
+    return model_from_config({
+        "name": "generated-n2",
+        "n": 2,
+        "metric": {"entries": {"1,1": poly(2.0, 1), "1,2": poly(0.0, 2), "2,2": poly(2.0, 3)}},
+        "potential": [poly(0.0, 4 + lam) for lam in range(3)],
+    })
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "n2"])
+def test_potential_connection_matches_explicit_gauge_fields(seed):
+    model = generated_n2_model() if seed == "n2" else random_compatible_model(seed)
+    n = model.chart.n
+    ref = potential_reference_connection(model)
+    ref_dyn = dynamical_from_phase(phase_from_spacetime(ref))
+
+    def close(got, want):
+        for key, row in want.items():
+            for g, w in zip(got[key], row):
+                assert abs(value(g) - value(w)) <= 1e-12
+
+    for p in model.sample_phase(3, seed=7):
+        xs = p[: n + 1]
+        close(model.K.values(xs), ref.values(xs))
+        for d in range(n + 1):
+            close(partial_multi(model.K.values, xs, d), partial_multi(ref.values, xs, d))
+        got, want = model.dyn.gamma00_values(p), ref_dyn.gamma00_values(p)
+        assert max(abs(value(g) - value(w)) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_one_metric_inverse_per_acceleration(monkeypatch):
+    model = random_compatible_model(2)
+    calls = []
+    inv = Metric.inv
+    monkeypatch.setattr(Metric, "inv", lambda self, xs: calls.append(1) or inv(self, xs))
+    for p in model.sample_phase(3, seed=1):
+        calls.clear()
+        model.dyn.gamma00_values(p)
+        assert len(calls) == 1
 
 
 def test_spd_probe():
