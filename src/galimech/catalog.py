@@ -26,6 +26,7 @@ from .fields import (
     cos_of,
     sin_of,
     from_config,
+    integer,
     polynomial,
     sample_points,
     default_box,
@@ -373,9 +374,19 @@ def load_model(name_or_path):
     return model_from_config(cfg)
 
 
+def _section(cfg, key, kind, default=None):
+    """``cfg[key]``, a JSON object or array (kind dict or list), or ``default``."""
+    val = cfg.get(key)
+    if val is not None and not isinstance(val, kind):
+        raise ModelError(f"{key!r} must be a JSON {'object' if kind is dict else 'array'}")
+    return default if val is None else val
+
+
 def _parse_scaled(spec, what):
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return ScaledScalar(float(spec), u.DIMENSIONLESS)
+    if not isinstance(spec, dict):
+        raise ModelError(f"{what} must be a number or an object, got {spec!r}")
     try:
         dim = UnitDim.from_triple(spec.get("dim", [0, 0, 0]))
     except (UnitMismatchError, TypeError, ValueError) as exc:
@@ -388,32 +399,38 @@ def _parse_scaled(spec, what):
 def model_from_config(cfg):
     if not isinstance(cfg, dict):
         raise ModelError(f"config must be a JSON object, got {type(cfg).__name__}")
-    n = int(cfg.get("n", 3))
+    n = integer(cfg.get("n", 3), "'n'")
     chart = Chart(n)
+
+    def field(spec):  # a field on spacetime: it may read slots 0..n only
+        f = from_config(spec)
+        if not f.deps <= set(range(n + 1)):
+            raise ModelError(f"field {spec!r} reads a slot outside 0..{n}")
+        return f
     name = cfg.get("name", "custom")
 
-    metric_cfg = cfg.get("metric", {})
+    metric_cfg = _section(cfg, "metric", dict, {})
     g_dim = None
     if "dim" in metric_cfg:
         g_dim = UnitDim.from_triple(metric_cfg["dim"])
     entries = {}
-    for key, spec in metric_cfg.get("entries", {}).items():
+    for key, spec in _section(metric_cfg, "entries", dict, {}).items():
         a, b = (int(s) for s in key.split(","))
-        entries[(min(a, b), max(a, b))] = from_config(spec)
+        entries[(min(a, b), max(a, b))] = field(spec)
     for a in range(1, n + 1):
         entries.setdefault((a, a), constant(1.0))
     G = Metric(chart, entries)
 
     A = None
     if cfg.get("potential") is not None:
-        A = [from_config(s) for s in cfg["potential"]]
+        A = [field(s) for s in _section(cfg, "potential", list)]
         if len(A) != n + 1:
             raise ModelError(f"potential needs {n + 1} components")
 
     em = None
     em_potential = None
     if cfg.get("em") is not None:
-        em_cfg = cfg["em"]
+        em_cfg = _section(cfg, "em", dict)
         q = _parse_scaled(em_cfg.get("q", 0.0), "charge q")
         m = _parse_scaled(em_cfg.get("m", 1.0), "mass m")
         em_dim = None
@@ -422,14 +439,14 @@ def model_from_config(cfg):
         if q.dim != u.DIMENSIONLESS or m.dim != u.DIMENSIONLESS:
             _check_units(q, m, g_dim=g_dim, em_dim=em_dim)
         f_entries = {}
-        for key, spec in em_cfg.get("entries", {}).items():
+        for key, spec in _section(em_cfg, "entries", dict, {}).items():
             lam, mu = (int(s) for s in key.split(","))
             if lam >= mu:
                 raise ModelError("field entries must use indices lam < mu")
-            f_entries[(lam, mu)] = from_config(spec)
+            f_entries[(lam, mu)] = field(spec)
         em = EMField(chart, f_entries, q, m)
         if em_cfg.get("potential") is not None:
-            em_potential = [from_config(s) for s in em_cfg["potential"]]
+            em_potential = [field(s) for s in _section(em_cfg, "potential", list)]
             if len(em_potential) != n + 1:
                 raise ModelError(f"em potential needs {n + 1} components")
     elif g_dim is not None and g_dim != u.METRIC:
@@ -439,11 +456,14 @@ def model_from_config(cfg):
 
     observer = None
     if cfg.get("observer") is not None:
-        observer = Observer(chart, [from_config(s) for s in cfg["observer"]])
+        observer = Observer(chart, [field(s) for s in _section(cfg, "observer", list)])
 
     box = None
     if cfg.get("box") is not None:
-        box = [tuple(float(x) for x in pair) for pair in cfg["box"]]
+        box = _section(cfg, "box", list)
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in box):
+            raise ModelError("'box' entries must be [lo, hi] pairs")
+        box = [tuple(float(x) for x in pair) for pair in box]
 
     return Model(name, chart, G, A=A, em=em, em_potential=em_potential,
                  observer=observer, box=box)

@@ -277,7 +277,7 @@ def cmd_derive(args, model):
         if len(xs) != 2 * n + 1:
             raise ParseError(f"--point needs {2 * n + 1} comma-separated values")
     else:
-        xs = [0.0] * (2 * n + 1)
+        xs = model.anchor()
     kv = model.K.values(xs)
     payload = {
         "schema": SCHEMA,
@@ -303,7 +303,7 @@ def cmd_derive(args, model):
 
 def cmd_simulate(args, model):
     n = model.chart.n
-    x0 = [float(v) for v in args.x0.split(",")] if args.x0 else [0.0] * n
+    x0 = [float(v) for v in args.x0.split(",")] if args.x0 else model.anchor()[1 : n + 1]
     v0 = [float(v) for v in args.v0.split(",")] if args.v0 else [0.0] * n
     if len(x0) != n or len(v0) != n:
         raise ParseError(f"--x0/--v0 need {n} components for model {model.name}")
@@ -381,7 +381,7 @@ def cmd_noether(args, model):
     checks = []
     for X in gens:
         charge, residual, conserved = noether_charge(X, model.theta, pts, args.tol_pass)
-        gdot = max(abs(value(gamma_dot(charge.value, model.dyn, p))) for p in pts)
+        gdot = max(abs(value(gamma_dot(charge, model.dyn, p))) for p in pts)
         anchor = model.anchor()
         checks.append(
             {
@@ -480,15 +480,15 @@ def cmd_brackets(args, model):
                 tau_f = value(f.f0(xs))
                 tau_g = value(g.f0(xs))
 
-                def hf(p, fn=f.value, t=tau_f):
+                def hf(p, fn=f, t=tau_f):
                     return tau_lift_values(fn, t, model.omega, p)
 
-                def hg(p, fn=g.value, t=tau_g):
+                def hg(p, fn=g, t=tau_g):
                     return tau_lift_values(fn, t, model.omega, p)
 
                 comm = vector_commutator(hf, hg, xs)
 
-                def pb(p, ff=f.value, gg=g.value):
+                def pb(p, ff=f, gg=g):
                     return poisson_bracket(ff, gg, model.omega, p)
 
                 lifted = tau_lift_values(pb, 0.0, model.omega, xs)
@@ -586,6 +586,8 @@ def main(argv=None):
     if env_seed is not None:
         args.seed = int(env_seed)
     try:
+        if args.points < 1:
+            raise ParseError(f"--points must be at least 1, got {args.points}")
         model = catalog.load_model(args.config or args.model)
         if args.box:
             lo, hi = (float(v) for v in args.box.split(","))

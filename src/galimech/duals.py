@@ -213,12 +213,22 @@ def _take(x, bit):
     return MultiDual(t)
 
 
+def reads(fn, idx):
+    """False when ``fn`` declares by a ``deps`` slot set that it never reads
+    slot ``idx``: a seeded pass would then give exactly 0.0."""
+    deps = getattr(fn, "deps", None)
+    return deps is None or idx in deps
+
+
 def partial(fn, point, idx):
     """Exact first partial of ``fn(point)`` along coordinate ``idx``.
 
     ``fn`` maps a list of scalars to a scalar; ``point`` entries may already
-    be MultiDuals from an enclosing differentiation.
+    be MultiDuals from an enclosing differentiation.  Slots outside the
+    ``deps`` of ``fn`` (see :func:`reads`) give 0.0 unevaluated.
     """
+    if not reads(fn, idx):
+        return 0.0
     b = _alloc_slot()
     try:
         seeded = list(point)
@@ -230,6 +240,8 @@ def partial(fn, point, idx):
 
 def partial2(fn, point, i, j):
     """Exact mixed second partial d_i d_j fn at ``point``."""
+    if not (reads(fn, i) and reads(fn, j)):
+        return 0.0
     bi = _alloc_slot()
     bj = _alloc_slot()
     try:
@@ -267,19 +279,22 @@ def _map_take(obj, bit):
 
 
 def grad(fn, point):
-    """All first partials of a scalar function."""
+    """All first partials of a scalar function (0.0 outside its ``deps``)."""
     return [partial(fn, point, i) for i in range(len(point))]
 
 
 def solve_generic(a, b):
     """Solve the square linear system a x = b by Gaussian elimination.
 
+    ``b`` is a vector, or a matrix whose columns share one elimination.
     Entries may be floats or MultiDuals; pivoting compares real parts.
     Used where a matrix of derived quantities must be inverted inside a
     differentiated computation (numpy cannot hold dual numbers).
     """
+    vector = not isinstance(b[0], (list, tuple))
     n = len(a)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
+    m = [list(row) + ([b[i]] if vector else list(b[i])) for i, row in enumerate(a)]
+    width = len(m[0])
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(value(m[r][col])))
         if value(m[piv][col]) == 0.0:
@@ -290,16 +305,14 @@ def solve_generic(a, b):
                 continue
             f = m[r][col] / m[col][col]
             if isinstance(f, MultiDual) or f != 0.0:
-                for c in range(col, n + 1):
+                for c in range(col, width):
                     m[r][c] = m[r][c] - f * m[col][c]
-    return [m[i][n] / m[i][i] for i in range(n)]
+    x = [[m[i][c] / m[i][i] for c in range(n, width)] for i in range(n)]
+    return [row[0] for row in x] if vector else x
 
 
 def invert_generic(a):
-    """Inverse of a square matrix of generic scalars, column by column."""
+    """Inverse of a square matrix of generic scalars: one elimination with
+    the identity's columns as right-hand sides."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = [1.0 if i == j else 0.0 for i in range(n)]
-        cols.append(solve_generic(a, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return solve_generic(a, [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])

@@ -67,6 +67,12 @@ class PhasePoint:
         return cls(xs[0], tuple(xs[1 : n + 1]), tuple(xs[n + 1 : 2 * n + 1]))
 
 
+def support(*fields):
+    """Union of the ``deps`` of ``fields``; None when any of them is unknown."""
+    sets = [f.deps for f in fields]
+    return None if None in sets else frozenset().union(*sets)
+
+
 class Field:
     """A smooth scalar function of chart coordinates.
 
@@ -74,14 +80,17 @@ class Field:
     simply ignore trailing velocity slots, so they can be evaluated at
     phase points unchanged.  ``const_value`` marks fields known to be
     constant, which lets derived-coefficient constructors skip dead work.
+    ``deps`` is the set of slots ``fn`` may read (None: unknown, so all),
+    computed by the constructors below; other slots have zero partials.
     """
 
-    __slots__ = ("fn", "is_zero", "const_value")
+    __slots__ = ("fn", "is_zero", "const_value", "deps")
 
-    def __init__(self, fn, is_zero=False, const_value=None):
+    def __init__(self, fn, is_zero=False, const_value=None, deps=None):
         self.fn = fn
         self.is_zero = is_zero
         self.const_value = const_value
+        self.deps = deps
 
     def __call__(self, xs):
         return self.fn(xs)
@@ -92,11 +101,9 @@ class Field:
             raise DerivativeOrderError("partials above total order 2 are not supported")
         if len(alpha) == 0:
             return self.fn(xs)
-        if self.const_value is not None:
-            return 0.0
         if len(alpha) == 1:
-            return duals.partial(self.fn, xs, alpha[0])
-        return duals.partial2(self.fn, xs, alpha[0], alpha[1])
+            return duals.partial(self, xs, alpha[0])
+        return duals.partial2(self, xs, alpha[0], alpha[1])
 
     # field algebra -------------------------------------------------------
 
@@ -106,14 +113,14 @@ class Field:
             return other
         if other.is_zero:
             return self
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) + g(xs))
+        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) + g(xs), deps=support(self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return Field(lambda xs, f=self.fn: -f(xs))
+        return Field(lambda xs, f=self.fn: -f(xs), deps=self.deps)
 
     def __sub__(self, other):
         return self + (-as_field(other))
@@ -125,7 +132,7 @@ class Field:
         other = as_field(other)
         if self.is_zero or other.is_zero:
             return ZERO
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) * g(xs))
+        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) * g(xs), deps=support(self, other))
 
     __rmul__ = __mul__
 
@@ -133,26 +140,26 @@ class Field:
         other = as_field(other)
         if self.is_zero:
             return ZERO
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) / g(xs))
+        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) / g(xs), deps=support(self, other))
 
     def __pow__(self, k):
-        return Field(lambda xs, f=self.fn: f(xs) ** k)
+        return Field(lambda xs, f=self.fn: f(xs) ** k, deps=self.deps)
 
 
 def constant(c):
     c = float(c)
     if c == 0.0:
         return ZERO
-    return Field(lambda xs: c, const_value=c)
+    return Field(lambda xs: c, const_value=c, deps=frozenset())
 
 
-ZERO = Field(lambda xs: 0.0, is_zero=True, const_value=0.0)
-ONE = Field(lambda xs: 1.0, const_value=1.0)
+ZERO = Field(lambda xs: 0.0, is_zero=True, const_value=0.0, deps=frozenset())
+ONE = Field(lambda xs: 1.0, const_value=1.0, deps=frozenset())
 
 
 def coordinate(k):
     """The k-th chart coordinate as a field."""
-    return Field(lambda xs: xs[k])
+    return Field(lambda xs: xs[k], deps=frozenset((k,)))
 
 
 def as_field(f):
@@ -163,24 +170,21 @@ def as_field(f):
     raise TypeError(f"cannot treat {f!r} as a field")
 
 
-def sin_of(f):
-    f = as_field(f)
-    return Field(lambda xs, g=f.fn: sin(g(xs)))
+def _of(fn):
+    def of(f):
+        f = as_field(f)
+        return Field(lambda xs, g=f.fn: fn(g(xs)), deps=f.deps)
+
+    return of
 
 
-def cos_of(f):
-    f = as_field(f)
-    return Field(lambda xs, g=f.fn: cos(g(xs)))
-
-
-def exp_of(f):
-    f = as_field(f)
-    return Field(lambda xs, g=f.fn: exp(g(xs)))
+sin_of, cos_of, exp_of = _of(sin), _of(cos), _of(exp)
 
 
 def polynomial(terms):
-    """Sparse multivariate polynomial: ``terms = [(coeff, {slot: power})]``."""
-    cooked = [(float(c), tuple(sorted(e.items()))) for c, e in terms]
+    """Sparse multivariate polynomial: ``terms = [(coeff, {slot: power})]``;
+    zero powers are dropped, so ``deps`` is the slots with a non-zero power."""
+    cooked = [(float(c), tuple(sorted((k, p) for k, p in e.items() if p))) for c, e in terms]
 
     def fn(xs):
         total = 0.0
@@ -191,17 +195,18 @@ def polynomial(terms):
             total = total + t
         return total
 
-    return Field(fn)
+    return Field(fn, deps=frozenset(slot for _, expo in cooked for slot, _ in expo))
 
 
 _OF_FIELD = {"sin": sin_of, "cos": cos_of, "exp": exp_of}
 
 
-def _exponent(x):
-    """An integer power from a config; anything else is an input error."""
+def integer(x, what="a power"):
+    """An integer from a config (an int or integral float); anything else is
+    an input error."""
     if type(x) is int or (type(x) is float and x.is_integer()):
         return int(x)
-    raise ValueError(f"powers must be integers, got {x!r}")
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def from_config(spec):
@@ -228,7 +233,7 @@ def from_config(spec):
         return coordinate(int(arg("index")))
     if kind == "polynomial":
         return polynomial([
-            (c, {int(flat[i]): _exponent(flat[i + 1]) for i in range(0, len(flat), 2)})
+            (c, {int(flat[i]): integer(flat[i + 1]) for i in range(0, len(flat), 2)})
             for c, flat in arg("coeffs")
         ])
     if kind in _OF_FIELD:
@@ -240,7 +245,7 @@ def from_config(spec):
     if kind == "scale":
         return constant(arg("by")) * from_config(arg("of"))
     if kind == "pow":
-        return from_config(arg("of")) ** _exponent(arg("exp"))
+        return from_config(arg("of")) ** integer(arg("exp"))
     raise ValueError(f"unknown field constructor kind {kind!r}")
 
 

@@ -17,7 +17,7 @@ metric-compatible connection are minus the usual Christoffel symbols.
 import numpy as np
 
 from . import duals
-from .fields import Field, ZERO, as_field, constant
+from .fields import Field, ZERO, as_field, constant, support
 from .units import ScaledScalar, DIMENSIONLESS
 
 
@@ -48,6 +48,7 @@ class Metric:
                     raise ValueError(f"metric diagonal entry ({a},{a}) missing")
                 self._e[(a, b)] = as_field(f)
         self.is_constant = all(f.const_value is not None for f in self._e.values())
+        self.deps = support(*self._e.values())
         self._const_mat = None
         self._const_inv = None
         if self.is_constant:
@@ -71,7 +72,10 @@ class Metric:
     def inv(self, xs):
         if self._const_inv is not None:
             return [row[:] for row in self._const_inv]
-        return duals.invert_generic(self.mat(xs))
+        try:
+            return duals.invert_generic(self.mat(xs))
+        except ZeroDivisionError:
+            raise SingularMetricError(f"metric is singular at {list(map(duals.value, xs))}") from None
 
     def norm_sq(self, xs):
         """G(v, v) for the velocity slots v of a phase point."""
@@ -104,11 +108,13 @@ def identity_metric(chart):
 
 
 def _field_blocks(sym):
-    """Evaluator of a coefficient set given by fields {(lam, mu): [n fields]}."""
+    """Evaluator of a coefficient set given by fields {(lam, mu): [n fields]};
+    its ``deps`` is the union of theirs."""
 
     def blocks(xs):
         return {k: [f(xs) for f in fs] for k, fs in sym.items()}
 
+    blocks.deps = support(*(f for fs in sym.values() for f in fs))
     return blocks
 
 
@@ -161,6 +167,8 @@ class MetricBlocks:
     :func:`metric_connection` are read once per point instead.  ``em`` is a
     minimally coupled field, whose (q/m)-scaled raised entries enter the
     time-space blocks at half weight and the time-time block at full weight.
+    ``deps`` is the union of the inputs' supports; seeded passes run only
+    along the support of G and A, the other directions give exact zeros.
     """
 
     def __init__(self, G, A=None, phi2=None, time_gauge=None, em=None):
@@ -169,6 +177,10 @@ class MetricBlocks:
         self.phi2 = phi2 or {}
         self.time_gauge = time_gauge
         self.em = em
+        seeded = support(G, *(self.A or ()))
+        self.dirs = [lam for lam in range(G.chart.n + 1) if seeded is None or lam in seeded]
+        self.deps = support(G, *(self.A or ()), *self.phi2.values(), *(time_gauge or ()),
+                            *(em._e.values() if em is not None else ()))
 
     def __call__(self, xs):
         G, A, em = self.G, self.A, self.em
@@ -180,9 +192,9 @@ class MetricBlocks:
 
         # d[lam] = (dg[lam], da[lam]) with dg[lam][h][b] = d_lam G_(h+1)(b+1)
         # and da[lam][mu] = d_lam A_mu; dg is None for a constant metric
-        d = None if G.is_constant and A is None else [
-            duals.partial_multi(seeded, xs, lam) for lam in range(n + 1)
-        ]
+        passes = {lam: duals.partial_multi(seeded, xs, lam) for lam in self.dirs}
+        flat = ([[0.0] * n for _ in range(n)], [0.0] * (n + 1))
+        d = [passes.get(lam, flat) for lam in range(n + 1)]
         dg = None if G.is_constant else [dl[0] for dl in d]
 
         def raised(low):
@@ -230,7 +242,8 @@ def _derived_connection(chart, blocks):
     """Spacetime connection of an evaluator, with per-component views."""
     n = chart.n
     views = {
-        (lam, mu): [Field(lambda xs, k=(lam, mu), i=i: blocks(xs)[k][i]) for i in range(n)]
+        (lam, mu): [Field(lambda xs, k=(lam, mu), i=i: blocks(xs)[k][i], deps=blocks.deps)
+                    for i in range(n)]
         for lam in range(0, n + 1)
         for mu in range(lam, n + 1)
     }

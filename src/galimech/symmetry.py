@@ -17,7 +17,7 @@ import numpy as np
 
 from . import duals
 from .duals import value, partial_multi
-from .fields import Field, as_field, constant
+from .fields import Field, ZERO, as_field, constant, coordinate, support
 from .geometry import SingularOmegaError, _sym_key, lagrangian_and_momentum
 
 
@@ -181,8 +181,10 @@ def lie_phase_connection(X, pconn):
         kv = pconn.blocks(xs)
         gl = pconn.lift_values(xs)
         # dgl[lam][i][mu]: derivative along x^lam of the lift coefficient
-        # (mu, i) at fixed velocity
-        dgl = [partial_multi(pconn.lift_values, xs, lam) for lam in range(n + 1)]
+        # (mu, i) at fixed velocity; zero outside the connection's support
+        flat = [[0.0] * (n + 1) for _ in range(n)]
+        dgl = [partial_multi(pconn.lift_values, xs, lam) if duals.reads(pconn.blocks, lam)
+               else flat for lam in range(n + 1)]
         xhat = [X.hat(i, xs) for i in range(1, n + 1)]
         out = []
         for mu in range(0, n + 1):
@@ -218,7 +220,9 @@ def lie_dynamical(X, dyn):
     def at(xs):
         v = xs[n + 1 : 2 * n + 1]
         g00 = dyn.gamma00_values(xs)
-        dg = [partial_multi(dyn.gamma00_values, xs, d) for d in range(2 * n + 1)]
+        # spacetime directions outside the connection's support give zeros
+        dg = [partial_multi(dyn.gamma00_values, xs, d) if d > n or duals.reads(dyn.blocks, d)
+              else [0.0] * n for d in range(2 * n + 1)]
         xhat = [X.hat(i, xs) for i in range(1, n + 1)]
         out = []
         for i in range(1, n + 1):
@@ -251,8 +255,10 @@ def lie_spacetime_connection(X, K):
     def at(te):
         xdot = te[n + 1 : 2 * n + 2]
         kv = K.values(te)
-        # dkv[al]: every coefficient block differentiated along x^al
-        dkv = [partial_multi(K.values, te, al) for al in range(n + 1)]
+        # dkv[al]: every coefficient block differentiated along x^al (zero off the support)
+        flat = {key: [0.0] * n for key in kv}
+        dkv = [partial_multi(K.values, te, al) if duals.reads(K.blocks, al) else flat
+               for al in range(n + 1)]
 
         def kentry(lam, i, mu):
             return kv[_sym_key(lam, mu)][i - 1]
@@ -634,7 +640,8 @@ def check_equivalences(model, X, points_e, points_phase, points_te, points_j2,
 
 class SpecialQuadratic:
     """Phase function whose velocity dependence is (1/2) f0 * G(v, v) +
-    linear + scalar, with coefficient fields on spacetime."""
+    linear + scalar, with coefficient fields on spacetime.  Its ``deps``
+    (phase slots read) follow from theirs and the non-zero coefficients."""
 
     def __init__(self, G, f0, flin, fconst):
         self.G = G
@@ -642,11 +649,15 @@ class SpecialQuadratic:
         self.f0 = as_field(f0)
         self.flin = [as_field(f) for f in flin]
         self.fconst = as_field(fconst)
+        vel = [coordinate(self.chart.vel(a)) for a in range(1, self.chart.n + 1)]
+        quad = [] if self.f0.is_zero else [self.f0, G, *vel]
+        self.deps = support(self.fconst, *quad, *(f * v for f, v in zip(self.flin, vel)))
 
     def value(self, xs):
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
-        s = 0.5 * self.f0(xs) * self.G.norm_sq(xs) + self.fconst(xs)
+        quad = 0.0 if self.f0.is_zero else 0.5 * self.f0(xs) * self.G.norm_sq(xs)
+        s = quad + self.fconst(xs)
         for a in range(n):
             s = s + self.flin[a](xs) * v[a]
         return s
@@ -659,7 +670,8 @@ class SpecialQuadratic:
 
 
 def gamma_dot(fn, dyn, xs):
-    """Derivative of a phase function along the second-order connection."""
+    """Derivative of a phase function (honouring its ``deps``) along the
+    second-order connection."""
     n = dyn.chart.n
     vec = dyn.vector_values(xs)
     g = duals.grad(fn, list(xs))
@@ -677,21 +689,12 @@ def noether_charge(X, theta, check_points=None, tol=TOL_PASS):
     chart = theta.chart
     n = chart.n
     G = theta.G
-    f0 = constant(X.x0)
-    flin = []
-    for b in range(1, n + 1):
-        def fn(xs, b=b):
-            return -sum(X.comps[a - 1](xs) * G.entry(a, b)(xs) for a in range(1, n + 1))
-
-        flin.append(Field(fn))
-
-    def fconst_fn(xs):
-        s = -X.x0 * theta.A[0](xs)
-        for a in range(1, n + 1):
-            s = s - X.comps[a - 1](xs) * theta.A[a](xs)
-        return s
-
-    charge = SpecialQuadratic(G, f0, flin, Field(fconst_fn))
+    flin = [-sum((X.comps[a - 1] * G.entry(a, b) for a in range(1, n + 1)), ZERO)
+            for b in range(1, n + 1)]
+    fconst = constant(-X.x0) * theta.A[0]
+    for a in range(1, n + 1):
+        fconst = fconst - X.comps[a - 1] * theta.A[a]
+    charge = SpecialQuadratic(G, constant(X.x0), flin, fconst)
     residual = None
     if check_points is not None:
         def vec(p):
@@ -791,14 +794,16 @@ def tau_lift_values(fn, tau, omega, xs):
 
     Closed-form path: the unique vector field with the given time
     component whose contraction into the two-form is df - (gamma.f) dt.
+    The connection is evaluated once; df honours the ``deps`` of ``fn``.
     """
     chart = omega.chart
     n = chart.n
     ginv = omega.G.inv(xs)
     gmat = omega.G.mat(xs)
     gl = omega.conn.lift_values(xs)
-    g00 = omega.dyn.gamma00_values(xs)
     v = xs[n + 1 : 2 * n + 1]
+    # the acceleration off the lift along the contact direction: gl[i][0] + gl[i][h] v^h
+    g00 = [gl[i][0] + sum(gl[i][1 + h] * v[h] for h in range(n)) for i in range(n)]
     df = duals.grad(fn, list(xs))
 
     y_sp = [
@@ -860,7 +865,7 @@ def generator_match(entry, omega, points):
     lift in its time component."""
     worst = 0.0
     for xs in points:
-        lifted = tau_lift_values(entry.charge.value, entry.tau, omega, xs)
+        lifted = tau_lift_values(entry.charge, entry.tau, omega, xs)
         direct = entry.generator.prolong1_values(xs)
         worst = max(
             worst, max(abs(value(a) - value(b)) for a, b in zip(lifted, direct))
@@ -1024,11 +1029,11 @@ def special_bracket(f, g, omega, classify=True, fit_tol=1e-10, at=None):
     g0 = value(g.f0(at))
 
     def val(xs):
-        s = poisson_bracket(f.value, g.value, omega, xs)
+        s = poisson_bracket(f, g, omega, xs)
         if f0:
-            s = s + f0 * gamma_dot(g.value, omega.dyn, xs)
+            s = s + f0 * gamma_dot(g, omega.dyn, xs)
         if g0:
-            s = s - g0 * gamma_dot(f.value, omega.dyn, xs)
+            s = s - g0 * gamma_dot(f, omega.dyn, xs)
         return s
 
     if not classify:

@@ -70,7 +70,7 @@ class UnitDim:
     @classmethod
     def from_triple(cls, triple):
         """Build from a config triple, e.g. ``[-1, 2, 1]`` or ``[-1, "3/2", "1/2"]``."""
-        if len(triple) != 3:
+        if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise UnitMismatchError(f"dimension triple must have 3 entries, got {triple!r}")
         return cls(*[_frac(x) for x in triple])
 

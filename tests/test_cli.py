@@ -327,3 +327,56 @@ def test_config_fractional_pow_is_input_error(tmp_path, capsys):
     path = tmp_path / "pow.json"
     path.write_text(json.dumps({"n": 2, "potential": [spec, 0.0, 0.0]}))
     assert "integer" in _input_error(["derive", "--model", str(path)], capsys)
+
+
+def _config_error(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return _input_error(["derive", "--model", str(path)], capsys)
+
+
+def test_config_metric_section_of_wrong_type_is_input_error(tmp_path, capsys):
+    assert "'metric' must be a JSON object" in _config_error(
+        tmp_path, capsys, {"n": 2, "metric": []})
+
+
+def test_config_non_numeric_charge_is_input_error(tmp_path, capsys):
+    assert "charge q" in _config_error(
+        tmp_path, capsys, {"n": 2, "em": {"q": "abc", "entries": {}}})
+
+
+def test_config_fractional_dimension_is_input_error(tmp_path, capsys):
+    assert "'n' must be an integer" in _config_error(tmp_path, capsys, {"n": 2.5})
+
+
+def test_config_field_outside_the_chart_is_input_error(tmp_path, capsys):
+    spec = {"kind": "coord", "index": 5}
+    assert "outside 0..2" in _config_error(tmp_path, capsys, {"n": 2, "potential": [spec, 0, 0]})
+
+
+def test_zero_points_is_input_error(capsys):
+    args = ["check-symmetry", "--model", "free3d", "--field", "d1", "--points", "0"]
+    assert "--points must be at least 1" in _input_error(args, capsys)
+
+
+def test_rigidbody_derive_defaults_to_the_anchor(capsys):
+    code = run_cli(["derive", "--model", "rigidbody"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["point"] == load_model("rigidbody").anchor()
+    assert data["point"][2] == pytest.approx(1.55)
+    assert all(math.isfinite(a) for a in data["acceleration"])
+
+
+def test_rigidbody_simulate_defaults_to_the_anchor(capsys):
+    code = run_cli(["simulate", "--model", "rigidbody", "--T", "0.01", "--h", "0.005"])
+    assert code == 0
+    first = [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")]
+    assert first == [0.0, 0.0, pytest.approx(1.55), 0.0, 0.0, 0.0, 0.0]
+
+
+def test_singular_metric_at_explicit_point_is_check_failure(capsys):
+    code = run_cli(["derive", "--model", "rigidbody", "--point", "0,0,0,0,0,0,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("check failed: metric is singular at [0.0, 0.0, 0.0, 0.0")

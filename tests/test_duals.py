@@ -149,6 +149,58 @@ def test_invert_generic():
     assert np.max(np.abs(np.array(inv) - want)) < 1e-14
 
 
+def _per_column_inverse(a):
+    n = len(a)
+    cols = [duals.solve_generic(a, [1.0 if i == j else 0.0 for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _same(x, y):
+    if isinstance(x, MultiDual):
+        return isinstance(y, MultiDual) and x.terms == y.terms
+    return type(x) is type(y) and x == y
+
+
+def test_invert_generic_equals_per_column_solves_exactly():
+    # one elimination shared by the identity's columns makes the same pivots,
+    # factors and row updates as one solve per column
+    rng = random.Random(5)
+    for trial in range(60):
+        n = 2 + trial % 3
+        if trial % 2:
+            a = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+        else:
+            # nested duals: three slots, one of them an outer slot
+            a = [[MultiDual({k: rng.uniform(-1, 1) for k in (0, 1, 2, 4, 3)})
+                  for _ in range(n)] for _ in range(n)]
+        got = duals.invert_generic(a)
+        want = _per_column_inverse(a)
+        assert all(_same(got[i][j], want[i][j]) for i in range(n) for j in range(n))
+
+
+def test_solve_generic_matrix_right_hand_side():
+    rng = random.Random(8)
+    a = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)]
+    b = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(3)]
+    x = duals.solve_generic(a, b)
+    for j in range(2):
+        assert [row[j] for row in x] == duals.solve_generic(a, [row[j] for row in b])
+
+
+def test_partial_honours_deps_attribute():
+    calls = []
+
+    def fn(xs):
+        calls.append(1)
+        return xs[0] * xs[2]
+
+    fn.deps = frozenset({0, 2})
+    assert duals.grad(fn, [2.0, 5.0, 3.0]) == [3.0, 0.0, 2.0]
+    assert partial2(fn, [2.0, 5.0, 3.0], 0, 1) == 0.0
+    assert partial2(fn, [2.0, 5.0, 3.0], 0, 2) == 1.0
+    assert len(calls) == 3
+
+
 def test_value_and_comparisons():
     d = MultiDual({0: 2.5, 1: 1.0})
     assert value(d) == 2.5
