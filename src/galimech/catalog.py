@@ -139,13 +139,9 @@ class Model:
         return mids + [0.0] * n
 
 
-def _check_units(q, m, g_dim=None, em_dim=None):
+def _check_units(q, m, em_dim=None):
     u.require_dim(q, u.CHARGE, "charge q")
     u.require_dim(m, u.MASS, "mass m")
-    if g_dim is not None and g_dim != u.METRIC:
-        raise UnitMismatchError(
-            f"metric entries: expected dimension {u.METRIC}, got {g_dim}"
-        )
     if em_dim is not None and em_dim != u.EM_FIELD:
         raise UnitMismatchError(
             f"field entries: expected dimension {u.EM_FIELD}, got {em_dim}"
@@ -410,9 +406,9 @@ def model_from_config(cfg):
     name = cfg.get("name", "custom")
 
     metric_cfg = _section(cfg, "metric", dict, {})
-    g_dim = None
-    if "dim" in metric_cfg:
-        g_dim = UnitDim.from_triple(metric_cfg["dim"])
+    g_dim = UnitDim.from_triple(metric_cfg["dim"]) if "dim" in metric_cfg else u.METRIC
+    if g_dim != u.METRIC:
+        raise UnitMismatchError(f"metric entries: expected dimension {u.METRIC}, got {g_dim}")
     entries = {}
     for key, spec in _section(metric_cfg, "entries", dict, {}).items():
         a, b = (int(s) for s in key.split(","))
@@ -437,7 +433,7 @@ def model_from_config(cfg):
         if "dim" in em_cfg:
             em_dim = UnitDim.from_triple(em_cfg["dim"])
         if q.dim != u.DIMENSIONLESS or m.dim != u.DIMENSIONLESS:
-            _check_units(q, m, g_dim=g_dim, em_dim=em_dim)
+            _check_units(q, m, em_dim=em_dim)
         f_entries = {}
         for key, spec in _section(em_cfg, "entries", dict, {}).items():
             lam, mu = (int(s) for s in key.split(","))
@@ -449,10 +445,6 @@ def model_from_config(cfg):
             em_potential = [field(s) for s in _section(em_cfg, "potential", list)]
             if len(em_potential) != n + 1:
                 raise ModelError(f"em potential needs {n + 1} components")
-    elif g_dim is not None and g_dim != u.METRIC:
-        raise UnitMismatchError(
-            f"metric entries: expected dimension {u.METRIC}, got {g_dim}"
-        )
 
     observer = None
     if cfg.get("observer") is not None:

@@ -513,8 +513,15 @@ def cmd_brackets(args, model):
 # -- entry point -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one line, exit code 3."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="galimech",
         description="Covariant Galilean mechanics on charts: derived structure, "
         "symmetry checks, conserved charges.",
@@ -580,12 +587,12 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    args._t0 = time.perf_counter()
-    env_seed = os.environ.get("GALIMECH_SEED")
-    if env_seed is not None:
-        args.seed = int(env_seed)
     try:
+        args = build_parser().parse_args(argv)
+        args._t0 = time.perf_counter()
+        env_seed = os.environ.get("GALIMECH_SEED")
+        if env_seed is not None:
+            args.seed = int(env_seed)
         if args.points < 1:
             raise ParseError(f"--points must be at least 1, got {args.points}")
         model = catalog.load_model(args.config or args.model)

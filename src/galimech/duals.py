@@ -15,6 +15,7 @@ which is exactly the nilpotency rule.
 """
 
 import math
+from types import MethodType
 
 # Next free slot bit.  Evaluations nest strictly, so a stack allocator keeps
 # bit positions small.
@@ -213,10 +214,21 @@ def _take(x, bit):
     return MultiDual(t)
 
 
+def deps_of(fn):
+    """The slots ``fn`` declares it may read, or None (unknown: every slot).
+
+    A callable declares them as ``fn.deps``.  A bound method cannot carry
+    an attribute, so ``obj.name`` declares them as ``obj.name_deps``.
+    """
+    if isinstance(fn, MethodType):
+        return getattr(fn.__self__, f"{fn.__name__}_deps", None)
+    return getattr(fn, "deps", None)
+
+
 def reads(fn, idx):
-    """False when ``fn`` declares by a ``deps`` slot set that it never reads
+    """False when ``fn`` declares (see :func:`deps_of`) that it never reads
     slot ``idx``: a seeded pass would then give exactly 0.0."""
-    deps = getattr(fn, "deps", None)
+    deps = deps_of(fn)
     return deps is None or idx in deps
 
 
@@ -265,22 +277,36 @@ def partial_multi(fn, point, idx):
     try:
         seeded = list(point)
         seeded[idx] = seeded[idx] + MultiDual({1 << b: 1.0})
-        return _map_take(fn(seeded), b)
+        return _map(fn(seeded), lambda x: _take(x, b))
     finally:
         _release_slot()
 
 
-def _map_take(obj, bit):
+def _map(obj, leaf):
+    """``obj`` with ``leaf`` applied to every scalar; tuples become lists."""
     if isinstance(obj, dict):
-        return {k: _map_take(o, bit) for k, o in obj.items()}
+        return {k: _map(o, leaf) for k, o in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_map_take(o, bit) for o in obj]
-    return _take(obj, bit)
+        return [_map(o, leaf) for o in obj]
+    return leaf(obj)
 
 
 def grad(fn, point):
-    """All first partials of a scalar function (0.0 outside its ``deps``)."""
-    return [partial(fn, point, i) for i in range(len(point))]
+    """All first partials [d_0 fn, d_1 fn, ...] of ``fn`` at ``point``.
+
+    ``fn`` may be valued in nested lists, tuples and dicts, and each
+    partial keeps that nesting.  This is where a whole-gradient pass
+    consults ``deps``: a slot outside them is not evaluated, and its partial
+    is float zeros in the shape of the others, which is exactly what a
+    seeded pass would give.  The skipped slots share one zero block.
+    """
+    deps = deps_of(fn)
+    seeded = {i: partial_multi(fn, point, i) for i in range(len(point))
+              if deps is None or i in deps}
+    if len(seeded) == len(point):
+        return list(seeded.values())
+    zero = _map(next(iter(seeded.values())) if seeded else fn(point), lambda x: 0.0)
+    return [seeded.get(i, zero) for i in range(len(point))]
 
 
 def solve_generic(a, b):

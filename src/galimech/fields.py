@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import duals
-from .duals import sin, cos, exp, value
+from .duals import sin, cos, exp
 
 
 class DerivativeOrderError(ValueError):
@@ -247,34 +247,6 @@ def from_config(spec):
     if kind == "pow":
         return from_config(arg("of")) ** integer(arg("exp"))
     raise ValueError(f"unknown field constructor kind {kind!r}")
-
-
-def fd_oracle(f, alpha, xs, h):
-    """Central finite-difference estimate of a partial, for cross-checks only."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    xs = [float(c) for c in xs]
-
-    def at(shift):
-        p = list(xs)
-        for slot, d in shift:
-            p[slot] += d
-        return value(f(p))
-
-    if len(alpha) == 0:
-        return at([])
-    if len(alpha) == 1:
-        a = alpha[0]
-        return (at([(a, h)]) - at([(a, -h)])) / (2 * h)
-    a, b = alpha
-    if a == b:
-        return (at([(a, h)]) - 2 * at([]) + at([(a, -h)])) / (h * h)
-    return (
-        at([(a, h), (b, h)])
-        - at([(a, h), (b, -h)])
-        - at([(a, -h), (b, h)])
-        + at([(a, -h), (b, -h)])
-    ) / (4 * h * h)
 
 
 # -- deterministic sample points -----------------------------------------

@@ -48,7 +48,7 @@ class Metric:
                     raise ValueError(f"metric diagonal entry ({a},{a}) missing")
                 self._e[(a, b)] = as_field(f)
         self.is_constant = all(f.const_value is not None for f in self._e.values())
-        self.deps = support(*self._e.values())
+        self.deps = self.mat_deps = support(*self._e.values())
         self._const_mat = None
         self._const_inv = None
         if self.is_constant:
@@ -105,6 +105,11 @@ def identity_metric(chart):
         chart,
         {(a, b): constant(1.0 if a == b else 0.0) for a in range(1, chart.n + 1) for b in range(a, chart.n + 1)},
     )
+
+
+def _with_velocities(deps, n):
+    """A slot set plus the velocity slots n+1..2n (unknown stays unknown)."""
+    return None if deps is None else deps | frozenset(range(n + 1, 2 * n + 1))
 
 
 def _field_blocks(sym):
@@ -168,7 +173,7 @@ class MetricBlocks:
     minimally coupled field, whose (q/m)-scaled raised entries enter the
     time-space blocks at half weight and the time-time block at full weight.
     ``deps`` is the union of the inputs' supports; seeded passes run only
-    along the support of G and A, the other directions give exact zeros.
+    along the support of G and A (``_inputs_deps``).
     """
 
     def __init__(self, G, A=None, phi2=None, time_gauge=None, em=None):
@@ -177,24 +182,22 @@ class MetricBlocks:
         self.phi2 = phi2 or {}
         self.time_gauge = time_gauge
         self.em = em
-        seeded = support(G, *(self.A or ()))
-        self.dirs = [lam for lam in range(G.chart.n + 1) if seeded is None or lam in seeded]
+        self._inputs_deps = support(G, *(self.A or ()))
         self.deps = support(G, *(self.A or ()), *self.phi2.values(), *(time_gauge or ()),
                             *(em._e.values() if em is not None else ()))
+
+    def _inputs(self, p):
+        """(G, A) at a point; each part is empty when it has no partials."""
+        return ([] if self.G.is_constant else self.G.mat(p),
+                [] if self.A is None else [a(p) for a in self.A])
 
     def __call__(self, xs):
         G, A, em = self.G, self.A, self.em
         n = G.chart.n
         ginv = G.inv(xs)
-
-        def seeded(p):  # each part is empty when it has no partials
-            return [] if G.is_constant else G.mat(p), [] if A is None else [a(p) for a in A]
-
         # d[lam] = (dg[lam], da[lam]) with dg[lam][h][b] = d_lam G_(h+1)(b+1)
         # and da[lam][mu] = d_lam A_mu; dg is None for a constant metric
-        passes = {lam: duals.partial_multi(seeded, xs, lam) for lam in self.dirs}
-        flat = ([[0.0] * n for _ in range(n)], [0.0] * (n + 1))
-        d = [passes.get(lam, flat) for lam in range(n + 1)]
+        d = duals.grad(self._inputs, xs[: n + 1])
         dg = None if G.is_constant else [dl[0] for dl in d]
 
         def raised(low):
@@ -313,18 +316,40 @@ class PhaseConnection:
         """gl[k][lam]: value of the lift coefficient for component k along
         d^lam, as a full (affine in velocity) function of the phase point."""
         n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        kv = self.blocks(xs)
-        gl = []
-        for k in range(n):
-            row = []
-            for lam in range(0, n + 1):
-                s = kv[_sym_key(lam, 0)][k]
-                for j in range(1, n + 1):
-                    s = s + kv[_sym_key(lam, j)][k] * v[j - 1]
-                row.append(s)
-            gl.append(row)
-        return gl
+        return lift_of(self.blocks(xs), xs[n + 1 : 2 * n + 1])
+
+
+def lift_of(kv, v):
+    """Lift coefficients gl[k][lam] = K_(lam,0)^k + K_(lam,j)^k v^j of the
+    blocks ``kv`` at velocity ``v``; linear in ``kv``, so it also lifts
+    derivative blocks."""
+    n = len(v)
+    gl = []
+    for k in range(n):
+        row = []
+        for lam in range(0, n + 1):
+            s = kv[_sym_key(lam, 0)][k]
+            for j in range(1, n + 1):
+                s = s + kv[_sym_key(lam, j)][k] * v[j - 1]
+            row.append(s)
+        gl.append(row)
+    return gl
+
+
+def gamma00_of(kv, v):
+    """Acceleration K_(0,0) + 2 K_(0,h) v^h + K_(h,k) v^h v^k of the blocks
+    ``kv`` at velocity ``v``; linear in ``kv``, like :func:`lift_of`."""
+    n = len(v)
+    out = []
+    for i in range(n):
+        s = kv[(0, 0)][i]
+        for h in range(1, n + 1):
+            s = s + 2.0 * kv[(0, h)][i] * v[h - 1]
+            for k in range(h, n + 1):
+                mult = 1.0 if h == k else 2.0
+                s = s + mult * kv[(h, k)][i] * v[h - 1] * v[k - 1]
+        out.append(s)
+    return out
 
 
 def phase_from_spacetime(K):
@@ -353,18 +378,7 @@ class DynamicalConnection:
 
     def gamma00_values(self, xs):
         n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        kv = self.blocks(xs)
-        out = []
-        for i in range(n):
-            s = kv[(0, 0)][i]
-            for h in range(1, n + 1):
-                s = s + 2.0 * kv[(0, h)][i] * v[h - 1]
-                for k in range(h, n + 1):
-                    mult = 1.0 if h == k else 2.0
-                    s = s + mult * kv[(h, k)][i] * v[h - 1] * v[k - 1]
-            out.append(s)
-        return out
+        return gamma00_of(self.blocks(xs), xs[n + 1 : 2 * n + 1])
 
     def vector_values(self, xs):
         """Components of the associated phase vector field (time part 1)."""
@@ -442,7 +456,8 @@ class PhaseTwoForm:
     """Cosymplectic two-form of a metric and a phase connection.
 
     Carries back-references to (G, Gamma); the associated second-order
-    connection is the unique one annihilated by the form.
+    connection is the unique one annihilated by the form.  The matrix reads
+    the slots of G and of the connection, and the velocities.
     """
 
     def __init__(self, G, gamma_conn):
@@ -450,6 +465,7 @@ class PhaseTwoForm:
         self.G = G
         self.conn = gamma_conn
         self.dyn = dynamical_from_phase(gamma_conn)
+        self.matrix_deps = _with_velocities(support(G, gamma_conn.blocks), G.chart.n)
 
     def matrix(self, xs):
         n = self.chart.n
@@ -514,28 +530,34 @@ def minimal_coupling(omega, em):
     return PhaseTwoForm(omega.G, phase_from_spacetime(_derived_connection(omega.chart, total)))
 
 
-def euler_lagrange_matrix(G, dyn, p, accel):
-    """Horizontal two-form of the motion residual at second-order data."""
-    chart = G.chart
-    n = chart.n
-    xs = p.coords() if hasattr(p, "coords") else list(p)
+def motion_row(G, dyn, xs, accel):
+    """The motion residual lowered by the metric: G_ab (accel^a - gamma^a)."""
+    n = G.chart.n
     gm = G.mat(xs)
     g00 = dyn.gamma00_values(xs)
+    return [sum(gm[a][b] * (accel[a] - g00[a]) for a in range(n)) for b in range(n)]
+
+
+def euler_lagrange_matrix(G, dyn, p, accel):
+    """Horizontal two-form of the motion residual at second-order data."""
+    n = G.chart.n
+    xs = p.coords() if hasattr(p, "coords") else list(p)
     m = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for b in range(n):
-        s = sum(gm[a][b] * (accel[a] - g00[a]) for a in range(n))
+    for b, s in enumerate(motion_row(G, dyn, xs, accel)):
         m[0][1 + b] = s
         m[1 + b][0] = -s
     return m
 
 
 class PoincareCartan:
-    """Horizontal potential one-form, stored by its metric and gauge data."""
+    """Horizontal potential one-form, stored by its metric and gauge data;
+    its components read the slots of both, and the velocities."""
 
     def __init__(self, G, A):
         self.chart = G.chart
         self.G = G
         self.A = [as_field(a) for a in A]
+        self.components_deps = _with_velocities(support(G, *self.A), G.chart.n)
 
     def theta0(self, xs):
         return -0.5 * self.G.norm_sq(xs) + self.A[0](xs)
@@ -567,6 +589,7 @@ class LagrangianForm:
         self.chart = G.chart
         self.G = G
         self.A = A
+        self.value_deps = _with_velocities(support(G, *A), G.chart.n)
 
     def value(self, xs):
         n = self.chart.n
@@ -650,7 +673,7 @@ def closure_residual(omega, p):
     """Max cyclic-derivative residual of the two-form at a phase point."""
     xs = p.coords() if hasattr(p, "coords") else list(p)
     dim = 2 * omega.chart.n + 1
-    dm = [duals.partial_multi(omega.matrix, xs, d) for d in range(dim)]
+    dm = duals.grad(omega.matrix, xs)
     worst = 0.0
     for a in range(dim):
         for b in range(a + 1, dim):
@@ -700,7 +723,7 @@ def dphi_residual(omega, observer, xs_e):
     def comp(xs):
         return observed_two_form(omega, observer, xs)
 
-    dm = [duals.partial_multi(comp, list(xs_e), d) for d in range(n + 1)]
+    dm = duals.grad(comp, list(xs_e))
     worst = 0.0
     for a in range(n + 1):
         for b in range(a + 1, n + 1):

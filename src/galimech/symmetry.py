@@ -6,9 +6,11 @@ component, which is exactly the class whose Lie derivative annihilates the
 time form.  Their holonomic lift to phase space adds the velocity
 components d/dt X^i computed along the contact direction; the tangent lift
 lives on TE.  Lie derivatives of the non-tensorial objects (metric,
-connections) use the well-defined restricted expressions; every coordinate
-formula here is cross-checked in the tests against a finite-flow pullback
-oracle.
+connections) use the well-defined restricted expressions.  Every family
+reads the jet (the value and all first partials) of each input once per
+point and combines the jets algebraically; the Lie derivatives of forms use
+the coordinate form of Cartan's identity.  Each formula is cross-checked in
+the tests against a finite-flow pullback oracle (:mod:`galimech.oracles`).
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import duals
-from .duals import value, partial_multi
+from .duals import value
 from .fields import Field, ZERO, as_field, constant, coordinate, support
-from .geometry import SingularOmegaError, _sym_key, lagrangian_and_momentum
+from .geometry import _sym_key, gamma00_of, lagrangian_and_momentum, lift_of, motion_row
 
 
 TOL_PASS = 1e-9
@@ -37,68 +39,67 @@ class ClassifyError(RuntimeError):
         self.reason = reason
 
 
+def _along(row, u):
+    """sum_k row[k] u[k]: a row of partials contracted with a direction."""
+    pairs = zip(row, u)
+    r, w = next(pairs)
+    s = r * w
+    for r, w in pairs:
+        s = s + r * w
+    return s
+
+
 class SpacetimeVectorField:
-    """Projectable vector field with constant time component."""
+    """Projectable vector field with constant time component.
+
+    ``d1`` and ``d2`` evaluate the first and second partials of the
+    components once per point; the lifts contract them with a direction.
+    The holonomic lift reads the components' slots and v^k for each x^k
+    they read (``prolong1_values_deps``).
+    """
 
     def __init__(self, chart, x0, comps, label=""):
         self.chart = chart
         self.x0 = float(x0)
         self.comps = [as_field(c) for c in comps]
         self.label = label
+        s = support(*self.comps)
+        self.prolong1_values_deps = None if s is None else s | {
+            chart.n + k for k in s if 1 <= k <= chart.n}
 
     def values_e(self, xs):
         return [self.x0] + [c(xs) for c in self.comps]
 
-    def hat(self, i, xs):
-        """Velocity component of the holonomic lift: d/dt X^i along contact."""
-        n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        c = self.comps[i - 1]
-        s = c.partial((0,), xs)
-        for k in range(1, n + 1):
-            s = s + c.partial((k,), xs) * v[k - 1]
-        return s
+    def d1(self, xs):
+        """d1[i][lam] = d_lam X^(i+1), lam = 0..n."""
+        e = range(self.chart.n + 1)
+        return [[c.partial((lam,), xs) for lam in e] for c in self.comps]
+
+    def d2(self, xs):
+        """d2[i][lam][mu] = d_lam d_mu X^(i+1); each pair is evaluated once."""
+        e = range(self.chart.n + 1)
+        out = []
+        for c in self.comps:
+            h = {(lam, mu): c.partial((lam, mu), xs) for lam in e for mu in e if lam <= mu}
+            out.append([[h[_sym_key(lam, mu)] for mu in e] for lam in e])
+        return out
 
     def prolong1_values(self, xs):
         """Components of the holonomic lift on phase space."""
+        return self._prolong1(xs, self.d1(xs))
+
+    def _prolong1(self, xs, d1):
+        # velocity part: d/dt X^i along the contact direction (1, v)
         n = self.chart.n
-        out = [self.x0]
-        out += [c(xs) for c in self.comps]
-        out += [self.hat(i, xs) for i in range(1, n + 1)]
-        return out
+        u = [1.0, *xs[n + 1 : 2 * n + 1]]
+        return self.values_e(xs) + [_along(r, u) for r in d1]
 
     def prolongT_values(self, te_xs):
         """Components of the tangent lift on TE, coordinates (x, xdot)."""
         n = self.chart.n
         xdot = te_xs[n + 1 : 2 * n + 2]
-        out = [self.x0]
-        out += [c(te_xs) for c in self.comps]
-        out.append(0.0)  # time component is constant
-        for i in range(1, n + 1):
-            c = self.comps[i - 1]
-            s = c.partial((0,), te_xs) * xdot[0]
-            for k in range(1, n + 1):
-                s = s + c.partial((k,), te_xs) * xdot[k]
-            out.append(s)
-        return out
-
-    def prolong2_extra(self, j2_xs):
-        """Acceleration components of the second holonomic lift, at second
-        order data (x, v, a) laid out as 3n+1 coordinates."""
-        n = self.chart.n
-        v = j2_xs[n + 1 : 2 * n + 1]
-        acc = j2_xs[2 * n + 1 : 3 * n + 1]
-        out = []
-        for i in range(1, n + 1):
-            c = self.comps[i - 1]
-            s = c.partial((0, 0), j2_xs)
-            for k in range(1, n + 1):
-                s = s + 2.0 * c.partial((0, k), j2_xs) * v[k - 1]
-                s = s + c.partial((k,), j2_xs) * acc[k - 1]
-                for l in range(1, n + 1):
-                    s = s + c.partial((k, l), j2_xs) * v[k - 1] * v[l - 1]
-            out.append(s)
-        return out
+        # the time component is constant
+        return self.values_e(te_xs) + [0.0] + [_along(r, xdot) for r in self.d1(te_xs)]
 
 
 def spacetime_commutator(X, Y):
@@ -148,22 +149,19 @@ def classify_spacetime(chart, raw_comps, points, tol=TOL_PASS):
 def lie_metric(X, G):
     """Vertical-restricted Lie derivative of the metric; returns a function
     of a spacetime point giving the symmetric n x n matrix."""
-    chart = G.chart
-    n = chart.n
+    n = G.chart.n
 
     def at(xs):
+        gm, dgm = G.mat(xs), duals.grad(G.mat, xs)
+        xe, d1 = X.values_e(xs), X.d1(xs)
         out = [[0.0] * n for _ in range(n)]
-        for a in range(1, n + 1):
-            for b in range(a, n + 1):
-                g = G.entry(a, b)
-                s = X.x0 * g.partial((0,), xs)
-                for lam in range(1, n + 1):
-                    s = s + X.comps[lam - 1](xs) * g.partial((lam,), xs)
-                for k in range(1, n + 1):
-                    s = s + G.entry(k, b)(xs) * X.comps[k - 1].partial((a,), xs)
-                    s = s + G.entry(a, k)(xs) * X.comps[k - 1].partial((b,), xs)
-                out[a - 1][b - 1] = s
-                out[b - 1][a - 1] = s
+        for a in range(n):
+            for b in range(a, n):
+                s = _along([dg[a][b] for dg in dgm], xe)
+                for k in range(n):
+                    s = s + gm[k][b] * d1[k][a + 1]
+                    s = s + gm[a][k] * d1[k][b + 1]
+                out[a][b] = out[b][a] = s
         return out
 
     return at
@@ -173,36 +171,28 @@ def lie_phase_connection(X, pconn):
     """Lie derivative of the phase connection along the holonomic lift;
     returns a function of a phase point giving rows over d^mu and
     components i (an (n+1) x n array)."""
-    chart = pconn.chart
-    n = chart.n
+    n = pconn.chart.n
 
     def at(xs):
         v = xs[n + 1 : 2 * n + 1]
-        kv = pconn.blocks(xs)
-        gl = pconn.lift_values(xs)
-        # dgl[lam][i][mu]: derivative along x^lam of the lift coefficient
-        # (mu, i) at fixed velocity; zero outside the connection's support
-        flat = [[0.0] * (n + 1) for _ in range(n)]
-        dgl = [partial_multi(pconn.lift_values, xs, lam) if duals.reads(pconn.blocks, lam)
-               else flat for lam in range(n + 1)]
-        xhat = [X.hat(i, xs) for i in range(1, n + 1)]
+        u = [1.0, *v]
+        kv, dkv = pconn.blocks(xs[: n + 1]), duals.grad(pconn.blocks, xs[: n + 1])
+        # gl[i][mu] and its partials dgl[lam][i][mu] along x^lam at fixed velocity
+        gl, dgl = lift_of(kv, v), [lift_of(dk, v) for dk in dkv]
+        d1, d2 = X.d1(xs), X.d2(xs)
+        lift = X._prolong1(xs, d1)
         out = []
         for mu in range(0, n + 1):
             row = []
-            for i in range(1, n + 1):
-                ci = X.comps[i - 1]
+            for i in range(n):
                 # d_mu of the lift velocity component
-                s = ci.partial((0, mu), xs)
-                for k in range(1, n + 1):
-                    s = s + ci.partial((k, mu), xs) * v[k - 1]
+                s = _along(d2[i][mu], u)
                 for lam in range(1, n + 1):
-                    s = s - gl[i - 1][lam] * X.comps[lam - 1].partial((mu,), xs)
-                s = s - X.x0 * dgl[0][i - 1][mu]
-                for lam in range(1, n + 1):
-                    s = s - X.comps[lam - 1](xs) * dgl[lam][i - 1][mu]
+                    s = s - gl[i][lam] * d1[lam - 1][mu]
+                s = s - _along([dg[i][mu] for dg in dgl], lift[: n + 1])
                 for k in range(1, n + 1):
-                    s = s - xhat[k - 1] * kv[_sym_key(mu, k)][i - 1]
-                    s = s + gl[k - 1][mu] * X.comps[i - 1].partial((k,), xs)
+                    s = s - lift[n + k] * kv[_sym_key(mu, k)][i]
+                    s = s + gl[k - 1][mu] * d1[i][k]
                 row.append(s)
             out.append(row)
         return out
@@ -214,32 +204,25 @@ def lie_dynamical(X, dyn):
     """Lie derivative of the second-order connection along the holonomic
     lift (equivalently the bracket with the associated vector field);
     returns a function of a phase point giving the n components."""
-    chart = dyn.chart
-    n = chart.n
+    n = dyn.chart.n
 
     def at(xs):
         v = xs[n + 1 : 2 * n + 1]
-        g00 = dyn.gamma00_values(xs)
-        # spacetime directions outside the connection's support give zeros
-        dg = [partial_multi(dyn.gamma00_values, xs, d) if d > n or duals.reads(dyn.blocks, d)
-              else [0.0] * n for d in range(2 * n + 1)]
-        xhat = [X.hat(i, xs) for i in range(1, n + 1)]
+        u = [1.0, *v]
+        kv, dkv = dyn.blocks(xs[: n + 1]), duals.grad(dyn.blocks, xs[: n + 1])
+        g00, gl = gamma00_of(kv, v), lift_of(kv, v)
+        # dg[d][i] = d_d gamma^i: from the blocks' partials along x^lam, and
+        # 2 gl[i][k] along v^k
+        dg = [gamma00_of(dk, v) for dk in dkv] + [[2.0 * g[k] for g in gl] for k in range(1, n + 1)]
+        d1, d2 = X.d1(xs), X.d2(xs)
+        lift = X._prolong1(xs, d1)
         out = []
-        for i in range(1, n + 1):
-            ci = X.comps[i - 1]
-            s = X.x0 * dg[0][i - 1]
-            for lam in range(1, n + 1):
-                s = s + X.comps[lam - 1](xs) * dg[lam][i - 1]
+        for i in range(n):
+            s = _along([d[i] for d in dg], lift)
             for k in range(1, n + 1):
-                s = s + xhat[k - 1] * dg[n + k][i - 1]
-                s = s - g00[k - 1] * ci.partial((k,), xs)
+                s = s - g00[k - 1] * d1[i][k]
             # total second derivative of X^i along the contact direction
-            d2 = ci.partial((0, 0), xs)
-            for k in range(1, n + 1):
-                d2 = d2 + 2.0 * ci.partial((0, k), xs) * v[k - 1]
-                for l in range(1, n + 1):
-                    d2 = d2 + ci.partial((k, l), xs) * v[k - 1] * v[l - 1]
-            out.append(s - d2)
+            out.append(s - _along([_along(r, u) for r in d2[i]], u))
         return out
 
     return at
@@ -249,45 +232,32 @@ def lie_spacetime_connection(X, K):
     """Lie derivative of the spacetime connection along the tangent lift;
     returns a function of a TE point (x, xdot) giving rows over d^lam and
     components i."""
-    chart = K.chart
-    n = chart.n
+    n = K.chart.n
+    e = range(n + 1)
 
     def at(te):
         xdot = te[n + 1 : 2 * n + 2]
-        kv = K.values(te)
-        # dkv[al]: every coefficient block differentiated along x^al (zero off the support)
-        flat = {key: [0.0] * n for key in kv}
-        dkv = [partial_multi(K.values, te, al) if duals.reads(K.blocks, al) else flat
-               for al in range(n + 1)]
+        kv, dkv = K.blocks(te[: n + 1]), duals.grad(K.blocks, te[: n + 1])
+        xe, d1, d2 = X.values_e(te), X.d1(te), X.d2(te)
+        xk = {key: [_along([dk[key][i] for dk in dkv], xe) for i in range(n)] for key in kv}
 
-        def kentry(lam, i, mu):
-            return kv[_sym_key(lam, mu)][i - 1]
+        def along_xdot(blocks):  # [lam][i]: blocks[(lam, nu)][i] xdot^nu
+            return [[_along([blocks[_sym_key(lam, nu)][i] for nu in e], xdot) for i in range(n)]
+                    for lam in e]
 
-        dx = [[X.comps[j - 1].partial((lam,), te) for lam in range(0, n + 1)] for j in range(1, n + 1)]
+        # kx: the connection along xdot; xdk: the same of its derivative along X
+        kx, xdk = along_xdot(kv), along_xdot(xk)
+        tdot = [_along(r, xdot) for r in d1]
         out = []
-        for lam in range(0, n + 1):
+        for lam in e:
             row = []
-            for i in range(1, n + 1):
-                s = 0.0
-                for nu in range(0, n + 1):
-                    key = _sym_key(lam, nu)
-                    t = X.x0 * dkv[0][key][i - 1]
-                    for al in range(1, n + 1):
-                        t = t + X.comps[al - 1](te) * dkv[al][key][i - 1]
-                    s = s + t * xdot[nu]
-                for j in range(1, n + 1):
-                    for rho in range(0, n + 1):
-                        s = s + kentry(lam, i, j) * dx[j - 1][rho] * xdot[rho]
-                    for nu in range(0, n + 1):
-                        s = s - kentry(lam, j, nu) * xdot[nu] * dx[i - 1][j]
-                for mu in range(1, n + 1):
-                    for nu in range(0, n + 1):
-                        s = s + kentry(mu, i, nu) * xdot[nu] * dx[mu - 1][lam]
-                ci = X.comps[i - 1]
-                s = s - ci.partial((lam, 0), te) * xdot[0]
-                for nu in range(1, n + 1):
-                    s = s - ci.partial((lam, nu), te) * xdot[nu]
-                row.append(s)
+            for i in range(n):
+                s = xdk[lam][i]
+                for j in range(n):
+                    s = s + kv[_sym_key(lam, j + 1)][i] * tdot[j]
+                    s = s - kx[lam][j] * d1[i][j + 1]
+                    s = s + kx[j + 1][i] * d1[j][lam]
+                row.append(s - _along(d2[i][lam], xdot))
             out.append(row)
         return out
 
@@ -297,61 +267,37 @@ def lie_spacetime_connection(X, K):
 def lie_lagrangian(X, lag):
     """Directional derivative of the Lagrangian density along the holonomic
     lift; vanishing is the Lagrangian form of invariance."""
-    n = lag.chart.n
 
     def at(xs):
-        s = X.x0 * duals.partial(lag.value, xs, 0)
-        for a in range(1, n + 1):
-            s = s + X.comps[a - 1](xs) * duals.partial(lag.value, xs, a)
-        for k in range(1, n + 1):
-            s = s + X.hat(k, xs) * duals.partial(lag.value, xs, n + k)
-        return s
+        return _along(duals.grad(lag.value, xs), X.prolong1_values(xs))
 
     return at
 
 
-# -- Cartan-formula Lie derivative of forms --------------------------------
+# -- Lie derivative of forms from jets -------------------------------------------
 
 
 def lie_one_form(vec_fn, comp_fn, xs):
-    """Cartan formula for a one-form given by its component list."""
+    """Lie derivative of a one-form given by its component list, from the
+    jets of Y and c: (L_Y c)_b = Y^a d_a c_b + c_a d_b Y^a."""
     dim = len(xs)
-    y = vec_fn(xs)
-    dcomp = [partial_multi(comp_fn, xs, d) for d in range(dim)]
-
-    def contraction(p):
-        yy = vec_fn(p)
-        cc = comp_fn(p)
-        return sum(yy[a] * cc[a] for a in range(dim))
-
-    grad_c = [duals.partial(contraction, xs, d) for d in range(dim)]
-    out = []
-    for b in range(dim):
-        s = grad_c[b]
-        for a in range(dim):
-            s = s + y[a] * (dcomp[a][b] - dcomp[b][a])
-        out.append(s)
-    return out
+    y, dy = vec_fn(xs), duals.grad(vec_fn, xs)
+    c, dc = comp_fn(xs), duals.grad(comp_fn, xs)
+    return [_along([d[b] for d in dc], y) + _along(c, dy[b]) for b in range(dim)]
 
 
 def lie_two_form(vec_fn, mat_fn, xs):
-    """Cartan formula for a two-form given by its evaluation matrix."""
+    """Lie derivative of a two-form given by its evaluation matrix, from
+    the jets of Y and W:
+    (L_Y W)_bc = Y^a d_a W_bc + W_ac d_b Y^a + W_ba d_c Y^a."""
     dim = len(xs)
-    y = vec_fn(xs)
-    dm = [partial_multi(mat_fn, xs, d) for d in range(dim)]
-
-    def eta(p):
-        yy = vec_fn(p)
-        mm = mat_fn(p)
-        return [sum(yy[a] * mm[a][b] for a in range(dim)) for b in range(dim)]
-
-    deta = [partial_multi(eta, xs, d) for d in range(dim)]
+    y, dy = vec_fn(xs), duals.grad(vec_fn, xs)
+    m, dm = mat_fn(xs), duals.grad(mat_fn, xs)
     out = [[0.0] * dim for _ in range(dim)]
     for b in range(dim):
         for c in range(b + 1, dim):
-            s = deta[b][c] - deta[c][b]
-            for a in range(dim):
-                s = s + y[a] * (dm[a][b][c] + dm[b][c][a] + dm[c][a][b])
+            s = _along([d[b][c] for d in dm], y)
+            s = s + _along([row[c] for row in m], dy[b]) + _along(m[b], dy[c])
             out[b][c] = s
             out[c][b] = -s
     return out
@@ -360,184 +306,27 @@ def lie_two_form(vec_fn, mat_fn, xs):
 def lie_euler_lagrange(X, G, dyn, j2_xs):
     """Lie derivative of the motion two-form along the second holonomic
     lift, evaluated at second-order data (x, v, a)."""
-    chart = G.chart
-    n = chart.n
+    n = G.chart.n
 
     def e_row(j2):
-        xs = j2[: 2 * n + 1]
-        gm = G.mat(j2)
-        g00 = dyn.gamma00_values(xs)
-        acc = j2[2 * n + 1 : 3 * n + 1]
-        return [
-            sum(gm[a][b] * (acc[a] - g00[a]) for a in range(n)) for b in range(n)
-        ]
+        return motion_row(G, dyn, j2[: 2 * n + 1], j2[2 * n + 1 : 3 * n + 1])
 
-    e0 = e_row(j2_xs)
-    xhat = [X.hat(i, j2_xs) for i in range(1, n + 1)]
-    xacc = X.prolong2_extra(j2_xs)
-    # directional derivative along the second lift
-    d_e = [partial_multi(e_row, j2_xs, d) for d in range(3 * n + 1)]
+    s = support(G, dyn.blocks)
+    e_row.deps = None if s is None else s | frozenset(range(n + 1, 3 * n + 1))
+    e0, d_e = e_row(j2_xs), duals.grad(e_row, j2_xs)
+    d1, d2 = X.d1(j2_xs), X.d2(j2_xs)
+    u = [1.0, *j2_xs[n + 1 : 2 * n + 1]]
+    acc = j2_xs[2 * n + 1 : 3 * n + 1]
+    # the second lift adds d^2/dt^2 X^i along the contact direction
+    lift = X._prolong1(j2_xs, d1) + [
+        _along([_along(r, u) for r in h], u) + _along(r1[1:], acc) for h, r1 in zip(d2, d1)]
     out = []
     for j in range(n):
-        s = X.x0 * d_e[0][j]
-        for k in range(1, n + 1):
-            s = s + X.comps[k - 1](j2_xs) * d_e[k][j]
-            s = s + xhat[k - 1] * d_e[n + k][j]
-            s = s + xacc[k - 1] * d_e[2 * n + k][j]
-            s = s + e0[k - 1] * X.comps[k - 1].partial((j + 1,), j2_xs)
+        s = _along([d[j] for d in d_e], lift)
+        for k in range(n):
+            s = s + e0[k] * d1[k][j + 1]
         out.append(s)
     return out
-
-
-# -- finite-flow oracles ----------------------------------------------------
-
-
-def taylor_flow(vec_fn, xs, s):
-    """Second-order Taylor flow of a vector field; exact enough for
-    difference-quotient Lie derivatives at small s."""
-    v = vec_fn(xs)
-    dim = len(xs)
-    dv = [partial_multi(vec_fn, xs, d) for d in range(dim)]
-    w = [sum(dv[b][a] * v[b] for b in range(dim)) for a in range(dim)]
-    return [xs[a] + s * v[a] + 0.5 * s * s * w[a] for a in range(dim)]
-
-
-def flow_jacobian(vec_fn, xs, s):
-    dim = len(xs)
-
-    def w_fn(p):
-        v = vec_fn(p)
-        dv = [partial_multi(vec_fn, p, d) for d in range(dim)]
-        return [sum(dv[b][a] * v[b] for b in range(dim)) for a in range(dim)]
-
-    dv = [partial_multi(vec_fn, xs, d) for d in range(dim)]
-    dw = [partial_multi(w_fn, xs, d) for d in range(dim)]
-    jac = [
-        [
-            (1.0 if a == b else 0.0) + s * value(dv[b][a]) + 0.5 * s * s * value(dw[b][a])
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
-    return jac
-
-
-def _pullback_cov(tensor_fn, rank, vec_fn, xs, s):
-    q = [value(c) for c in taylor_flow(vec_fn, xs, s)]
-    jac = flow_jacobian(vec_fn, xs, s)
-    t = tensor_fn(q)
-    dim = len(xs)
-    if rank == 1:
-        return [sum(jac[c][b] * value(t[c]) for c in range(dim)) for b in range(dim)]
-    out = [[0.0] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            out[a][b] = sum(
-                jac[c][a] * jac[d][b] * value(t[c][d]) for c in range(dim) for d in range(dim)
-            )
-    return out
-
-
-def lie_flow_cov(tensor_fn, rank, vec_fn, xs, s):
-    """Difference-quotient Lie derivative of a covariant tensor."""
-    plus = _pullback_cov(tensor_fn, rank, vec_fn, xs, s)
-    minus = _pullback_cov(tensor_fn, rank, vec_fn, xs, -s)
-    if rank == 1:
-        return [(p - m) / (2 * s) for p, m in zip(plus, minus)]
-    return [
-        [(plus[a][b] - minus[a][b]) / (2 * s) for b in range(len(xs))]
-        for a in range(len(xs))
-    ]
-
-
-def lie_flow_mixed(tensor_fn, vec_fn, xs, s):
-    """Difference-quotient Lie derivative of a (1,1) tensor."""
-    dim = len(xs)
-
-    def pb(sgn):
-        q = [value(c) for c in taylor_flow(vec_fn, xs, sgn)]
-        jac = np.array(flow_jacobian(vec_fn, xs, sgn))
-        jinv = np.linalg.inv(jac)
-        t = np.array([[value(v) for v in row] for row in tensor_fn(q)])
-        return jinv @ t @ jac
-
-    return (pb(s) - pb(-s)) / (2 * s)
-
-
-def lie_flow_vector(field_fn, vec_fn, xs, s):
-    """Difference-quotient Lie derivative of a vector field (the bracket)."""
-    dim = len(xs)
-
-    def pb(sgn):
-        q = [value(c) for c in taylor_flow(vec_fn, xs, sgn)]
-        jac = np.array(flow_jacobian(vec_fn, xs, sgn))
-        y = np.array([value(c) for c in field_fn(q)])
-        return np.linalg.solve(jac, y)
-
-    return (pb(s) - pb(-s)) / (2 * s)
-
-
-def lie_flow_metric(G, X, xs_e, s, time_row=None):
-    """Flow oracle for the metric: pull back an extension with the given
-    time row (default zero), then restrict to the spatial block."""
-    chart = G.chart
-    n = chart.n
-
-    def ext(p):
-        m = [[0.0] * (n + 1) for _ in range(n + 1)]
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                m[a][b] = G.entry(a, b)(p)
-            if time_row is not None:
-                m[0][a] = time_row[a - 1](p)
-                m[a][0] = time_row[a - 1](p)
-        return m
-
-    def vfn(p):
-        return X.values_e(p)
-
-    full = lie_flow_cov(ext, 2, vfn, list(xs_e), s)
-    return [[full[a][b] for b in range(1, n + 1)] for a in range(1, n + 1)]
-
-
-def vertical_projector_phase(pconn):
-    """(1,1)-tensor of the phase connection: projection onto the velocity
-    directions along the horizontal lift."""
-    n = pconn.chart.n
-
-    def mat(xs):
-        gl = pconn.lift_values(xs)
-        dim = 2 * n + 1
-        m = [[0.0] * dim for _ in range(dim)]
-        for i in range(n):
-            m[n + 1 + i][n + 1 + i] = 1.0
-            for lam in range(0, n + 1):
-                m[n + 1 + i][lam] = -gl[i][lam]
-        return m
-
-    return mat
-
-
-def vertical_projector_spacetime(K):
-    """(1,1)-tensor on TE of a spacetime connection."""
-    n = K.chart.n
-
-    def mat(te):
-        xdot = te[n + 1 : 2 * n + 2]
-        dim = 2 * (n + 1)
-        m = [[0.0] * dim for _ in range(dim)]
-        m[n + 1][n + 1] = 1.0  # time dot-row
-        kv = K.values(te)
-        for i in range(1, n + 1):
-            m[n + 1 + i][n + 1 + i] = 1.0
-            for lam in range(0, n + 1):
-                s = 0.0
-                for nu in range(0, n + 1):
-                    s = s + kv[_sym_key(lam, nu)][i - 1] * xdot[nu]
-                m[n + 1 + i][lam] = -s
-        return m
-
-    return mat
 
 
 # -- invariance report ------------------------------------------------------
@@ -587,48 +376,31 @@ class EquivalenceReport:
         return True
 
 
+def _worst(family, points):
+    """Largest |entry| of a residual family (nested lists of scalars) over points."""
+    def leaves(r):
+        return [x for e in r for x in leaves(e)] if isinstance(r, list) else [r]
+
+    return max(abs(value(x)) for p in points for x in leaves(family(p)))
+
+
 def check_equivalences(model, X, points_e, points_phase, points_te, points_j2,
                        tol_pass=TOL_PASS, tol_fail=TOL_FAIL):
     """Evaluate every invariance residual family for one generator."""
-    n = model.chart.n
-    res = {}
-
-    lk = lie_spacetime_connection(X, model.K)
-    res["spacetime_connection"] = max(
-        max(abs(value(x)) for row in lk(p) for x in row) for p in points_te
-    )
-    lg = lie_phase_connection(X, model.pconn)
-    res["phase_connection"] = max(
-        max(abs(value(x)) for row in lg(p) for x in row) for p in points_phase
-    )
-    ld = lie_dynamical(X, model.dyn)
-    res["dynamical_connection"] = max(
-        max(abs(value(x)) for x in ld(p)) for p in points_phase
-    )
-    lm = lie_metric(X, model.G)
-    res["metric"] = max(
-        max(abs(value(x)) for row in lm(p) for x in row) for p in points_e
-    )
-
-    def vec(p):
-        return X.prolong1_values(p)
-
-    res["two_form"] = max(
-        max(abs(value(x)) for row in lie_two_form(vec, model.omega.matrix, p) for x in row)
-        for p in points_phase
-    )
-    res["motion_form"] = max(
-        max(abs(value(x)) for x in lie_euler_lagrange(X, model.G, model.dyn, p))
-        for p in points_j2
-    )
+    lift = X.prolong1_values
+    res = {
+        "spacetime_connection": _worst(lie_spacetime_connection(X, model.K), points_te),
+        "phase_connection": _worst(lie_phase_connection(X, model.pconn), points_phase),
+        "dynamical_connection": _worst(lie_dynamical(X, model.dyn), points_phase),
+        "metric": _worst(lie_metric(X, model.G), points_e),
+        "two_form": _worst(lambda p: lie_two_form(lift, model.omega.matrix, p), points_phase),
+        "motion_form": _worst(lambda p: lie_euler_lagrange(X, model.G, model.dyn, p), points_j2),
+    }
     if model.theta is not None:
-        res["cartan_form"] = max(
-            max(abs(value(x)) for x in lie_one_form(vec, model.theta.components, p))
-            for p in points_phase
-        )
+        res["cartan_form"] = _worst(lambda p: lie_one_form(lift, model.theta.components, p),
+                                    points_phase)
         lag, _ = lagrangian_and_momentum(model.theta)
-        ll = lie_lagrangian(X, lag)
-        res["lagrangian"] = max(abs(value(ll(p))) for p in points_phase)
+        res["lagrangian"] = _worst(lie_lagrangian(X, lag), points_phase)
 
     return EquivalenceReport(
         getattr(model, "name", "?"), X.label or "X", res, tol_pass, tol_fail
@@ -653,13 +425,18 @@ class SpecialQuadratic:
         quad = [] if self.f0.is_zero else [self.f0, G, *vel]
         self.deps = support(self.fconst, *quad, *(f * v for f, v in zip(self.flin, vel)))
 
+    def coefficients(self, xs):
+        """(f0, [linear coefficients], constant) at the base point of ``xs``."""
+        return self.f0(xs), [f(xs) for f in self.flin], self.fconst(xs)
+
     def value(self, xs):
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
-        quad = 0.0 if self.f0.is_zero else 0.5 * self.f0(xs) * self.G.norm_sq(xs)
-        s = quad + self.fconst(xs)
+        f0, lin, const = self.coefficients(xs)
+        quad = 0.0 if self.f0.is_zero else 0.5 * f0 * self.G.norm_sq(xs)
+        s = quad + const
         for a in range(n):
-            s = s + self.flin[a](xs) * v[a]
+            s = s + lin[a] * v[a]
         return s
 
     __call__ = value
@@ -697,13 +474,8 @@ def noether_charge(X, theta, check_points=None, tol=TOL_PASS):
     charge = SpecialQuadratic(G, constant(X.x0), flin, fconst)
     residual = None
     if check_points is not None:
-        def vec(p):
-            return X.prolong1_values(p)
-
-        residual = max(
-            max(abs(value(x)) for x in lie_one_form(vec, theta.components, p))
-            for p in check_points
-        )
+        residual = _worst(lambda p: lie_one_form(X.prolong1_values, theta.components, p),
+                          check_points)
     conserved = residual is None or residual < tol
     return charge, residual, conserved
 
@@ -833,32 +605,6 @@ def tau_lift_values(fn, tau, omega, xs):
     return out
 
 
-def tau_lift_solve(fn, tau, omega, xs):
-    """Oracle path for the lift: solve the constrained contraction system
-    numerically and add the time-scaled second-order connection."""
-    chart = omega.chart
-    n = chart.n
-    xs = [float(c) for c in xs]
-    m = np.array([[value(x) for x in row] for row in omega.matrix(xs)])
-    df = [value(d) for d in duals.grad(fn, xs)]
-    gdot = value(gamma_dot(fn, omega.dyn, xs))
-    rhs = np.array(df)
-    rhs[0] -= gdot
-    # unknown vertical part: slots 1..2n; rows are all 2n+1 form components
-    a = m[1:, :].T
-    sol, res, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-    if rank < 2 * n:
-        raise SingularOmegaError("contraction system is rank deficient")
-    fit = a @ sol
-    if np.max(np.abs(fit - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
-        raise SingularOmegaError("contraction system is inconsistent")
-    gamma_vec = [value(c) for c in omega.dyn.vector_values(xs)]
-    out = [tau * g for g in gamma_vec]
-    for i in range(2 * n):
-        out[1 + i] += sol[i]
-    return out
-
-
 def generator_match(entry, omega, points):
     """Defect between the lifted charge (at its own time scale) and the
     holonomic lift of the generator; two-sided per the uniqueness of the
@@ -877,40 +623,40 @@ def generator_match(entry, omega, points):
 
 
 def _velocity_nodes(n):
-    nodes = [[0.0] * n]
-    for h in range(n):
-        e = [0.0] * n
-        e[h] = 1.0
-        nodes.append(list(e))
-        e2 = [0.0] * n
-        e2[h] = 2.0
-        nodes.append(e2)
-    for h in range(n):
-        for k in range(h + 1, n):
-            e = [0.0] * n
-            e[h] = 1.0
-            e[k] = 1.0
-            nodes.append(e)
-    return nodes
+    """The velocities of a fit: 0, e_h and 2 e_h, then e_h + e_k for h < k."""
+    e = [[float(h == k) for k in range(n)] for h in range(n)]
+    pairs = [[a + b for a, b in zip(e[h], e[k])] for h in range(n) for k in range(h + 1, n)]
+    return [[0.0] * n] + [row for eh in e for row in (eh, [2.0 * x for x in eh])] + pairs
 
 
 def _quad_design_row(v, n):
-    row = []
-    for h in range(n):
-        for k in range(h, n):
-            row.append((0.5 if h == k else 1.0) * v[h] * v[k])
-    row.extend(v)
-    row.append(1.0)
-    return row
+    quad = [(0.5 if h == k else 1.0) * v[h] * v[k] for h in range(n) for k in range(h, n)]
+    return quad + list(v) + [1.0]
+
+
+class _FittedQuadratic(SpecialQuadratic):
+    """A classified phase function: ``fit`` gives (f0, lin, const, quad) at
+    a base point, and the coefficient fields are views of it."""
+
+    def __init__(self, G, fit, validate):
+        n = G.chart.n
+        super().__init__(G, Field(lambda xs: fit(xs)[0]),
+                         [Field(lambda xs, a=a: fit(xs)[1][a]) for a in range(n)],
+                         Field(lambda xs: fit(xs)[2]))
+        self.fit = fit
+        self.validate = validate
+
+    def coefficients(self, xs):
+        return self.fit(xs)[:3]
 
 
 def classify_special_quadratic(fn, G, fit_tol=1e-10, probe=None, validate_at=None):
     """Fit a phase function as quadratic in the velocities with quadratic
     part proportional to the metric.
 
-    Returns a :class:`SpecialQuadratic` whose coefficient fields evaluate by
-    refitting at each base point (so they compose with the derivative
-    engine).  With ``validate_at`` base points the fit is checked eagerly:
+    Returns a :class:`SpecialQuadratic` whose coefficients come from one
+    fit per base point (so they compose with the derivative engine).  With
+    ``validate_at`` base points the fit is checked eagerly:
     :class:`ClassifyError` is raised when the residual at probe velocities
     is too large or the quadratic part is not metric proportional.
     """
@@ -922,25 +668,24 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, probe=None, validate_at=Non
     if probe is None:
         probe = [[0.3 + 0.1 * i for i in range(n)], [1.0] * n, [-0.7, 0.4] + [0.2] * (n - 2)]
 
-    def fit(xs_e):
-        base = list(xs_e[: n + 1])
+    def fit(xs):
+        """(f0, lin, const, quad) at the base point of ``xs``, from one
+        evaluation per node; f0 is the metric trace of the quadratic part."""
+        base = list(xs[: n + 1])
         vals = [fn(base + list(v)) for v in nodes]
-        coeffs = [
-            sum(dinv[r][c] * vals[c] for c in range(len(vals)))
-            for r in range(len(vals))
-        ]
-        quad = {}
-        idx = 0
+        coeffs = [sum(dinv[r][c] * vals[c] for c in range(len(vals))) for r in range(len(vals))]
+        keys = [(h, k) for h in range(n) for k in range(h, n)]
+        quad = dict(zip(keys, coeffs))
+        lin, const = coeffs[len(keys) : len(keys) + n], coeffs[len(keys) + n]
+        ginv = duals.invert_generic(G.mat(base + [0.0] * n))
+        tr = 0.0
         for h in range(n):
-            for k in range(h, n):
-                quad[(h, k)] = coeffs[idx]
-                idx += 1
-        lin = coeffs[idx : idx + n]
-        const = coeffs[idx + n]
-        return quad, lin, const
+            for k in range(n):
+                tr = tr + ginv[h][k] * quad[_sym_key(k, h)]
+        return tr / n, lin, const, quad
 
     def check(xs_e):
-        quad, lin, const = fit(xs_e)
+        f0, lin, const, quad = fit(xs_e)
         base = list(xs_e[: n + 1])
         scale = 1.0 + max(abs(value(c)) for c in list(lin) + [const] + list(quad.values()))
         for v in probe:
@@ -957,48 +702,19 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, probe=None, validate_at=Non
                     f"probe residual {abs(value(got) - value(pred)):.3e} at {base}",
                 )
         gm = [[value(x) for x in row] for row in G.mat(base + [0.0] * n)]
-        qm = [[value(quad[_sym_key(h, k)]) for k in range(n)] for h in range(n)]
-        tr = sum(
-            sum(np.linalg.inv(np.array(gm))[h][k] * qm[k][h] for k in range(n))
-            for h in range(n)
-        )
-        f0 = tr / n
+        f0 = value(f0)
         for h in range(n):
             for k in range(n):
-                if abs(qm[h][k] - f0 * gm[h][k]) > fit_tol * (1.0 + abs(f0)):
-                    raise ClassifyError(
-                        "not-metric-proportional",
-                        f"entry ({h},{k}) deviates by {abs(qm[h][k] - f0 * gm[h][k]):.3e}",
-                    )
+                dev = abs(value(quad[_sym_key(h, k)]) - f0 * gm[h][k])
+                if dev > fit_tol * (1.0 + abs(f0)):
+                    raise ClassifyError("not-metric-proportional",
+                                        f"entry ({h},{k}) deviates by {dev:.3e}")
         return f0
-
-    def f0_fn(xs):
-        quad, _, _ = fit(xs)
-        gm = G.mat(list(xs[: n + 1]) + [0.0] * n)
-        ginv = duals.invert_generic(gm)
-        tr = 0.0
-        for h in range(n):
-            for k in range(n):
-                tr = tr + ginv[h][k] * quad[_sym_key(k, h)]
-        return tr / n
-
-    def lin_fn(a):
-        def f(xs):
-            _, lin, _ = fit(xs)
-            return lin[a]
-
-        return Field(f)
-
-    def const_fn(xs):
-        _, _, const = fit(xs)
-        return const
 
     if validate_at is not None:
         for xs_e in validate_at:
             check(xs_e)
-    sq = SpecialQuadratic(G, Field(f0_fn), [lin_fn(a) for a in range(n)], Field(const_fn))
-    sq.validate = check
-    return sq
+    return _FittedQuadratic(G, fit, check)
 
 
 # -- brackets ----------------------------------------------------------------
@@ -1056,10 +772,8 @@ def pair_bracket(f_pair, g_pair, omega):
 def vector_commutator(u_fn, v_fn, xs):
     """Bracket of two vector fields given by component functions."""
     dim = len(xs)
-    u = u_fn(xs)
-    v = v_fn(xs)
-    du = [partial_multi(u_fn, xs, d) for d in range(dim)]
-    dv = [partial_multi(v_fn, xs, d) for d in range(dim)]
+    u, du = u_fn(xs), duals.grad(u_fn, xs)
+    v, dv = v_fn(xs), duals.grad(v_fn, xs)
     return [
         sum(u[c] * dv[c][a] - v[c] * du[c][a] for c in range(dim))
         for a in range(dim)

@@ -29,9 +29,6 @@ from galimech.symmetry import (
     classify_special_quadratic,
     generator_match,
     lie_dynamical,
-    lie_flow_metric,
-    lie_flow_mixed,
-    lie_flow_vector,
     lie_metric,
     lie_phase_connection,
     lie_spacetime_connection,
@@ -42,6 +39,11 @@ from galimech.symmetry import (
     special_bracket,
     tau_lift_values,
     vector_commutator,
+)
+from galimech.oracles import (
+    lie_flow_metric,
+    lie_flow_mixed,
+    lie_flow_vector,
     vertical_projector_phase,
     vertical_projector_spacetime,
 )

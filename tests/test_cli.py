@@ -380,3 +380,26 @@ def test_singular_metric_at_explicit_point_is_check_failure(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("check failed: metric is singular at [0.0, 0.0, 0.0, 0.0")
+
+
+def test_metric_dimension_is_checked_with_an_em_section(tmp_path, capsys):
+    em = {"q": 1.0, "m": 1.0, "entries": {"1,2": 0.5}}
+    cfg = {"n": 2, "metric": {"dim": [5, 5, 5]}, "em": em}
+    assert "metric entries: expected dimension" in _config_error(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--bogus"],
+    ["derive", "--box", "-3,3"],
+    ["check-symmetry"],
+    ["simulate", "--T", "abc"],
+])
+def test_usage_errors_are_input_errors(argv, capsys):
+    _input_error(argv, capsys)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["derive", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -27,8 +27,13 @@ from galimech.fields import (
     polynomial,
     sin_of,
 )
-from galimech.geometry import MetricBlocks
-from galimech.symmetry import SpecialQuadratic, tau_lift_values
+from galimech.geometry import MetricBlocks, PhaseTwoForm
+from galimech.symmetry import (
+    SpecialQuadratic,
+    check_equivalences,
+    lie_two_form,
+    tau_lift_values,
+)
 
 PHASE_DIM = 7  # n = 3: (t, x1..x3, v1..v3)
 POINT = [0.31, -0.42, 1.17, 0.23, 0.61, -0.35, 0.48]
@@ -148,6 +153,40 @@ def _model_objects(model):
     return out
 
 
+def _model_methods(model):
+    """(label, undeclared callable, deps) for every bound method a form
+    family differentiates: the two-form, the potential form and the
+    holonomic lifts of the generators."""
+    omega, theta = model.omega, model.theta
+    out = [("omega.matrix", lambda xs: omega.matrix(xs), duals.deps_of(omega.matrix))]
+    if theta is not None:
+        out.append(("theta.components", lambda xs: theta.components(xs),
+                    duals.deps_of(theta.components)))
+    for action in model.actions.values():
+        for gen in action.generators:
+            out.append((f"{gen.label}.prolong1", lambda xs, g=gen: g.prolong1_values(xs),
+                        duals.deps_of(gen.prolong1_values)))
+    return out
+
+
+def _leaves(obj):
+    if isinstance(obj, (list, tuple)):
+        return [x for o in obj for x in _leaves(o)]
+    return [obj]
+
+
+def _assert_sound_nested(undeclared, deps, xs, dim, what=""):
+    """As :func:`_assert_sound`, for a function valued in nested lists."""
+    assert deps is not None, what
+    for k in range(dim):
+        if k in deps:
+            continue
+        assert all(map(_is_float_zero, _leaves(duals.partial_multi(undeclared, xs, k)))), (what, k)
+        for j in (0, 2, dim - 1):
+            nested = _outer(lambda ys: duals.partial_multi(undeclared, ys, k), xs, j)
+            assert all(map(_is_float_zero, _leaves(nested))), (what, k, j)
+
+
 _BUILDERS = {"random-0": lambda: random_compatible_model(0), "broken-field": nonclosed_field_model}
 
 
@@ -165,6 +204,9 @@ def test_catalog_deps_are_sound(name):
         if k not in blocks.deps:
             d = duals.partial_multi(blocks, xs, k)
             assert all(_is_float_zero(x) for vals in d.values() for x in vals), (name, k)
+    # the forms and lifts that the form families differentiate whole
+    for label, undeclared, deps in _model_methods(model):
+        _assert_sound_nested(undeclared, deps, xs, dim, what=(name, label))
 
 
 def test_charge_dependency_sets(free3d, rigidbody):
@@ -198,6 +240,34 @@ def test_metric_blocks_seed_only_the_metric_support(rigidbody, monkeypatch):
     xs = rigidbody.sample_phase(1, seed=1)[0]
     rigidbody.K.values(xs)
     assert sorted(calls) == [2, 3]  # theta and psi: t and phi are outside G's support
+
+
+def test_rigidbody_forms_declare_their_support(rigidbody):
+    velocities = {4, 5, 6}
+    assert duals.deps_of(rigidbody.omega.matrix) == {2, 3} | velocities
+    assert duals.deps_of(rigidbody.theta.components) == {2, 3} | velocities
+    rx, _, rz = rigidbody.actions["rotations"].generators
+    assert duals.deps_of(rx.prolong1_values) == {1, 2, 4, 5}
+    assert duals.deps_of(rz.prolong1_values) == frozenset()
+
+
+def test_rigidbody_two_form_is_never_seeded_along_t_or_phi(rigidbody, monkeypatch):
+    seeds = []
+    orig = duals.partial_multi
+
+    def spy(fn, xs, k):
+        if getattr(fn, "__func__", None) is PhaseTwoForm.matrix:
+            seeds.append(k)
+        return orig(fn, xs, k)
+
+    monkeypatch.setattr(duals, "partial_multi", spy)
+    m = rigidbody
+    X = m.actions["rotations"].generators[0]
+    check_equivalences(m, X, m.sample_e(1, 4), m.sample_phase(1, 4), m.sample_te(1, 4),
+                       m.sample_j2(1, 4))
+    lie_two_form(X.prolong1_values, m.omega.matrix, m.sample_phase(1, 5)[0])
+    assert sorted(set(seeds)) == [2, 3, 4, 5, 6]  # theta, psi and the velocities
+    assert len(seeds) == 10
 
 
 def test_tau_lift_evaluates_a_translation_charge_once(free3d, monkeypatch):

@@ -210,3 +210,54 @@ def test_value_and_comparisons():
         abs(d)
     with pytest.raises(TypeError):
         d ** 0.5
+
+
+def test_grad_of_nested_values_keeps_the_nesting():
+    def fn(xs):
+        return {"a": [xs[0] * xs[1], (xs[2], 1.0)], "b": xs[1] ** 2}
+
+    p = [2.0, 3.0, 5.0]
+    g = duals.grad(fn, p)
+    assert g == [{"a": [3.0, [0.0, 0.0]], "b": 0.0},
+                 {"a": [2.0, [0.0, 0.0]], "b": 6.0},
+                 {"a": [0.0, [1.0, 0.0]], "b": 0.0}]
+    assert g == [partial_multi(fn, p, i) for i in range(3)]
+
+
+def test_grad_gives_float_zero_blocks_outside_deps():
+    calls = []
+
+    def fn(xs):
+        calls.append(1)
+        return [[xs[1], xs[1] * xs[1]], [0.5, xs[1] + 1.0]]
+
+    fn.deps = frozenset({1})
+    g = duals.grad(fn, [0.3, 2.0, 0.7])
+    assert g[1] == [[1.0, 4.0], [0.0, 1.0]]
+    for k in (0, 2):
+        assert g[k] == [[0.0, 0.0], [0.0, 0.0]]
+        assert all(type(x) is float for row in g[k] for x in row)
+    assert len(calls) == 1
+    # nothing read: one plain evaluation gives the shape of the zeros
+    fn.deps = frozenset()
+    assert duals.grad(fn, [0.3, 2.0, 0.7]) == [[[0.0, 0.0], [0.0, 0.0]]] * 3
+    assert len(calls) == 2
+
+
+def test_bound_method_declares_deps_on_its_owner():
+    class Form:
+        def __init__(self):
+            self.calls = 0
+            self.comps_deps = frozenset({0})
+
+        def comps(self, xs):
+            self.calls += 1
+            return [xs[0] * xs[0], 2.0]
+
+    f = Form()
+    assert duals.deps_of(f.comps) == {0}
+    assert duals.grad(f.comps, [3.0, 1.0]) == [[6.0, 0.0], [0.0, 0.0]] and f.calls == 1
+    # an owner without ``<name>_deps`` leaves the method undeclared
+    del f.comps_deps
+    assert duals.deps_of(f.comps) is None
+    assert duals.grad(f.comps, [3.0, 1.0]) == [[6.0, 0.0], [0.0, 0.0]] and f.calls == 3

@@ -16,12 +16,12 @@ from galimech.fields import (
     cos_of,
     default_box,
     exp_of,
-    fd_oracle,
     from_config,
     polynomial,
     sample_points,
     sin_of,
 )
+from galimech.oracles import fd_oracle
 
 
 def test_chart_indexing():

@@ -22,10 +22,6 @@ from galimech.symmetry import (
     lie_dt,
     lie_dynamical,
     lie_euler_lagrange,
-    lie_flow_cov,
-    lie_flow_metric,
-    lie_flow_mixed,
-    lie_flow_vector,
     lie_lagrangian,
     lie_metric,
     lie_one_form,
@@ -38,9 +34,15 @@ from galimech.symmetry import (
     poisson_bracket,
     special_bracket,
     spacetime_commutator,
-    tau_lift_solve,
     tau_lift_values,
     vector_commutator,
+)
+from galimech.oracles import (
+    lie_flow_cov,
+    lie_flow_metric,
+    lie_flow_mixed,
+    lie_flow_vector,
+    tau_lift_solve,
     vertical_projector_phase,
     vertical_projector_spacetime,
 )
@@ -790,3 +792,63 @@ def test_lie_lagrangian_matches_theta_verdict(cyclotron):
             assert r_lag < 1e-9 and r_theta < 1e-9
         else:
             assert r_lag > 1e-3 and r_theta > 1e-3
+
+
+def test_form_families_read_each_jet_once(free3d):
+    X = vf(free3d.chart, 0.0, [coordinate(1) ** 2, ZERO, coordinate(2)])
+    p = free3d.sample_phase(1, seed=61)[0]
+    calls = []
+
+    def mat(xs):
+        calls.append(1)
+        return free3d.omega.matrix(xs)
+
+    def comps(xs):
+        calls.append(1)
+        return free3d.theta.components(xs)
+
+    lie_two_form(X.prolong1_values, mat, p)
+    assert len(calls) <= 1 + len(p)
+    calls.clear()
+    lie_one_form(X.prolong1_values, comps, p)
+    assert len(calls) <= 1 + len(p)
+
+
+def test_forms_by_product_rule_match_the_cartan_formula(rigidbody):
+    # i_Y d + d i_Y, with d of a form as the antisymmetrised gradient
+    X = rigidbody.actions["rotations"].generators[0]
+    X = vf(rigidbody.chart, 0.0, [c + coordinate(3) ** 2 for c in X.comps])
+    yv, om, th = X.prolong1_values, rigidbody.omega.matrix, rigidbody.theta.components
+    for p in rigidbody.sample_phase(2, seed=62):
+        dim = len(p)
+        y = yv(p)
+        dm = [duals.partial_multi(om, p, d) for d in range(dim)]
+        deta = [duals.partial_multi(
+            lambda q: [sum(yv(q)[a] * om(q)[a][b] for a in range(dim)) for b in range(dim)], p, d)
+            for d in range(dim)]
+        got = lie_two_form(yv, om, p)
+        for b in range(dim):
+            for c in range(dim):
+                cyc = sum(y[a] * (dm[a][b][c] + dm[b][c][a] + dm[c][a][b]) for a in range(dim))
+                assert abs(got[b][c] - (deta[b][c] - deta[c][b] + cyc)) < 1e-12
+        dc = [duals.partial_multi(th, p, d) for d in range(dim)]
+        contr = [duals.partial(lambda q: sum(a * b for a, b in zip(yv(q), th(q))), p, d)
+                 for d in range(dim)]
+        got = lie_one_form(yv, th, p)
+        for b in range(dim):
+            want = contr[b] + sum(y[a] * (dc[a][b] - dc[b][a]) for a in range(dim))
+            assert abs(got[b] - want) < 1e-12
+
+
+def test_classified_value_fits_once_per_point(free3d):
+    calls = []
+    charge = noether_charge(vf(free3d.chart, 1.0, [ZERO] * 3), free3d.theta)[0]
+
+    def fn(xs):
+        calls.append(1)
+        return charge(xs)
+
+    sq = classify_special_quadratic(fn, free3d.G)
+    p = [0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7]
+    assert abs(value(sq.value(p)) - value(charge(p))) < 1e-12
+    assert len(calls) == 10  # the velocity nodes of one fit, n = 3
