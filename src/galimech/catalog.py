@@ -25,6 +25,7 @@ from .fields import (
     coordinate,
     cos_of,
     sin_of,
+    finite,
     from_config,
     integer,
     polynomial,
@@ -380,7 +381,7 @@ def _section(cfg, key, kind, default=None):
 
 def _parse_scaled(spec, what):
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return ScaledScalar(float(spec), u.DIMENSIONLESS)
+        return ScaledScalar(finite(spec, what), u.DIMENSIONLESS)
     if not isinstance(spec, dict):
         raise ModelError(f"{what} must be a number or an object, got {spec!r}")
     try:
@@ -389,7 +390,7 @@ def _parse_scaled(spec, what):
         raise UnitMismatchError(f"{what}: bad dimension triple: {exc}")
     if "value" not in spec:
         raise ModelError(f"{what}: missing 'value'")
-    return ScaledScalar(float(spec["value"]), dim)
+    return ScaledScalar(finite(spec["value"], what), dim)
 
 
 def model_from_config(cfg):
@@ -455,7 +456,7 @@ def model_from_config(cfg):
         box = _section(cfg, "box", list)
         if not all(isinstance(pair, list) and len(pair) == 2 for pair in box):
             raise ModelError("'box' entries must be [lo, hi] pairs")
-        box = [tuple(float(x) for x in pair) for pair in box]
+        box = [tuple(finite(x, "a box bound") for x in pair) for pair in box]
 
     return Model(name, chart, G, A=A, em=em, em_potential=em_potential,
                  observer=observer, box=box)

@@ -252,7 +252,7 @@ def _mk_report(args, command, model, checks, extra=None):
 
 
 def _emit(args, payload, default_name):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, default_name)
@@ -600,7 +600,8 @@ def main(argv=None):
             lo, hi = (float(v) for v in args.box.split(","))
             model.box = [(lo, hi)] * model.chart.dim_phase
         return _COMMANDS[args.command](args, model)
-    except (catalog.ModelError, UnitMismatchError, ParseError, ValueError) as exc:
+    # ArithmeticError: a field singular or overflowing at a sample point
+    except (catalog.ModelError, UnitMismatchError, ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NotASymmetryError, ClassifyError, geometry.SingularMetricError,

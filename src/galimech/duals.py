@@ -15,23 +15,23 @@ which is exactly the nilpotency rule.
 """
 
 import math
+import threading
 from types import MethodType
 
-# Next free slot bit.  Evaluations nest strictly, so a stack allocator keeps
-# bit positions small.
-_next_slot = 0
+
+# Next free slot bit, one counter per thread.  Evaluations nest strictly
+# within a thread, so a stack allocator keeps bit positions small.
+_slots = threading.local()
 
 
 def _alloc_slot():
-    global _next_slot
-    b = _next_slot
-    _next_slot += 1
+    b = getattr(_slots, "next", 0)
+    _slots.next = b + 1
     return b
 
 
 def _release_slot():
-    global _next_slot
-    _next_slot -= 1
+    _slots.next -= 1
 
 
 class MultiDual:

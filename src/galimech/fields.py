@@ -82,30 +82,52 @@ class Field:
     constant, which lets derived-coefficient constructors skip dead work.
     ``deps`` is the set of slots ``fn`` may read (None: unknown, so all),
     computed by the constructors below; other slots have zero partials.
+    ``rule`` maps a slot k to the partial along k as a field; the
+    constructors below give one, a bare ``Field(fn)`` has none and is
+    differentiated by a seeded dual pass.
     """
 
-    __slots__ = ("fn", "is_zero", "const_value", "deps")
+    __slots__ = ("fn", "is_zero", "const_value", "deps", "rule", "_d")
 
-    def __init__(self, fn, is_zero=False, const_value=None, deps=None):
+    def __init__(self, fn, is_zero=False, const_value=None, deps=None, rule=None):
         self.fn = fn
         self.is_zero = is_zero
         self.const_value = const_value
         self.deps = deps
+        self.rule = rule
+        self._d = {}
 
     def __call__(self, xs):
         return self.fn(xs)
 
+    def d(self, k):
+        """The partial along slot k as a field, built once and stored (a
+        field never changes); ZERO for a slot outside ``deps``."""
+        f = self._d.get(k)
+        if f is None:
+            if self.deps is not None and k not in self.deps:
+                f = ZERO
+            else:
+                f = self.rule(k) if self.rule else Field(
+                    lambda xs: duals.partial(self, xs, k), deps=self.deps)
+            self._d[k] = f
+        return f
+
     def partial(self, alpha, xs):
-        """Exact partial along multi-index ``alpha`` (len <= 2)."""
+        """Exact partial along multi-index ``alpha`` (len <= 2): the derivative
+        fields of :meth:`d`, or one seeded dual pass for a bare field."""
         if len(alpha) > 2:
             raise DerivativeOrderError("partials above total order 2 are not supported")
-        if len(alpha) == 0:
-            return self.fn(xs)
-        if len(alpha) == 1:
-            return duals.partial(self, xs, alpha[0])
-        return duals.partial2(self, xs, alpha[0], alpha[1])
+        if self.rule is None and alpha:
+            if len(alpha) == 1:
+                return duals.partial(self, xs, alpha[0])
+            return duals.partial2(self, xs, alpha[0], alpha[1])
+        f = self
+        for k in alpha:
+            f = f.d(k)
+        return f.fn(xs)
 
-    # field algebra -------------------------------------------------------
+    # field algebra: each operation carries its differentiation rule -------
 
     def __add__(self, other):
         other = as_field(other)
@@ -113,14 +135,15 @@ class Field:
             return other
         if other.is_zero:
             return self
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) + g(xs), deps=support(self, other))
+        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) + g(xs), deps=support(self, other),
+                     rule=lambda k: self.d(k) + other.d(k))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return Field(lambda xs, f=self.fn: -f(xs), deps=self.deps)
+        return Field(lambda xs, f=self.fn: -f(xs), deps=self.deps, rule=lambda k: -self.d(k))
 
     def __sub__(self, other):
         return self + (-as_field(other))
@@ -132,34 +155,48 @@ class Field:
         other = as_field(other)
         if self.is_zero or other.is_zero:
             return ZERO
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) * g(xs), deps=support(self, other))
+        if self.const_value == 1.0 or other.const_value == 1.0:
+            return other if self.const_value == 1.0 else self
+        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) * g(xs), deps=support(self, other),
+                     rule=lambda k: self.d(k) * other + self * other.d(k))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_field(other)
+        if other.is_zero:
+            raise ValueError("division by a field that is identically zero")
         if self.is_zero:
             return ZERO
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) / g(xs), deps=support(self, other))
+        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) / g(xs), deps=support(self, other),
+                     rule=lambda k: (self.d(k) * other - self * other.d(k)) / (other * other))
 
     def __pow__(self, k):
-        return Field(lambda xs, f=self.fn: f(xs) ** k, deps=self.deps)
+        return Field(lambda xs, f=self.fn: f(xs) ** k, deps=self.deps,
+                     rule=lambda i: constant(k) * self ** (k - 1) * self.d(i))
+
+
+def finite(x, what="a coefficient"):
+    """``x`` as a float; a non-finite value is an input error."""
+    if not math.isfinite(x := float(x)):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
 
 
 def constant(c):
-    c = float(c)
+    c = finite(c)
     if c == 0.0:
         return ZERO
-    return Field(lambda xs: c, const_value=c, deps=frozenset())
+    return Field(lambda xs: c, const_value=c, deps=frozenset(), rule=lambda k: ZERO)
 
 
-ZERO = Field(lambda xs: 0.0, is_zero=True, const_value=0.0, deps=frozenset())
-ONE = Field(lambda xs: 1.0, const_value=1.0, deps=frozenset())
+ZERO = Field(lambda xs: 0.0, is_zero=True, const_value=0.0, deps=frozenset(), rule=lambda k: ZERO)
+ONE = Field(lambda xs: 1.0, const_value=1.0, deps=frozenset(), rule=lambda k: ZERO)
 
 
 def coordinate(k):
     """The k-th chart coordinate as a field."""
-    return Field(lambda xs: xs[k], deps=frozenset((k,)))
+    return Field(lambda xs: xs[k], deps=frozenset((k,)), rule=lambda j: ONE)
 
 
 def as_field(f):
@@ -170,21 +207,28 @@ def as_field(f):
     raise TypeError(f"cannot treat {f!r} as a field")
 
 
-def _of(fn):
+def _of(fn, outer):
+    """Field constructor applying ``fn``, whose derivative at f is ``outer(f)``
+    (the chain rule)."""
+
     def of(f):
         f = as_field(f)
-        return Field(lambda xs, g=f.fn: fn(g(xs)), deps=f.deps)
+        return Field(lambda xs, g=f.fn: fn(g(xs)), deps=f.deps,
+                     rule=lambda k: outer(f) * f.d(k))
 
     return of
 
 
-sin_of, cos_of, exp_of = _of(sin), _of(cos), _of(exp)
+sin_of = _of(sin, lambda f: cos_of(f))
+cos_of = _of(cos, lambda f: -sin_of(f))
+exp_of = _of(exp, lambda f: exp_of(f))
 
 
 def polynomial(terms):
     """Sparse multivariate polynomial: ``terms = [(coeff, {slot: power})]``;
-    zero powers are dropped, so ``deps`` is the slots with a non-zero power."""
-    cooked = [(float(c), tuple(sorted((k, p) for k, p in e.items() if p))) for c, e in terms]
+    zero powers are dropped, so ``deps`` is the slots with a non-zero power.
+    Its partials are polynomials, by the power rule term by term."""
+    cooked = [(finite(c), tuple(sorted((k, p) for k, p in e.items() if p))) for c, e in terms]
 
     def fn(xs):
         total = 0.0
@@ -195,7 +239,11 @@ def polynomial(terms):
             total = total + t
         return total
 
-    return Field(fn, deps=frozenset(slot for _, expo in cooked for slot, _ in expo))
+    def rule(k):
+        return polynomial([(c * p, {**dict(expo), k: p - 1})
+                           for c, expo in cooked for slot, p in expo if slot == k])
+
+    return Field(fn, deps=frozenset(slot for _, expo in cooked for slot, _ in expo), rule=rule)
 
 
 _OF_FIELD = {"sin": sin_of, "cos": cos_of, "exp": exp_of}

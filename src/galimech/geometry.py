@@ -48,7 +48,7 @@ class Metric:
                     raise ValueError(f"metric diagonal entry ({a},{a}) missing")
                 self._e[(a, b)] = as_field(f)
         self.is_constant = all(f.const_value is not None for f in self._e.values())
-        self.deps = self.mat_deps = support(*self._e.values())
+        self.deps = support(*self._e.values())
         self._const_mat = None
         self._const_inv = None
         if self.is_constant:
@@ -62,12 +62,20 @@ class Metric:
     def entry(self, a, b):
         return self._e[_sym_key(a, b)]
 
-    def mat(self, xs):
+    def _matrix(self, vals):
         n = self.chart.n
+        return [[vals[_sym_key(a, b)] for b in range(1, n + 1)] for a in range(1, n + 1)]
+
+    def mat(self, xs):
         if self._const_mat is not None:
             return [row[:] for row in self._const_mat]
-        vals = {k: f(xs) for k, f in self._e.items()}
-        return [[vals[_sym_key(a, b)] for b in range(1, n + 1)] for a in range(1, n + 1)]
+        return self._matrix({k: f(xs) for k, f in self._e.items()})
+
+    def partials(self, xs):
+        """[d_lam G for lam = 0..n]: the entries' derivative fields, exact
+        0.0 off their support."""
+        return [self._matrix({k: f.partial((lam,), xs) for k, f in self._e.items()})
+                for lam in range(self.chart.n + 1)]
 
     def inv(self, xs):
         if self._const_inv is not None:
@@ -159,21 +167,27 @@ def zero_connection(chart):
     return SpacetimeConnection(chart, {})
 
 
+class RaisedBlocks(dict):
+    """Connection blocks {(lam, mu): [n values]} at a point, with the metric
+    inverse ``ginv`` that raised them, for callers needing G^-1 there too."""
+
+    __slots__ = ("ginv",)
+
+
 class MetricBlocks:
     """One-pass evaluator of a metric-compatible connection.
 
     At a point it returns every coefficient block {(lam, mu): [n values]}
-    from one metric inverse and one seeded pass per spacetime direction
-    over the pair (metric, gauge potential A), which differentiates G and A
-    together.  The gauge part is read from dA: its spatial curl fixes the
+    from one metric inverse and the first partials of the metric and of
+    the gauge potential A, read off their fields' derivative rules
+    (:meth:`Field.d`).  The gauge part is read from dA: its spatial curl fixes the
     antisymmetric part of the lowered time-space blocks, and
     d_a A_0 - d_0 A_a, raised by the same inverse, is the time-time block.
     Without A, the explicit gauge fields ``phi2`` and ``time_gauge`` of
     :func:`metric_connection` are read once per point instead.  ``em`` is a
     minimally coupled field, whose (q/m)-scaled raised entries enter the
     time-space blocks at half weight and the time-time block at full weight.
-    ``deps`` is the union of the inputs' supports; seeded passes run only
-    along the support of G and A (``_inputs_deps``).
+    ``deps`` is the union of the inputs' supports.
     """
 
     def __init__(self, G, A=None, phi2=None, time_gauge=None, em=None):
@@ -182,23 +196,15 @@ class MetricBlocks:
         self.phi2 = phi2 or {}
         self.time_gauge = time_gauge
         self.em = em
-        self._inputs_deps = support(G, *(self.A or ()))
         self.deps = support(G, *(self.A or ()), *self.phi2.values(), *(time_gauge or ()),
                             *(em._e.values() if em is not None else ()))
-
-    def _inputs(self, p):
-        """(G, A) at a point; each part is empty when it has no partials."""
-        return ([] if self.G.is_constant else self.G.mat(p),
-                [] if self.A is None else [a(p) for a in self.A])
 
     def __call__(self, xs):
         G, A, em = self.G, self.A, self.em
         n = G.chart.n
         ginv = G.inv(xs)
-        # d[lam] = (dg[lam], da[lam]) with dg[lam][h][b] = d_lam G_(h+1)(b+1)
-        # and da[lam][mu] = d_lam A_mu; dg is None for a constant metric
-        d = duals.grad(self._inputs, xs[: n + 1])
-        dg = None if G.is_constant else [dl[0] for dl in d]
+        # dg[lam][h][b] = d_lam G_(h+1)(b+1), None for a constant metric
+        dg = None if G.is_constant else G.partials(xs)
 
         def raised(low):
             if not any(low):  # exact float zeros, as for a flat metric
@@ -209,13 +215,14 @@ class MetricBlocks:
             curl = {k: f(xs) for k, f in self.phi2.items()}
             tt = [0.0] * n if self.time_gauge is None else [f(xs) for f in self.time_gauge]
         else:
-            da = [dl[1] for dl in d]
+            da = [[a.partial((lam,), xs) for a in A] for lam in range(n + 1)]  # d_lam A_mu
             curl = {
                 (a, b): da[a][b] - da[b][a] for a in range(1, n + 1) for b in range(a + 1, n + 1)
             }
             tt = raised([da[a][0] - da[0][a] for a in range(1, n + 1)])
 
-        out = {}
+        out = RaisedBlocks()
+        out.ginv = ginv
         for a in range(1, n + 1):
             for b in range(a, n + 1):
                 out[(a, b)] = [0.0] * n if dg is None else raised([

@@ -20,7 +20,8 @@ import numpy as np
 from . import duals
 from .duals import value
 from .fields import Field, ZERO, as_field, constant, coordinate, support
-from .geometry import _sym_key, gamma00_of, lagrangian_and_momentum, lift_of, motion_row
+from .geometry import (MetricBlocks, _sym_key, gamma00_of, lagrangian_and_momentum, lift_of,
+                       motion_row)
 
 
 TOL_PASS = 1e-9
@@ -103,31 +104,24 @@ class SpacetimeVectorField:
 
 
 def spacetime_commutator(X, Y):
-    """Bracket of two projectable fields (time components are constant)."""
-    chart = X.chart
+    """Bracket of two projectable fields (time components are constant),
+    built by field algebra from the components' derivative fields."""
+    n = X.chart.n
 
-    def comp(i):
-        def fn(xs):
-            s = X.x0 * Y.comps[i - 1].partial((0,), xs) - Y.x0 * X.comps[i - 1].partial((0,), xs)
-            for k in range(1, chart.n + 1):
-                s = s + X.comps[k - 1](xs) * Y.comps[i - 1].partial((k,), xs)
-                s = s - Y.comps[k - 1](xs) * X.comps[i - 1].partial((k,), xs)
-            return s
+    def comp(x, y):
+        s = X.x0 * y.d(0) - Y.x0 * x.d(0)
+        for k in range(1, n + 1):
+            s = s + X.comps[k - 1] * y.d(k) - Y.comps[k - 1] * x.d(k)
+        return s
 
-        return Field(fn)
-
-    return SpacetimeVectorField(chart, 0.0, [comp(i) for i in range(1, chart.n + 1)])
+    return SpacetimeVectorField(X.chart, 0.0, [comp(x, y) for x, y in zip(X.comps, Y.comps)])
 
 
 def lie_dt(chart, raw_comps):
     """Components of the Lie derivative of the time form for an
     unconstrained vector field; used to classify raw fields."""
     x0 = as_field(raw_comps[0])
-
-    def comp(lam):
-        return Field(lambda xs, l=lam: x0.partial((l,), xs))
-
-    return [comp(lam) for lam in range(0, chart.n + 1)]
+    return [x0.d(lam) for lam in range(0, chart.n + 1)]
 
 
 def classify_spacetime(chart, raw_comps, points, tol=TOL_PASS):
@@ -152,7 +146,7 @@ def lie_metric(X, G):
     n = G.chart.n
 
     def at(xs):
-        gm, dgm = G.mat(xs), duals.grad(G.mat, xs)
+        gm, dgm = G.mat(xs), G.partials(xs)
         xe, d1 = X.values_e(xs), X.d1(xs)
         out = [[0.0] * n for _ in range(n)]
         for a in range(n):
@@ -566,14 +560,18 @@ def tau_lift_values(fn, tau, omega, xs):
 
     Closed-form path: the unique vector field with the given time
     component whose contraction into the two-form is df - (gamma.f) dt.
-    The connection is evaluated once; df honours the ``deps`` of ``fn``.
+    The connection is evaluated once, with the metric inverse it uses;
+    df honours the ``deps`` of ``fn``.
     """
     chart = omega.chart
     n = chart.n
-    ginv = omega.G.inv(xs)
+    blocks = omega.conn.blocks
+    kv = blocks(xs)
+    # omega's own metric connection hands over the inverse that raised its blocks
+    ginv = kv.ginv if isinstance(blocks, MetricBlocks) and blocks.G is omega.G else omega.G.inv(xs)
     gmat = omega.G.mat(xs)
-    gl = omega.conn.lift_values(xs)
     v = xs[n + 1 : 2 * n + 1]
+    gl = lift_of(kv, v)
     # the acceleration off the lift along the contact direction: gl[i][0] + gl[i][h] v^h
     g00 = [gl[i][0] + sum(gl[i][1 + h] * v[h] for h in range(n)) for i in range(n)]
     df = duals.grad(fn, list(xs))

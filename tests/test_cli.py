@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galimech import cli
 from galimech.catalog import ModelError, load_model, model_from_config, named_charges
@@ -403,3 +406,64 @@ def test_help_still_exits_zero(capsys):
         run_cli(["derive", "--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", ["x1/0 d1", "x2 / (x1 - x1 + 0) d1", "1e400 d1", "-1e999*x2 d1"])
+def test_zero_divisor_and_non_finite_coefficient_are_input_errors(field, capsys):
+    _input_error(["check-symmetry", "--model", "free3d", "--field", field, "--points", "2"],
+                 capsys)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("cfg", [
+    {"n": 2, "metric": {"entries": {"1,1": {"kind": "constant", "value": math.inf}}}},
+    {"n": 2, "potential": [0.0, {"kind": "polynomial", "coeffs": [[math.nan, [1, 1]]]}, 0.0]},
+    {"n": 2, "em": {"q": math.inf, "entries": {"1,2": 1.0}}},
+    {"n": 2, "box": [[0.0, math.nan]] * 5},
+])
+def test_config_non_finite_number_is_input_error(tmp_path, capsys, cfg):
+    assert "must be finite" in _config_error(tmp_path, capsys, cfg)
+
+
+def test_report_with_a_non_finite_residual_is_an_input_error(capsys):
+    # the coefficient overflows to inf on evaluation, so a residual is nan
+    _input_error(["check-symmetry", "--model", "free3d", "--field", "1e300*x1*1e300 d1",
+                  "--points", "2"], capsys)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_number = st.sampled_from(["0", "1", "2.5", ".5", "3e2", "1e200", "1e400", "1e-400"])
+_expr = st.recursive(
+    st.one_of(_number, st.sampled_from(["x0", "x1", "x2", "x3"])),
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from("+-*/"), e).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), e).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(e, st.integers(-1, 4)).map(lambda t: f"{t[0]}^{t[1]}"),
+        e.map(lambda x: f"-{x}"),
+    ),
+    max_leaves=5,
+)
+_field_text = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["+", "-"]), _expr, st.sampled_from(["d0", "d1", "d2", "d3"])),
+             min_size=1, max_size=3).map(lambda ts: " ".join(f"{s} {c} {d}" for s, c, d in ts)),
+    st.text(alphabet="x0123d+-*/^() .e", max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_text)
+def test_field_fuzz_ends_in_a_report_or_an_input_error(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check-symmetry", "--model", "free3d", "--field", text, "--points", "2"])
+    assert code in (0, 2, 3), (text, err.getvalue())
+    if code == 3:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, text
+    if out.getvalue():
+        assert _strict_json(out.getvalue())["field"] == text

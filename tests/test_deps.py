@@ -27,7 +27,7 @@ from galimech.fields import (
     polynomial,
     sin_of,
 )
-from galimech.geometry import MetricBlocks, PhaseTwoForm
+from galimech.geometry import Metric, MetricBlocks, PhaseTwoForm
 from galimech.symmetry import (
     SpecialQuadratic,
     check_equivalences,
@@ -234,12 +234,22 @@ def test_lift_with_deps_equals_undeclared_lift(name):
 
 
 def test_metric_blocks_seed_only_the_metric_support(rigidbody, monkeypatch):
-    calls = []
-    orig = duals.partial_multi
-    monkeypatch.setattr(duals, "partial_multi", lambda *a: calls.append(a[2]) or orig(*a))
+    seeded, along = [], set()
+    for name in ("partial", "partial2", "partial_multi"):
+        monkeypatch.setattr(duals, name, lambda *a, o=getattr(duals, name): seeded.append(a) or o(*a))
+    orig_d = Field.d
+
+    def spy(self, k):
+        f = orig_d(self, k)
+        if f is not ZERO:
+            along.add(k)
+        return f
+
+    monkeypatch.setattr(Field, "d", spy)
     xs = rigidbody.sample_phase(1, seed=1)[0]
     rigidbody.K.values(xs)
-    assert sorted(calls) == [2, 3]  # theta and psi: t and phi are outside G's support
+    assert seeded == []  # the metric entries carry derivative rules
+    assert along == {2, 3}  # theta and psi: t and phi are outside G's support
 
 
 def test_rigidbody_forms_declare_their_support(rigidbody):
@@ -288,3 +298,67 @@ def test_tau_lift_evaluates_the_connection_once(rigidbody, monkeypatch):
     charge = named_charges(rigidbody)["charge_Rz"]
     tau_lift_values(charge, 0.0, rigidbody.omega, rigidbody.sample_phase(1, seed=2)[0])
     assert len(calls) == 1
+
+
+# -- derivative rules ----------------------------------------------------------------
+
+
+def _terms(x):
+    return x.terms if isinstance(x, duals.MultiDual) else {0: x}
+
+
+def _assert_close(got, want, what):
+    """Equal to 1e-12 relative, coefficient by coefficient of the duals."""
+    got, want = _terms(got), _terms(want)
+    for k in set(got) | set(want):
+        a, b = got.get(k, 0.0), want.get(k, 0.0)
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (what, k, a, b)
+
+
+def _assert_rules_match_seeded(f, xs, dim, what=""):
+    """``d(i)`` and ``d(i).d(j)`` against seeded passes over the bare callable,
+    at ``xs`` and with an outer dual slot on slot 0 and on the last slot."""
+    outer = [lambda g: g(xs)] + [lambda g, j=j: _outer(g, xs, j) for j in (0, dim - 1)]
+    for at in outer:
+        for i in range(dim):
+            _assert_close(at(f.d(i)), at(lambda ys: duals.partial(f.fn, ys, i)), (what, i))
+            for j in range(i, dim):
+                _assert_close(at(f.d(i).d(j)), at(lambda ys: duals.partial2(f.fn, ys, i, j)),
+                              (what, i, j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(_bounded_leaf, _extend, max_leaves=6))
+def test_config_field_rules_match_seeded_partials(spec):
+    _assert_rules_match_seeded(from_config(spec), POINT, PHASE_DIM, what=spec)
+
+
+@pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody", "random-0",
+                                  "broken-field"])
+def test_catalog_field_rules_match_seeded_partials(name):
+    model = _BUILDERS.get(name, lambda: load_model(name))()
+    xs = model.sample_phase(1, seed=3)[0]
+    fields = list(model.G._e.values()) + list(model.A) + list(model.a_total or [])
+    fields += [c for action in model.actions.values() for gen in action.generators
+               for c in gen.comps]
+    assert all(f.rule is not None for f in fields), name
+    for k, f in enumerate(fields):
+        _assert_rules_match_seeded(f, xs, model.chart.dim_phase, what=(name, k))
+
+
+def test_field_derivatives_are_built_once():
+    f = sin_of(coordinate(1)) * coordinate(2) ** 3 / exp_of(coordinate(1))
+    assert f.d(1) is f.d(1) and f.d(2).d(1) is f.d(2).d(1)
+    assert f.d(0) is ZERO and coordinate(1).d(1).const_value == 1.0
+    bare = Field(lambda xs: xs[0] * xs[1])
+    assert bare.rule is None and bare.d(0).partial((), [2.0, 3.0]) == 3.0
+
+
+def test_tau_lift_inverts_the_metric_once(rigidbody, monkeypatch):
+    calls = []
+    orig = Metric.inv
+    monkeypatch.setattr(Metric, "inv", lambda self, xs: calls.append(1) or orig(self, xs))
+    charge = named_charges(rigidbody)["charge_Rz"]
+    for xs in rigidbody.sample_phase(3, seed=2):
+        tau_lift_values(charge, 0.0, rigidbody.omega, xs)
+    assert len(calls) == 3

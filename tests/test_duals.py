@@ -1,11 +1,14 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from galimech import duals
 from galimech.duals import MultiDual, partial, partial2, partial_multi, value
+from galimech.symmetry import check_equivalences
 
 
 def f_poly(xs):
@@ -261,3 +264,29 @@ def test_bound_method_declares_deps_on_its_owner():
     del f.comps_deps
     assert duals.deps_of(f.comps) is None
     assert duals.grad(f.comps, [3.0, 1.0]) == [[6.0, 0.0], [0.0, 0.0]] and f.calls == 3
+
+
+def test_threads_allocate_slots_independently(rigidbody):
+    # three threads on two cores, switching every microsecond: with one shared
+    # slot counter a thread's nested partials could reuse a live slot bit
+    m = rigidbody
+    gens = m.actions["rotations"].generators
+    pts = [m.sample_e(6, 4), m.sample_phase(6, 4), m.sample_te(6, 4), m.sample_j2(6, 4)]
+    serial = [check_equivalences(m, X, *pts).residuals for X in gens]
+    threaded = [None] * len(gens)
+
+    def run(i):
+        threaded[i] = check_equivalences(m, gens[i], *pts).residuals
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(gens))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == serial
