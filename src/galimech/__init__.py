@@ -6,7 +6,7 @@ integrates the law of motion, tests infinitesimal symmetries numerically,
 and computes conserved charges, momentum maps and their bracket algebra.
 """
 
-from .fields import Chart, Field, PhasePoint
+from .fields import Chart, Field
 from .units import ScaledScalar, UnitDim, UnitMismatchError
 from .geometry import (
     EMField,
@@ -30,7 +30,6 @@ from .catalog import Model, load_model, catalog_names
 __all__ = [
     "Chart",
     "Field",
-    "PhasePoint",
     "ScaledScalar",
     "UnitDim",
     "UnitMismatchError",

@@ -14,7 +14,6 @@ ZXZ Euler-angle chart; the free asymmetric top).
 """
 
 import json
-import random
 
 from . import units as u
 from .fields import (
@@ -28,7 +27,6 @@ from .fields import (
     finite,
     from_config,
     integer,
-    polynomial,
     sample_points,
     default_box,
 )
@@ -56,8 +54,7 @@ class Model:
     """A fully derived chart model."""
 
     def __init__(self, name, chart, G, A=None, em=None, em_potential=None,
-                 observer=None, box=None, actions=None,
-                 em_check_points=None):
+                 observer=None, box=None, actions=None):
         self.name = name
         self.chart = chart
         n = chart.n
@@ -91,7 +88,7 @@ class Model:
                 self.A[lam] + constant(qm) * as_field(em_potential[lam])
                 for lam in range(n + 1)
             ]
-            self._check_em_potential(em_check_points or probe)
+            self._check_em_potential(probe)
         if self.a_total is not None:
             self.theta = poincare_cartan(G, self.a_total)
 
@@ -303,46 +300,6 @@ def nonclosed_field_model():
     m = ScaledScalar(1.0, u.MASS)
     em = EMField(chart, {(1, 2): coordinate(3)}, q, m)
     return Model("broken-field", chart, identity_metric(chart), em=em)
-
-
-def nonmetric_connection_model():
-    """Deliberately broken: a connection that is not metric-compatible."""
-    from .geometry import SpacetimeConnection
-
-    chart = Chart(3)
-    G = identity_metric(chart)
-    sym = {(1, 1): [coordinate(1), ZERO, ZERO]}
-    K = SpacetimeConnection(chart, sym)
-    model = _free_model(3)
-    model.name = "broken-connection"
-    model.K = K
-    model.pconn = phase_from_spacetime(K)
-    model.omega = PhaseTwoForm(G, model.pconn)
-    model.dyn = model.omega.dyn
-    model.theta = None
-    return model
-
-
-def random_compatible_model(seed, n=3):
-    """Randomized metric + gauge model; closed by construction since every
-    derived piece comes from potentials."""
-    rng = random.Random(seed)
-    chart = Chart(n)
-
-    def small_poly():
-        terms = [(rng.uniform(-0.12, 0.12), {})]
-        for slot in range(0, n + 1):
-            terms.append((rng.uniform(-0.12, 0.12), {slot: 1}))
-        terms.append((rng.uniform(-0.08, 0.08), {rng.randrange(0, n + 1): 2}))
-        return polynomial(terms)
-
-    entries = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            base = 2.0 if a == b else 0.0
-            entries[(a, b)] = constant(base) + small_poly()
-    A = [small_poly() for _ in range(n + 1)]
-    return Model(f"random-{seed}", chart, Metric(chart, entries), A=A)
 
 
 _CATALOG = {

@@ -15,13 +15,14 @@ codes: 0 all checks pass, 2 a symmetry or consistency check failed,
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 
 from . import catalog, dynamics, geometry
 from .duals import value
-from .fields import ZERO, constant, coordinate, sin_of, cos_of, exp_of
+from .fields import ZERO, constant, coordinate, sin_of, cos_of, exp_of, finite
 from .symmetry import (
     ClassifyError,
     NotASymmetryError,
@@ -223,10 +224,34 @@ def resolve_generators(model, spec):
     return [X], spec
 
 
+def _numbers(flag, text, count):
+    """The ``count`` comma-separated finite numbers given to ``flag``;
+    anything else is an input error naming the flag."""
+    try:
+        xs = [finite(v, flag) for v in text.split(",")]
+    except ValueError:
+        xs = None
+    if xs is None or len(xs) != count:
+        what = "a finite number" if count == 1 else f"{count} comma-separated finite numbers"
+        raise ParseError(f"{flag} needs {what}, got {text!r}")
+    return xs
+
+
 # -- report plumbing -----------------------------------------------------------
 
 
+def _require_finite(command, checks):
+    """A non-finite number in a check (an overflowing field) is an input
+    error naming the command, the condition and the generator or pair."""
+    for c in checks:
+        for key, v in sorted(c.items()):
+            if isinstance(v, float) and not math.isfinite(v):
+                who = "".join(f" for {k} {c[k]}" for k in ("generator", "pair") if k in c)
+                raise ValueError(f"{command}: {key} of {c['condition']}{who} is {v}")
+
+
 def _mk_report(args, command, model, checks, extra=None):
+    _require_finite(command, checks)
     verdicts = [c.get("verdict") for c in checks if "verdict" in c]
     overall = "pass"
     if any(v == "fail" for v in verdicts):
@@ -272,12 +297,7 @@ def _exit_code(report):
 
 def cmd_derive(args, model):
     n = model.chart.n
-    if args.point:
-        xs = [float(v) for v in args.point.split(",")]
-        if len(xs) != 2 * n + 1:
-            raise ParseError(f"--point needs {2 * n + 1} comma-separated values")
-    else:
-        xs = model.anchor()
+    xs = _numbers("--point", args.point, 2 * n + 1) if args.point else model.anchor()
     kv = model.K.values(xs)
     payload = {
         "schema": SCHEMA,
@@ -303,11 +323,10 @@ def cmd_derive(args, model):
 
 def cmd_simulate(args, model):
     n = model.chart.n
-    x0 = [float(v) for v in args.x0.split(",")] if args.x0 else model.anchor()[1 : n + 1]
-    v0 = [float(v) for v in args.v0.split(",")] if args.v0 else [0.0] * n
-    if len(x0) != n or len(v0) != n:
-        raise ParseError(f"--x0/--v0 need {n} components for model {model.name}")
-    traj = dynamics.integrate(model.dyn, [args.t0, *x0, *v0], args.T, args.h)
+    x0 = _numbers("--x0", args.x0, n) if args.x0 else model.anchor()[1 : n + 1]
+    v0 = _numbers("--v0", args.v0, n) if args.v0 else [0.0] * n
+    t0, T, h = (_numbers(f"--{k}", getattr(args, k), 1)[0] for k in ("t0", "T", "h"))
+    traj = dynamics.integrate(model.dyn, [t0, *x0, *v0], T, h)
     charges = {}
     if args.charges:
         wanted = []
@@ -533,8 +552,8 @@ def build_parser():
                         help="catalog name or path to a JSON config")
         sp.add_argument("--config", default=None,
                         help="alias for --model with an explicit path")
-        sp.add_argument("--tol-pass", type=float, default=1e-9, dest="tol_pass")
-        sp.add_argument("--tol-fail", type=float, default=1e-3, dest="tol_fail")
+        sp.add_argument("--tol-pass", default="1e-9", dest="tol_pass")
+        sp.add_argument("--tol-fail", default="1e-3", dest="tol_fail")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--box", default=None,
                         help="uniform box 'lo,hi' applied to all phase coordinates")
@@ -551,9 +570,9 @@ def build_parser():
     common(sp)
     sp.add_argument("--x0", default=None)
     sp.add_argument("--v0", default=None)
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--h", type=float, default=1e-3)
+    sp.add_argument("--t0", default="0.0")
+    sp.add_argument("--T", default="1.0")
+    sp.add_argument("--h", default="1e-3")
     sp.add_argument("--charges", default=None,
                     help="comma-separated charge names to track")
 
@@ -595,10 +614,12 @@ def main(argv=None):
             args.seed = int(env_seed)
         if args.points < 1:
             raise ParseError(f"--points must be at least 1, got {args.points}")
+        args.tol_pass = _numbers("--tol-pass", args.tol_pass, 1)[0]
+        args.tol_fail = _numbers("--tol-fail", args.tol_fail, 1)[0]
+        box = _numbers("--box", args.box, 2) if args.box else None
         model = catalog.load_model(args.config or args.model)
-        if args.box:
-            lo, hi = (float(v) for v in args.box.split(","))
-            model.box = [(lo, hi)] * model.chart.dim_phase
+        if box:
+            model.box = [tuple(box)] * model.chart.dim_phase
         return _COMMANDS[args.command](args, model)
     # ArithmeticError: a field singular or overflowing at a sample point
     except (catalog.ModelError, UnitMismatchError, ParseError, ValueError, ArithmeticError) as exc:

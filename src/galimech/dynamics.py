@@ -26,7 +26,6 @@ class Trajectory:
     x: np.ndarray  # shape (steps+1, n)
     v: np.ndarray
     h: float
-    integrator: str = "rk4"
 
     def phase_coords(self, k):
         return [self.t[k], *self.x[k], *self.v[k]]
@@ -41,14 +40,11 @@ def law_of_motion_rhs(dyn, xs):
 
 
 def integrate(dyn, p0, T, h):
-    """Fixed-step RK4 for the first-order system (t, x, v).
-
-    ``p0`` is a PhasePoint or a coordinate list (t, x..., v...).
-    """
+    """Fixed-step RK4 for the first-order system (t, x, v) from the
+    coordinate list ``p0`` = (t, x..., v...)."""
     if h <= 0 or T <= 0:
         raise ValueError("need positive horizon and step")
     n = dyn.chart.n
-    xs0 = p0.coords() if hasattr(p0, "coords") else list(p0)
     steps = int(round(T / h))
 
     def rhs(state):
@@ -58,7 +54,7 @@ def integrate(dyn, p0, T, h):
         acc = law_of_motion_rhs(dyn, [t, *x, *v])
         return np.concatenate(([1.0], v, acc))
 
-    state = np.array(xs0, dtype=float)
+    state = np.array(p0, dtype=float)
     ts = np.empty(steps + 1)
     xs = np.empty((steps + 1, n))
     vs = np.empty((steps + 1, n))

@@ -35,36 +35,12 @@ class Chart:
             raise ValueError("spatial dimension must be at least 2")
 
     @property
-    def dim_e(self):
-        return self.n + 1
-
-    @property
     def dim_phase(self):
         return 2 * self.n + 1
 
     def vel(self, i):
         """Phase-chart slot of the i-th velocity (i in 1..n)."""
         return self.n + i
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (t, x, v) of the phase chart; entries must be finite."""
-
-    t: float
-    x: tuple
-    v: tuple
-
-    def __post_init__(self):
-        if not all(math.isfinite(c) for c in (self.t, *self.x, *self.v)):
-            raise ValueError("phase point entries must be finite")
-
-    def coords(self):
-        return [self.t, *self.x, *self.v]
-
-    @classmethod
-    def from_coords(cls, xs, n):
-        return cls(xs[0], tuple(xs[1 : n + 1]), tuple(xs[n + 1 : 2 * n + 1]))
 
 
 def support(*fields):

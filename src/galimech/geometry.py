@@ -131,28 +131,32 @@ def _field_blocks(sym):
     return blocks
 
 
-class SpacetimeConnection:
-    """dt-preserving torsion-free linear connection K[lam][i][mu], with the
-    (lam, mu) symmetry shared structurally (one entry per unordered pair).
+class _Coefficients:
+    """One coefficient record of a connection, shared by the three
+    connections in bijection (spacetime, phase, second-order).
 
-    ``blocks`` evaluates the whole connection in one pass: at a point it
-    returns {(lam, mu) with lam <= mu: [n values]}.  The fields in ``sym``
-    are per-component views for code that reads a single coefficient; a
-    connection built from fields alone evaluates those fields.
+    ``sym`` maps (lam, mu) with lam <= mu to n fields (component index
+    i = 1..n), the K[lam][i][mu] of a dt-preserving torsion-free connection
+    with its (lam, mu) symmetry shared structurally; ``blocks`` evaluates the
+    whole record in one pass, returning {(lam, mu): [n values]} at a point.
+    The correspondence maps hand both on unchanged, so the classes differ
+    only in how they read them.  When ``blocks`` is given the fields are
+    per-component views of it; otherwise the fields are evaluated.
     """
 
     def __init__(self, chart, sym, blocks=None):
-        """``sym`` maps (lam, mu) with lam <= mu to a list of n fields
-        (component index i = 1..n); ``blocks``, when given, is the evaluator
-        those fields are views of."""
         self.chart = chart
         n = chart.n
         self.sym = {
-            (lam, mu): list(sym.get((lam, mu), [ZERO] * n))
+            (lam, mu): sym.get((lam, mu), [ZERO] * n)
             for lam in range(0, n + 1)
             for mu in range(lam, n + 1)
         }
         self.blocks = blocks or _field_blocks(self.sym)
+
+
+class SpacetimeConnection(_Coefficients):
+    """The record read as a linear connection on spacetime."""
 
     def entry(self, lam, i, mu):
         """Coefficient field K_lam^i_mu (i spatial, 1..n)."""
@@ -277,47 +281,9 @@ def metric_connection(chart, G, phi2=None, time_gauge=None, A=None):
     return _derived_connection(chart, MetricBlocks(G, A, phi2, time_gauge))
 
 
-def _phase_sym(vel, aff, n):
-    """Spacetime indexing {(lam, mu): fields} of phase-connection data."""
-    return {
-        (lam, mu): vel[(lam, mu)] if mu else aff[lam]
-        for lam in range(0, n + 1)
-        for mu in range(lam, n + 1)
-    }
-
-
-def _phase_maps(sym, n):
-    """Phase-connection data (vel, aff) of a spacetime-indexed field set."""
-    vel = {(lam, k): sym[_sym_key(lam, k)] for lam in range(0, n + 1) for k in range(1, n + 1)}
-    aff = {lam: sym[_sym_key(lam, 0)] for lam in range(0, n + 1)}
-    return vel, aff
-
-
-def _dynamical_sym(quad, lin, const, n):
-    """Spacetime indexing {(lam, mu): fields} of second-order data."""
-    sym = {(0, 0): const}
-    for h in range(1, n + 1):
-        sym[(0, h)] = lin[h]
-        for k in range(h, n + 1):
-            sym[(h, k)] = quad[(h, k)]
-    return sym
-
-
-class PhaseConnection:
-    """Affine connection of the velocity bundle.
-
-    ``vel[(lam, k)]`` holds the n fields multiplying v^k in the lift along
-    d^lam; ``aff[lam]`` the velocity-independent part.  The correspondence
-    with a spacetime connection is pure re-indexing, so the maps below
-    share field objects and round-trip exactly, and hand along the one-pass
-    evaluator ``blocks`` (spacetime indexing); the fields are views.
-    """
-
-    def __init__(self, chart, vel, aff, blocks=None):
-        self.chart = chart
-        self.vel = vel
-        self.aff = aff
-        self.blocks = blocks or _field_blocks(_phase_sym(vel, aff, chart.n))
+class PhaseConnection(_Coefficients):
+    """The record read as the affine connection of the velocity bundle: the
+    lift along d^lam is K_(lam,0) + K_(lam,k) v^k."""
 
     def lift_values(self, xs):
         """gl[k][lam]: value of the lift coefficient for component k along
@@ -360,28 +326,16 @@ def gamma00_of(kv, v):
 
 
 def phase_from_spacetime(K):
-    vel, aff = _phase_maps(K.sym, K.chart.n)
-    return PhaseConnection(K.chart, vel, aff, K.blocks)
+    return PhaseConnection(K.chart, K.sym, K.blocks)
 
 
 def spacetime_from_phase(gamma):
-    chart = gamma.chart
-    return SpacetimeConnection(chart, _phase_sym(gamma.vel, gamma.aff, chart.n), gamma.blocks)
+    return SpacetimeConnection(gamma.chart, gamma.sym, gamma.blocks)
 
 
-class DynamicalConnection:
-    """Second-order connection with coefficients polynomial in velocity.
-
-    Evaluated in one pass through ``blocks`` (spacetime indexing, shared
-    with the phase connection it corresponds to); the fields are views.
-    """
-
-    def __init__(self, chart, quad, lin, const, blocks=None):
-        self.chart = chart
-        self.quad = quad  # {(h, k) h <= k: [n fields]}
-        self.lin = lin  # {h: [n fields]}
-        self.const = const  # [n fields]
-        self.blocks = blocks or _field_blocks(_dynamical_sym(quad, lin, const, chart.n))
+class DynamicalConnection(_Coefficients):
+    """The record read as a second-order connection: the acceleration is
+    K_(0,0) + 2 K_(0,h) v^h + K_(h,k) v^h v^k."""
 
     def gamma00_values(self, xs):
         n = self.chart.n
@@ -394,21 +348,11 @@ class DynamicalConnection:
 
 
 def dynamical_from_phase(gamma):
-    chart = gamma.chart
-    n = chart.n
-    quad = {}
-    lin = {}
-    for h in range(1, n + 1):
-        lin[h] = gamma.aff[h]
-        for k in range(h, n + 1):
-            quad[(h, k)] = gamma.vel[(h, k)]
-    return DynamicalConnection(chart, quad, lin, gamma.aff[0], gamma.blocks)
+    return DynamicalConnection(gamma.chart, gamma.sym, gamma.blocks)
 
 
 def phase_from_dynamical(dyn):
-    n = dyn.chart.n
-    vel, aff = _phase_maps(_dynamical_sym(dyn.quad, dyn.lin, dyn.const, n), n)
-    return PhaseConnection(dyn.chart, vel, aff, dyn.blocks)
+    return PhaseConnection(dyn.chart, dyn.sym, dyn.blocks)
 
 
 class EMField:
@@ -548,9 +492,8 @@ def motion_row(G, dyn, xs, accel):
 def euler_lagrange_matrix(G, dyn, p, accel):
     """Horizontal two-form of the motion residual at second-order data."""
     n = G.chart.n
-    xs = p.coords() if hasattr(p, "coords") else list(p)
     m = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for b, s in enumerate(motion_row(G, dyn, xs, accel)):
+    for b, s in enumerate(motion_row(G, dyn, list(p), accel)):
         m[0][1 + b] = s
         m[1 + b][0] = -s
     return m
@@ -558,13 +501,17 @@ def euler_lagrange_matrix(G, dyn, p, accel):
 
 class PoincareCartan:
     """Horizontal potential one-form, stored by its metric and gauge data;
-    its components read the slots of both, and the velocities."""
+    its components read the slots of both, and the velocities.
+
+    The form is also its own contact splitting: ``value`` is the Lagrangian
+    (the time-horizontal d0 coefficient) and ``component`` the momentum (the
+    velocity derivative of the Lagrangian: the spatial components)."""
 
     def __init__(self, G, A):
         self.chart = G.chart
         self.G = G
         self.A = [as_field(a) for a in A]
-        self.components_deps = _with_velocities(support(G, *self.A), G.chart.n)
+        self.components_deps = self.value_deps = _with_velocities(support(G, *self.A), G.chart.n)
 
     def theta0(self, xs):
         return -0.5 * self.G.norm_sq(xs) + self.A[0](xs)
@@ -578,6 +525,8 @@ class PoincareCartan:
             + self.A[a](xs)
         )
 
+    component = theta_spatial
+
     def components(self, xs):
         n = self.chart.n
         out = [self.theta0(xs)]
@@ -585,26 +534,11 @@ class PoincareCartan:
         out += [0.0] * n
         return out
 
-
-class LagrangianForm:
-    """Contact splitting of a Poincare-Cartan form, sharing its metric and
-    gauge data: ``value`` is the Lagrangian (the time-horizontal d0
-    coefficient) and ``component`` the momentum (the velocity derivative of
-    the Lagrangian: the spatial components of the form)."""
-
-    def __init__(self, G, A):
-        self.chart = G.chart
-        self.G = G
-        self.A = A
-        self.value_deps = _with_velocities(support(G, *A), G.chart.n)
-
     def value(self, xs):
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
         lin = sum(self.A[a](xs) * v[a - 1] for a in range(1, n + 1))
         return 0.5 * self.G.norm_sq(xs) + lin + self.A[0](xs)
-
-    component = PoincareCartan.theta_spatial
 
 
 def poincare_cartan(G, A):
@@ -613,17 +547,16 @@ def poincare_cartan(G, A):
 
 
 def lagrangian_and_momentum(theta):
-    """Contact splitting of the potential form: (Lagrangian, momentum), one
-    object that shares the form's coefficient data."""
-    split = LagrangianForm(theta.G, theta.A)
-    return split, split
+    """Contact splitting of the potential form: (Lagrangian, momentum), both
+    the form itself, read through ``value`` and ``component``."""
+    return theta, theta
 
 
 def cartan_from_lagrangian(lag, mom):
-    """Inverse of the splitting; exact because the data is shared."""
-    if lag.G is not mom.G or lag.A is not mom.A:
+    """Inverse of the splitting: the form both halves are."""
+    if lag is not mom:
         raise ValueError("Lagrangian and momentum must come from one splitting")
-    return PoincareCartan(lag.G, lag.A)
+    return lag
 
 
 def observed_split(theta, observer):
@@ -678,9 +611,8 @@ def observed_two_form(omega, observer, xs_e):
 
 def closure_residual(omega, p):
     """Max cyclic-derivative residual of the two-form at a phase point."""
-    xs = p.coords() if hasattr(p, "coords") else list(p)
     dim = 2 * omega.chart.n + 1
-    dm = duals.grad(omega.matrix, xs)
+    dm = duals.grad(omega.matrix, list(p))
     worst = 0.0
     for a in range(dim):
         for b in range(a + 1, dim):
@@ -693,7 +625,7 @@ def closure_residual(omega, p):
 def reeb_residual(omega, dyn, p):
     """Contraction norm and time-normalisation defect of a second-order
     connection against the two-form; both vanish for the associated one."""
-    xs = p.coords() if hasattr(p, "coords") else list(p)
+    xs = list(p)
     vec = dyn.vector_values(xs)
     contr = omega.contraction(vec, xs)
     return (

@@ -371,11 +371,13 @@ class EquivalenceReport:
 
 
 def _worst(family, points):
-    """Largest |entry| of a residual family (nested lists of scalars) over points."""
+    """Largest |entry| of a residual family (nested lists of scalars) over
+    points; nan when any entry is nan, which ``max`` alone would drop."""
     def leaves(r):
         return [x for e in r for x in leaves(e)] if isinstance(r, list) else [r]
 
-    return max(abs(value(x)) for p in points for x in leaves(family(p)))
+    return max((abs(value(x)) for p in points for x in leaves(family(p))),
+               key=lambda r: (r != r, r))
 
 
 def check_equivalences(model, X, points_e, points_phase, points_te, points_j2,
@@ -407,7 +409,8 @@ def check_equivalences(model, X, points_e, points_phase, points_te, points_j2,
 class SpecialQuadratic:
     """Phase function whose velocity dependence is (1/2) f0 * G(v, v) +
     linear + scalar, with coefficient fields on spacetime.  Its ``deps``
-    (phase slots read) follow from theirs and the non-zero coefficients."""
+    (phase slots read) follow from theirs and the non-zero coefficients;
+    the bound ``value`` declares the same (``value_deps``)."""
 
     def __init__(self, G, f0, flin, fconst):
         self.G = G
@@ -417,7 +420,8 @@ class SpecialQuadratic:
         self.fconst = as_field(fconst)
         vel = [coordinate(self.chart.vel(a)) for a in range(1, self.chart.n + 1)]
         quad = [] if self.f0.is_zero else [self.f0, G, *vel]
-        self.deps = support(self.fconst, *quad, *(f * v for f, v in zip(self.flin, vel)))
+        self.deps = self.value_deps = support(self.fconst, *quad,
+                                              *(f * v for f, v in zip(self.flin, vel)))
 
     def coefficients(self, xs):
         """(f0, [linear coefficients], constant) at the base point of ``xs``."""
@@ -434,10 +438,6 @@ class SpecialQuadratic:
         return s
 
     __call__ = value
-
-    def has_constant_time_component(self, points, tol=1e-12):
-        vals = [value(self.f0(p)) for p in points]
-        return max(vals) - min(vals) <= tol
 
 
 def gamma_dot(fn, dyn, xs):
@@ -516,8 +516,7 @@ class LieAlgebraAction:
         return worst
 
 
-def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS,
-                 require_symmetry=True):
+def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
     """Momentum map of a projectable action preserving the potential form.
 
     Per generator the charge is the contraction charge and the time scale
@@ -532,7 +531,7 @@ def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS,
     entries = []
     for idx, gen in enumerate(action.generators):
         charge, residual, conserved = noether_charge(gen, theta, check_points, tol)
-        if require_symmetry and not conserved:
+        if not conserved:
             raise NotASymmetryError(
                 f"generator {gen.label or idx} of action {action.name}: "
                 f"invariance residual {residual:.3e}"
@@ -648,7 +647,7 @@ class _FittedQuadratic(SpecialQuadratic):
         return self.fit(xs)[:3]
 
 
-def classify_special_quadratic(fn, G, fit_tol=1e-10, probe=None, validate_at=None):
+def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
     """Fit a phase function as quadratic in the velocities with quadratic
     part proportional to the metric.
 
@@ -663,8 +662,7 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, probe=None, validate_at=Non
     nodes = _velocity_nodes(n)
     design = np.array([_quad_design_row(v, n) for v in nodes])
     dinv = np.linalg.inv(design)
-    if probe is None:
-        probe = [[0.3 + 0.1 * i for i in range(n)], [1.0] * n, [-0.7, 0.4] + [0.2] * (n - 2)]
+    probe = [[0.3 + 0.1 * i for i in range(n)], [1.0] * n, [-0.7, 0.4] + [0.2] * (n - 2)]
 
     def fit(xs):
         """(f0, lin, const, quad) at the base point of ``xs``, from one
@@ -730,7 +728,7 @@ def poisson_bracket(f_fn, g_fn, omega, xs):
     )
 
 
-def special_bracket(f, g, omega, classify=True, fit_tol=1e-10, at=None):
+def special_bracket(f, g, omega, classify=True, at=None):
     """Bracket closing on the quadratic phase functions with constant time
     component: the Poisson bracket corrected by the time scales contracted
     through the second-order connection.  ``at`` is the base point where
@@ -752,7 +750,7 @@ def special_bracket(f, g, omega, classify=True, fit_tol=1e-10, at=None):
 
     if not classify:
         return val
-    return classify_special_quadratic(val, omega.G, fit_tol=fit_tol)
+    return classify_special_quadratic(val, omega.G)
 
 
 def pair_bracket(f_pair, g_pair, omega):

@@ -14,6 +14,7 @@ from galimech.cli import ParseError, parse_vector_field
 from galimech.duals import value
 from galimech.fields import Chart
 from galimech.units import UnitMismatchError
+from tests_support import COEFFICIENTS, field_specs
 
 
 # -- config ingestion -----------------------------------------------------------
@@ -396,9 +397,21 @@ def test_metric_dimension_is_checked_with_an_em_section(tmp_path, capsys):
     ["derive", "--box", "-3,3"],
     ["check-symmetry"],
     ["simulate", "--T", "abc"],
+    # every numeric flag rejects a non-finite value, naming the flag
+    ["derive", "--point", "nan,0,0,0,0,0,0"],
+    ["derive", "--box", "1,nan"],
+    ["simulate", "--x0", "nan,0,0"],
+    ["simulate", "--v0", "0,inf,0"],
+    ["simulate", "--h", "inf"],
+    ["simulate", "--T", "nan"],
+    ["simulate", "--t0", "-inf"],
+    ["derive", "--tol-pass", "nan"],
+    ["check-symmetry", "--field", "d1", "--tol-fail", "inf"],
 ])
 def test_usage_errors_are_input_errors(argv, capsys):
-    _input_error(argv, capsys)
+    err = _input_error(argv, capsys)
+    flags = [a for a in argv if a.startswith("--")]
+    assert not flags or flags[-1] in err
 
 
 def test_help_still_exits_zero(capsys):
@@ -429,6 +442,13 @@ def test_report_with_a_non_finite_residual_is_an_input_error(capsys):
     # the coefficient overflows to inf on evaluation, so a residual is nan
     _input_error(["check-symmetry", "--model", "free3d", "--field", "1e300*x1*1e300 d1",
                   "--points", "2"], capsys)
+
+
+def test_a_non_finite_residual_names_the_check(capsys):
+    field = "1e300*x1*1e300 d1"
+    err = _input_error(["check-symmetry", "--model", "free3d", "--field", field,
+                        "--points", "2"], capsys)
+    assert err == f"error: check-symmetry: residual of cartan_form for generator {field} is nan\n"
 
 
 def _strict_json(text):
@@ -467,3 +487,37 @@ def test_field_fuzz_ends_in_a_report_or_an_input_error(text):
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1, text
     if out.getvalue():
         assert _strict_json(out.getvalue())["field"] == text
+
+
+@st.composite
+def _configs(draw):
+    """A JSON model config: n in 2..4, random metric entries and potential,
+    and an optional em section, with fields that read slots 0..n."""
+    n = draw(st.integers(2, 4))
+    specs = field_specs(st.integers(0, n))
+    pairs = [f"{a},{b}" for a in range(1, n + 1) for b in range(a, n + 1)]
+    cfg = {"n": n, "metric": {"entries": draw(st.dictionaries(st.sampled_from(pairs), specs,
+                                                              max_size=3))}}
+    if draw(st.booleans()):
+        cfg["potential"] = draw(st.lists(specs, min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        pairs = [f"{lam},{mu}" for lam in range(n + 1) for mu in range(lam + 1, n + 1)]
+        cfg["em"] = {"q": draw(COEFFICIENTS), "m": draw(COEFFICIENTS),
+                     "entries": draw(st.dictionaries(st.sampled_from(pairs), specs, max_size=2))}
+        if draw(st.booleans()):
+            cfg["em"]["potential"] = draw(st.lists(specs, min_size=n + 1, max_size=n + 1))
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configs())
+def test_config_fuzz_ends_in_a_report_or_an_input_error(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["derive", "--model", str(path)])
+    assert code in (0, 2, 3), (cfg, err.getvalue())
+    assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1, cfg
+    if code == 0 or out.getvalue():
+        _strict_json(out.getvalue())

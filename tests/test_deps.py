@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galimech import duals
-from galimech.catalog import (
-    load_model,
-    named_charges,
-    nonclosed_field_model,
-    random_compatible_model,
-)
+from galimech.catalog import load_model, named_charges, nonclosed_field_model
 from galimech.fields import (
     ZERO,
     Field,
@@ -34,6 +29,7 @@ from galimech.symmetry import (
     lie_two_form,
     tau_lift_values,
 )
+from tests_support import field_specs, random_compatible_model
 
 PHASE_DIM = 7  # n = 3: (t, x1..x3, v1..v3)
 POINT = [0.31, -0.42, 1.17, 0.23, 0.61, -0.35, 0.48]
@@ -105,33 +101,11 @@ def test_partial_skips_undeclared_slots_without_evaluating():
 
 # -- soundness -------------------------------------------------------------------
 
-_slot = st.integers(0, PHASE_DIM - 1)
-_coef = st.floats(-1.5, 1.5)
-_leaf = st.one_of(
-    _coef.map(lambda c: {"kind": "constant", "value": c}),
-    _slot.map(lambda k: {"kind": "coord", "index": k}),
-    st.lists(
-        st.tuples(_coef, st.lists(st.tuples(_slot, st.integers(-1, 3)), max_size=3)),
-        min_size=1, max_size=3,
-    ).map(lambda terms: {"kind": "polynomial",
-                         "coeffs": [[c, [x for pair in e for x in pair]] for c, e in terms]}),
-)
-_bounded_leaf = st.one_of(_leaf, _leaf.map(lambda f: {"kind": "exp", "of": f}))
-
-
-def _extend(children):
-    return st.one_of(
-        st.builds(lambda k, f: {"kind": k, "of": f}, st.sampled_from(["sin", "cos"]), children),
-        st.lists(children, min_size=1, max_size=3).map(lambda ts: {"kind": "sum", "terms": ts}),
-        st.lists(children, min_size=1, max_size=3).map(
-            lambda ts: {"kind": "product", "factors": ts}),
-        st.builds(lambda c, f: {"kind": "scale", "by": c, "of": f}, _coef, children),
-        st.builds(lambda e, f: {"kind": "pow", "of": f, "exp": e}, st.integers(0, 3), children),
-    )
+_specs = field_specs(st.integers(0, PHASE_DIM - 1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.recursive(_bounded_leaf, _extend, max_leaves=6))
+@given(_specs)
 def test_config_field_deps_are_sound(spec):
     f = from_config(spec)
     _assert_sound(f.fn, f.deps, POINT, what=spec)
@@ -149,7 +123,8 @@ def _model_objects(model):
     for action in model.actions.values():
         for gen in action.generators:
             out += [(f"{gen.label}^{i}", c.fn, c.deps) for i, c in enumerate(gen.comps, 1)]
-    out += [(label, q.value, q.deps) for label, q in named_charges(model).items()]
+    out += [(label, lambda xs, q=q: q.value(xs), q.deps)
+            for label, q in named_charges(model).items()]
     return out
 
 
@@ -226,7 +201,7 @@ def test_lift_with_deps_equals_undeclared_lift(name):
     for xs in model.sample_phase(3, seed=5):
         for label, q in named_charges(model).items():
             tau = duals.value(q.f0(xs))
-            undeclared = tau_lift_values(q.value, tau, omega, xs)
+            undeclared = tau_lift_values(lambda ys, q=q: q.value(ys), tau, omega, xs)
             assert tau_lift_values(q, tau, omega, xs) == undeclared, label
 
 
@@ -290,6 +265,20 @@ def test_tau_lift_evaluates_a_translation_charge_once(free3d, monkeypatch):
     assert len(calls) == 1  # one pass along v1; the undeclared path makes 7
 
 
+def test_bound_charge_value_declares_the_charge_support(free3d, monkeypatch):
+    charge = named_charges(free3d)["charge_R3"]
+    assert duals.deps_of(charge.value) == charge.deps
+    seeded = []
+    orig = duals.partial_multi
+    monkeypatch.setattr(duals, "partial_multi", lambda *a: seeded.append(a[2]) or orig(*a))
+    xs = [0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7]
+    tau_lift_values(charge, 0.0, free3d.omega, xs)
+    by_charge = list(seeded)
+    seeded.clear()
+    tau_lift_values(charge.value, 0.0, free3d.omega, xs)
+    assert seeded == by_charge == sorted(charge.deps)
+
+
 def test_tau_lift_evaluates_the_connection_once(rigidbody, monkeypatch):
     calls = []
     orig = MetricBlocks.__call__
@@ -328,7 +317,7 @@ def _assert_rules_match_seeded(f, xs, dim, what=""):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.recursive(_bounded_leaf, _extend, max_leaves=6))
+@given(_specs)
 def test_config_field_rules_match_seeded_partials(spec):
     _assert_rules_match_seeded(from_config(spec), POINT, PHASE_DIM, what=spec)
 

@@ -9,7 +9,6 @@ from galimech.fields import (
     Chart,
     DerivativeOrderError,
     Field,
-    PhasePoint,
     ZERO,
     constant,
     coordinate,
@@ -26,18 +25,10 @@ from galimech.oracles import fd_oracle
 
 def test_chart_indexing():
     c = Chart(3)
-    assert c.dim_e == 4 and c.dim_phase == 7
+    assert c.dim_phase == 7
     assert c.vel(1) == 4 and c.vel(3) == 6
     with pytest.raises(ValueError):
         Chart(1)
-
-
-def test_phase_point():
-    p = PhasePoint(0.5, (1.0, 2.0), (3.0, 4.0))
-    assert p.coords() == [0.5, 1.0, 2.0, 3.0, 4.0]
-    assert PhasePoint.from_coords(p.coords(), 2) == p
-    with pytest.raises(ValueError):
-        PhasePoint(math.inf, (1.0, 2.0), (3.0, 4.0))
 
 
 def test_partial_examples():

@@ -6,13 +6,7 @@ import pytest
 
 from galimech import duals
 from galimech.duals import value, partial_multi
-from galimech.catalog import (
-    load_model,
-    model_from_config,
-    nonclosed_field_model,
-    nonmetric_connection_model,
-    random_compatible_model,
-)
+from galimech.catalog import load_model, model_from_config, nonclosed_field_model
 from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial, sample_points
 from galimech.geometry import (
     EMField,
@@ -41,6 +35,7 @@ from galimech.geometry import (
     zero_connection,
 )
 from galimech.units import CHARGE, MASS, ScaledScalar
+from tests_support import nonmetric_two_form, random_compatible_model
 
 
 def random_connection(chart, rng):
@@ -620,6 +615,6 @@ def test_closure_equivalence_two_sided(catalog_models):
     assert closure_residual(broken_f.omega, x + [0.5, -0.2, 0.1]) > 1e-3
     assert dphi_residual(broken_f.omega, broken_f.observer, x) > 1e-3
     assert metric_compat_residual(broken_f.K, broken_f.G, x) < 1e-10
-    broken_k = nonmetric_connection_model()
-    assert closure_residual(broken_k.omega, x + [0.5, -0.2, 0.1]) > 1e-3
-    assert metric_compat_residual(broken_k.K, broken_k.G, x) > 1e-3
+    broken_k = nonmetric_two_form()
+    assert closure_residual(broken_k, x + [0.5, -0.2, 0.1]) > 1e-3
+    assert metric_compat_residual(spacetime_from_phase(broken_k.conn), broken_k.G, x) > 1e-3

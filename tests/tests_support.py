@@ -1,7 +1,19 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite: random connections and models, a
+deliberately non-metric two-form, and a strategy for config field specs."""
 
-from galimech.fields import polynomial
-from galimech.geometry import SpacetimeConnection
+import random
+
+from hypothesis import strategies as st
+
+from galimech.catalog import Model
+from galimech.fields import Chart, ZERO, constant, coordinate, polynomial
+from galimech.geometry import (
+    Metric,
+    PhaseTwoForm,
+    SpacetimeConnection,
+    identity_metric,
+    phase_from_spacetime,
+)
 
 
 def random_connection(chart, rng):
@@ -18,3 +30,70 @@ def random_connection(chart, rng):
                 fields.append(polynomial(terms))
             sym[(lam, mu)] = fields
     return SpacetimeConnection(chart, sym)
+
+
+def random_compatible_model(seed, n=3):
+    """Randomized metric + gauge model; closed by construction since every
+    derived piece comes from potentials."""
+    rng = random.Random(seed)
+    chart = Chart(n)
+
+    def small_poly():
+        terms = [(rng.uniform(-0.12, 0.12), {})]
+        for slot in range(0, n + 1):
+            terms.append((rng.uniform(-0.12, 0.12), {slot: 1}))
+        terms.append((rng.uniform(-0.08, 0.08), {rng.randrange(0, n + 1): 2}))
+        return polynomial(terms)
+
+    entries = {}
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            base = 2.0 if a == b else 0.0
+            entries[(a, b)] = constant(base) + small_poly()
+    A = [small_poly() for _ in range(n + 1)]
+    return Model(f"random-{seed}", chart, Metric(chart, entries), A=A)
+
+
+def nonmetric_two_form():
+    """Deliberately broken: the two-form of the Euclidean metric and a
+    connection that is not compatible with it."""
+    chart = Chart(3)
+    K = SpacetimeConnection(chart, {(1, 1): [coordinate(1), ZERO, ZERO]})
+    return PhaseTwoForm(identity_metric(chart), phase_from_spacetime(K))
+
+
+# -- field specs as a config writes them ---------------------------------------------
+
+COEFFICIENTS = st.floats(-1.5, 1.5)
+
+
+def field_specs(slots):
+    """Strategy for :func:`galimech.fields.from_config` specs reading chart
+    slots drawn from ``slots``: constants, coordinates and polynomials
+    (negative powers included), with exp at the leaves, combined by sin, cos,
+    sum, product, scale and pow."""
+    leaf = st.one_of(
+        COEFFICIENTS.map(lambda c: {"kind": "constant", "value": c}),
+        slots.map(lambda k: {"kind": "coord", "index": k}),
+        st.lists(
+            st.tuples(COEFFICIENTS, st.lists(st.tuples(slots, st.integers(-1, 3)), max_size=3)),
+            min_size=1, max_size=3,
+        ).map(lambda terms: {"kind": "polynomial",
+                             "coeffs": [[c, [x for pair in e for x in pair]] for c, e in terms]}),
+    )
+    bounded_leaf = st.one_of(leaf, leaf.map(lambda f: {"kind": "exp", "of": f}))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda k, f: {"kind": k, "of": f}, st.sampled_from(["sin", "cos"]),
+                      children),
+            st.lists(children, min_size=1, max_size=3).map(
+                lambda ts: {"kind": "sum", "terms": ts}),
+            st.lists(children, min_size=1, max_size=3).map(
+                lambda ts: {"kind": "product", "factors": ts}),
+            st.builds(lambda c, f: {"kind": "scale", "by": c, "of": f}, COEFFICIENTS, children),
+            st.builds(lambda e, f: {"kind": "pow", "of": f, "exp": e}, st.integers(0, 3),
+                      children),
+        )
+
+    return st.recursive(bounded_leaf, extend, max_leaves=6)
