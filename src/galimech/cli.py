@@ -33,8 +33,9 @@ from .symmetry import (
     generator_match,
     momentum_map,
     noether_charge,
-    poisson_bracket,
+    pair_bracket,
     special_bracket,
+    tau_lift,
     tau_lift_values,
     vector_commutator,
 )
@@ -485,32 +486,23 @@ def cmd_brackets(args, model):
     labels = list(charges)
     checks = []
     sample = pts[: min(len(pts), 8)]
+    om = model.omega
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
             f, g = charges[la], charges[lb]
             try:
-                sq = special_bracket(f, g, model.omega, at=model.anchor()[: model.chart.n + 1])
+                sq = special_bracket(f, g, om, at=model.anchor()[: model.chart.n + 1])
                 closed = True
             except ClassifyError:
                 closed = False
-            # homomorphism of the pair bracket into vector fields
+            # homomorphism of the pair bracket into vector fields; the lifts
+            # and the bracket declare their support, so only that is seeded
             worst = 0.0
             for xs in sample:
-                tau_f = value(f.f0(xs))
-                tau_g = value(g.f0(xs))
-
-                def hf(p, fn=f, t=tau_f):
-                    return tau_lift_values(fn, t, model.omega, p)
-
-                def hg(p, fn=g, t=tau_g):
-                    return tau_lift_values(fn, t, model.omega, p)
-
-                comm = vector_commutator(hf, hg, xs)
-
-                def pb(p, ff=f, gg=g):
-                    return poisson_bracket(ff, gg, model.omega, p)
-
-                lifted = tau_lift_values(pb, 0.0, model.omega, xs)
+                fp, gp = (f, value(f.f0(xs))), (g, value(g.f0(xs)))
+                comm = vector_commutator(tau_lift(*fp, om), tau_lift(*gp, om), xs)
+                bracket, sigma = pair_bracket(fp, gp, om)
+                lifted = tau_lift_values(bracket, sigma, om, xs)
                 worst = max(
                     worst,
                     max(abs(value(a) - value(b)) for a, b in zip(comm, lifted)),
@@ -606,8 +598,10 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    command = "galimech"
     try:
         args = build_parser().parse_args(argv)
+        command = args.command
         args._t0 = time.perf_counter()
         env_seed = os.environ.get("GALIMECH_SEED")
         if env_seed is not None:
@@ -621,9 +615,12 @@ def main(argv=None):
         if box:
             model.box = [tuple(box)] * model.chart.dim_phase
         return _COMMANDS[args.command](args, model)
-    # ArithmeticError: a field singular or overflowing at a sample point
-    except (catalog.ModelError, UnitMismatchError, ParseError, ValueError, ArithmeticError) as exc:
+    except (catalog.ModelError, UnitMismatchError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"error: {command}: a field is singular or overflows at a sample point ({exc})",
+              file=sys.stderr)
         return 3
     except (NotASymmetryError, ClassifyError, geometry.SingularMetricError,
             geometry.SingularOmegaError, dynamics.IntegrationError) as exc:

@@ -11,7 +11,11 @@ partials) stay exact.
 
 Terms are stored as ``{bitmask: float}`` where the bitmask says which slots
 occur in the monomial.  Multiplication keeps only terms with disjoint masks,
-which is exactly the nilpotency rule.
+which is exactly the nilpotency rule.  A product with an exact zero scalar
+is the float zero (the value part times it) when the sum of the terms is
+finite, so that every term is: a dual of zeros would only be carried
+through later arithmetic.  Otherwise the product stays a dual, so a nan
+from a non-finite term shows as it would in float arithmetic.
 """
 
 import math
@@ -73,6 +77,8 @@ class MultiDual:
                     k = k1 | k2
                     t[k] = t.get(k, 0.0) + v1 * v2
             return MultiDual(t)
+        if other == 0.0 and math.isfinite(sum(self.terms.values())):
+            return self.terms.get(0, 0.0) * other
         return MultiDual({k: v * other for k, v in self.terms.items()})
 
     __rmul__ = __mul__

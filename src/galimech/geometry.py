@@ -57,7 +57,10 @@ class Metric:
                 for a in range(1, n + 1)
             ]
             self._const_mat = m
-            self._const_inv = np.linalg.inv(np.array(m)).tolist()
+            try:
+                self._const_inv = np.linalg.inv(np.array(m)).tolist()
+            except np.linalg.LinAlgError:
+                raise SingularMetricError(f"constant metric {m} is singular") from None
 
     def entry(self, a, b):
         return self._e[_sym_key(a, b)]

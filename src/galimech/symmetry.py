@@ -602,6 +602,19 @@ def tau_lift_values(fn, tau, omega, xs):
     return out
 
 
+def tau_lift(fn, tau, omega):
+    """The lift of :func:`tau_lift_values` as a callable of a phase point.
+    It reads G, the connection blocks, the velocities and df, so its
+    ``deps`` is the union of ``fn``'s and the two-form's ``matrix_deps``."""
+
+    def lift(xs):
+        return tau_lift_values(fn, tau, omega, xs)
+
+    sets = (duals.deps_of(fn), omega.matrix_deps)
+    lift.deps = None if None in sets else sets[0] | sets[1]
+    return lift
+
+
 def generator_match(entry, omega, points):
     """Defect between the lifted charge (at its own time scale) and the
     holonomic lift of the generator; two-sided per the uniqueness of the
@@ -754,14 +767,17 @@ def special_bracket(f, g, omega, classify=True, at=None):
 
 
 def pair_bracket(f_pair, g_pair, omega):
-    """Bracket of (function, time-scale) pairs: the Poisson bracket with
-    zero time scale."""
+    """Bracket of (function, time-scale) pairs: the Poisson bracket, which
+    does not depend on the time scales, with zero time scale.  It reads the
+    two zero-scale lifts and the two-form, so its ``deps`` is the union of
+    the lifts' (:func:`tau_lift`)."""
     f_fn, _tau = f_pair
     g_fn, _sigma = g_pair
 
     def val(xs):
         return poisson_bracket(f_fn, g_fn, omega, xs)
 
+    val.deps = support(tau_lift(f_fn, 0.0, omega), tau_lift(g_fn, 0.0, omega))
     return val, 0.0
 
 

@@ -451,6 +451,24 @@ def test_a_non_finite_residual_names_the_check(capsys):
     assert err == f"error: check-symmetry: residual of cartan_form for generator {field} is nan\n"
 
 
+def test_a_field_singular_at_a_sample_point_names_the_command(capsys):
+    err = _input_error(["check-symmetry", "--model", "free3d", "--field", "x2/(x1-x1) d1",
+                        "--points", "2"], capsys)
+    assert err == ("error: check-symmetry: a field is singular or overflows at a sample point "
+                   "(float division by zero)\n")
+
+
+def test_singular_constant_metric_is_a_check_failure(tmp_path, capsys):
+    one = {"kind": "constant", "value": 1}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"n": 2, "metric": {"entries": {"1,1": one, "1,2": one,
+                                                                "2,2": one}}}))
+    code = run_cli(["derive", "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "check failed: constant metric [[1.0, 1.0], [1.0, 1.0]] is singular\n"
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")

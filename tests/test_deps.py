@@ -24,10 +24,16 @@ from galimech.fields import (
 )
 from galimech.geometry import Metric, MetricBlocks, PhaseTwoForm
 from galimech.symmetry import (
+    SpacetimeVectorField,
     SpecialQuadratic,
     check_equivalences,
     lie_two_form,
+    noether_charge,
+    pair_bracket,
+    poisson_bracket,
+    tau_lift,
     tau_lift_values,
+    vector_commutator,
 )
 from tests_support import field_specs, random_compatible_model
 
@@ -351,3 +357,81 @@ def test_tau_lift_inverts_the_metric_once(rigidbody, monkeypatch):
     for xs in rigidbody.sample_phase(3, seed=2):
         tau_lift_values(charge, 0.0, rigidbody.omega, xs)
     assert len(calls) == 3
+
+
+# -- lifts and brackets ----------------------------------------------------------------
+
+
+def _lift_charges(model):
+    """The named charges; a model without actions (random-0) gets the
+    contraction charges of d0 and of x1 d2 - x2 d1, conserved or not."""
+    charges = named_charges(model)
+    if charges:
+        return charges
+    chart, x1, x2 = model.chart, coordinate(1), coordinate(2)
+    rest = [ZERO] * (chart.n - 2)
+    gens = {"d0": SpacetimeVectorField(chart, 1.0, [ZERO, ZERO, *rest]),
+            "R3": SpacetimeVectorField(chart, 0.0, [-x2, x1, *rest])}
+    return {f"charge_{k}": noether_charge(X, model.theta)[0] for k, X in gens.items()}
+
+
+@pytest.mark.parametrize("name", ["free3d", "rigidbody", "cyclotron", "random-0"])
+def test_lift_and_bracket_deps_are_sound(name):
+    model = _BUILDERS.get(name, lambda: load_model(name))()
+    omega, dim = model.omega, model.chart.dim_phase
+    xs = model.sample_phase(1, seed=6)[0]
+    charges = _lift_charges(model)
+    for label, q in charges.items():
+        for tau in (0.0, 1.0):
+            _assert_sound_nested(lambda ys, q=q, t=tau: tau_lift_values(q.value, t, omega, ys),
+                                 tau_lift(q, tau, omega).deps, xs, dim, what=(name, label, tau))
+    # each charge with the next, so every charge enters one bracket
+    labels = list(charges)
+    for la, lb in zip(labels, labels[1:] + labels[:1]):
+        f, g = charges[la], charges[lb]
+        bracket, _ = pair_bracket((f, 0.0), (g, 1.0), omega)
+        _assert_sound_nested(lambda ys: poisson_bracket(f.value, g.value, omega, ys),
+                             bracket.deps, xs, dim, what=(name, la, lb))
+
+
+@pytest.mark.parametrize("name", ["free3d", "rigidbody", "cyclotron", "random-0"])
+def test_declared_lifts_and_brackets_equal_the_undeclared_ones(name):
+    model = _BUILDERS.get(name, lambda: load_model(name))()
+    omega = model.omega
+    xs = model.sample_phase(1, seed=7)[0]
+    charges = list(_lift_charges(model).values())
+    for f, g in zip(charges, charges[1:]):
+        hf, hg = tau_lift(f, 1.0, omega), tau_lift(g, 0.0, omega)
+        bracket, sigma = pair_bracket((f, 1.0), (g, 0.0), omega)
+
+        def bare_f(ys):
+            return tau_lift_values(lambda zs: f.value(zs), 1.0, omega, ys)
+
+        def bare_g(ys):
+            return tau_lift_values(lambda zs: g.value(zs), 0.0, omega, ys)
+
+        def bare_bracket(ys):
+            return poisson_bracket(lambda zs: f.value(zs), lambda zs: g.value(zs), omega, ys)
+
+        assert hf(xs) == bare_f(xs) and hg(xs) == bare_g(xs)
+        assert bracket(xs) == bare_bracket(xs) and sigma == 0.0
+        assert vector_commutator(hf, hg, xs) == vector_commutator(bare_f, bare_g, xs)
+        assert tau_lift_values(bracket, sigma, omega, xs) == tau_lift_values(
+            bare_bracket, 0.0, omega, xs)
+
+
+def test_lift_commutator_seeds_only_the_declared_slots(free3d, monkeypatch):
+    charge = named_charges(free3d)["charge_d1"]
+    hf, hg = tau_lift(charge, 0.0, free3d.omega), tau_lift(charge, 1.0, free3d.omega)
+    assert hf.deps == hg.deps == {4, 5, 6}  # v1, and the velocities the two-form reads
+    seeded = []
+    orig = duals.partial_multi
+
+    def spy(fn, xs, k):
+        if fn is hf or fn is hg:
+            seeded.append(k)
+        return orig(fn, xs, k)
+
+    monkeypatch.setattr(duals, "partial_multi", spy)
+    vector_commutator(hf, hg, [0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7])
+    assert seeded == [4, 5, 6, 4, 5, 6]  # the undeclared lifts seed all 7 slots each

@@ -8,7 +8,8 @@ import pytest
 
 from galimech import duals
 from galimech.duals import MultiDual, partial, partial2, partial_multi, value
-from galimech.symmetry import check_equivalences
+from galimech.catalog import load_model, named_charges
+from galimech.symmetry import check_equivalences, tau_lift_values
 
 
 def f_poly(xs):
@@ -290,3 +291,66 @@ def test_threads_allocate_slots_independently(rigidbody):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert threaded == serial
+
+
+# -- exact zeros --------------------------------------------------------------------
+
+
+def test_product_with_an_exact_zero_is_a_float():
+    d = MultiDual({0: -2.5, 1: 1.0, 3: 0.25})
+    for x in (d * 0.0, 0.0 * d, d * 0, 0 * d):
+        assert type(x) is float and x == 0.0
+    assert math.copysign(1.0, d * 0.0) == -1.0  # the value's sign, as for floats
+    assert isinstance(d * 1e-300, MultiDual)
+
+
+def test_non_finite_term_times_zero_is_still_nan():
+    for terms in ({0: math.inf, 1: 1.0}, {0: math.nan}):
+        for x in (MultiDual(terms) * 0.0, 0.0 * MultiDual(terms)):
+            assert math.isnan(value(x))
+    x = MultiDual({0: 1.0, 1: -math.inf}) * 0.0
+    assert value(x) == 0.0 and math.isnan(x.terms[1])
+
+
+_DUAL_MUL = MultiDual.__mul__
+
+
+def _dense_mul(self, other):
+    """Multiplication without the exact-zero rule: a dual stays a dual."""
+    if isinstance(other, MultiDual):
+        return _DUAL_MUL(self, other)
+    return MultiDual({k: v * other for k, v in self.terms.items()})
+
+
+def _lift_derivatives(fn, xs):
+    """The gradient and every first and second partial of each component."""
+    dim = len(xs)
+    comps = [lambda ys, i=i: fn(ys)[i] for i in range(dim)]
+    first = [[partial(c, xs, k) for k in range(dim)] for c in comps]
+    second = [[partial2(c, xs, k, l) for k in range(dim) for l in range(k, dim)] for c in comps]
+    return [duals.grad(fn, xs), first, second]
+
+
+def _leaf_values(obj):
+    if isinstance(obj, list):
+        return [x for o in obj for x in _leaf_values(o)]
+    return [value(obj)]
+
+
+@pytest.mark.parametrize("name", ["free3d", "cyclotron"])
+def test_zero_rule_keeps_the_derivatives_of_a_lift(name, monkeypatch):
+    model = load_model(name)
+    xs = model.sample_phase(1, seed=8)[0]
+    charges = named_charges(model)
+    for label in ("charge_d0", "charge_R3"):
+        q = charges[label]
+
+        def lift(ys, q=q):
+            return tau_lift_values(q, value(q.f0(xs)), model.omega, ys)
+
+        got = _lift_derivatives(lift, xs)
+        with monkeypatch.context() as m:
+            m.setattr(MultiDual, "__mul__", _dense_mul)
+            m.setattr(MultiDual, "__rmul__", _dense_mul)
+            want = _lift_derivatives(lift, xs)
+        assert _leaf_values(got) == _leaf_values(want), label
