@@ -327,14 +327,14 @@ def cmd_simulate(args, model):
     x0 = _numbers("--x0", args.x0, n) if args.x0 else model.anchor()[1 : n + 1]
     v0 = _numbers("--v0", args.v0, n) if args.v0 else [0.0] * n
     t0, T, h = (_numbers(f"--{k}", getattr(args, k), 1)[0] for k in ("t0", "T", "h"))
-    traj = dynamics.integrate(model.dyn, [t0, *x0, *v0], T, h)
     charges = {}
-    if args.charges:
+    if args.charges:  # an unknown name is rejected before the run
         wanted = []
         for nm in args.charges.split(","):
             nm = nm.strip()
             wanted.append(nm if nm.startswith("charge_") else f"charge_{nm}")
         charges = catalog.named_charges(model, wanted)
+    traj = dynamics.integrate(model.dyn, [t0, *x0, *v0], T, h)
     lines = []
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)]
     header += list(charges)

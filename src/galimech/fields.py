@@ -2,18 +2,19 @@
 
 Coordinates are ordered (x0, x1..xn) on spacetime and (x0, x1..xn,
 v1..vn) on phase space, where v_i are the chart velocities.  A
-:class:`Field` wraps a plain callable over a coordinate list; because the
-callable is written in terms of generic scalar arithmetic it evaluates
-equally on floats and on dual numbers, which gives exact partial
-derivatives to total order 2 through :func:`Field.partial`.
+:class:`Field` is an expression graph whose operations carry their
+derivative rules, so its partials are fields too (exact to total order 2
+through :func:`Field.partial`).  :func:`program` compiles a list of fields
+into one straight-line function that evaluates each shared subexpression
+once per point, on floats and on dual numbers alike.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 
 from . import duals
-from .duals import sin, cos, exp
 
 
 class DerivativeOrderError(ValueError):
@@ -50,60 +51,88 @@ def support(*fields):
 
 
 class Field:
-    """A smooth scalar function of chart coordinates.
+    """A smooth scalar function of chart coordinates, as an expression graph.
 
-    ``fn`` takes a list of scalars (floats or duals).  Fields on spacetime
-    simply ignore trailing velocity slots, so they can be evaluated at
-    phase points unchanged.  ``const_value`` marks fields known to be
-    constant, which lets derived-coefficient constructors skip dead work.
-    ``deps`` is the set of slots ``fn`` may read (None: unknown, so all),
-    computed by the constructors below; other slots have zero partials.
-    ``rule`` maps a slot k to the partial along k as a field; the
-    constructors below give one, a bare ``Field(fn)`` has none and is
+    ``op`` names the operation on ``args``: "add", "mul", "div", "neg",
+    "sin", "cos", "exp" of fields and "pow" of a field and an integer; the
+    leaves are "const", "coord", "poly" and "call", the bare callable of
+    ``Field(fn)`` in generic scalar arithmetic.  A field evaluates as its
+    one-field :func:`program` ``fn``.  ``const_value`` marks constants;
+    ``deps`` is the set of slots the field may read (None: unknown, so all).
+    Each operation has a derivative rule (:meth:`d`); a bare callable is
     differentiated by a seeded dual pass.
     """
 
-    __slots__ = ("fn", "is_zero", "const_value", "deps", "rule", "_d")
+    __slots__ = ("op", "args", "const_value", "deps", "_d", "_fn")
 
-    def __init__(self, fn, is_zero=False, const_value=None, deps=None, rule=None):
-        self.fn = fn
-        self.is_zero = is_zero
+    def __init__(self, fn, deps=None, op="call", args=None, const_value=None):
+        self.op = op
+        self.args = (fn,) if args is None else args
         self.const_value = const_value
         self.deps = deps
-        self.rule = rule
         self._d = {}
+        self._fn = None
+
+    @property
+    def is_zero(self):
+        return self.const_value == 0.0
+
+    @property
+    def fn(self):
+        """The one-field program, compiled on first use."""
+        if self._fn is None:
+            self._fn = program([self], ())
+        return self._fn
 
     def __call__(self, xs):
-        return self.fn(xs)
+        return (self._fn or self.fn)(xs)
 
     def d(self, k):
-        """The partial along slot k as a field, built once and stored (a
-        field never changes); ZERO for a slot outside ``deps``."""
+        """The partial along slot k as a field, built once (a field never
+        changes); ZERO for a slot outside ``deps``."""
         f = self._d.get(k)
         if f is None:
             if self.deps is not None and k not in self.deps:
                 f = ZERO
+            elif self.op == "call":
+                f = Field(lambda xs: duals.partial(self, xs, k), self.deps)
             else:
-                f = self.rule(k) if self.rule else Field(
-                    lambda xs: duals.partial(self, xs, k), deps=self.deps)
+                f = self._rule(k)
             self._d[k] = f
         return f
 
+    def _rule(self, k):
+        op, args = self.op, self.args
+        f = args[0]
+        if op == "add":
+            return f.d(k) + args[1].d(k)
+        if op == "neg":
+            return -f.d(k)
+        if op == "mul":
+            return f.d(k) * args[1] + f * args[1].d(k)
+        if op == "div":
+            g = args[1]
+            return (f.d(k) * g - f * g.d(k)) / (g * g)
+        if op == "pow":
+            return constant(args[1]) * f ** (args[1] - 1) * f.d(k)
+        if op in _CHAIN:
+            return _CHAIN[op](f) * f.d(k)
+        if op == "poly":
+            return polynomial([(c * p, {**dict(expo), k: p - 1})
+                               for c, expo in args[0] for slot, p in expo if slot == k])
+        return ONE if op == "coord" else ZERO
+
     def partial(self, alpha, xs):
-        """Exact partial along multi-index ``alpha`` (len <= 2): the derivative
-        fields of :meth:`d`, or one seeded dual pass for a bare field."""
+        """Exact partial along multi-index ``alpha`` (len <= 2): the value of
+        the derivative field of :meth:`d`."""
         if len(alpha) > 2:
             raise DerivativeOrderError("partials above total order 2 are not supported")
-        if self.rule is None and alpha:
-            if len(alpha) == 1:
-                return duals.partial(self, xs, alpha[0])
-            return duals.partial2(self, xs, alpha[0], alpha[1])
         f = self
         for k in alpha:
             f = f.d(k)
-        return f.fn(xs)
+        return f(xs)
 
-    # field algebra: each operation carries its differentiation rule -------
+    # field algebra: each operation is a node of the graph ------------------
 
     def __add__(self, other):
         other = as_field(other)
@@ -111,15 +140,12 @@ class Field:
             return other
         if other.is_zero:
             return self
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) + g(xs), deps=support(self, other),
-                     rule=lambda k: self.d(k) + other.d(k))
+        return _node("add", self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero:
-            return self
-        return Field(lambda xs, f=self.fn: -f(xs), deps=self.deps, rule=lambda k: -self.d(k))
+        return self if self.is_zero else _node("neg", self)
 
     def __sub__(self, other):
         return self + (-as_field(other))
@@ -133,8 +159,7 @@ class Field:
             return ZERO
         if self.const_value == 1.0 or other.const_value == 1.0:
             return other if self.const_value == 1.0 else self
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) * g(xs), deps=support(self, other),
-                     rule=lambda k: self.d(k) * other + self * other.d(k))
+        return _node("mul", self, other)
 
     __rmul__ = __mul__
 
@@ -144,12 +169,70 @@ class Field:
             raise ValueError("division by a field that is identically zero")
         if self.is_zero:
             return ZERO
-        return Field(lambda xs, f=self.fn, g=other.fn: f(xs) / g(xs), deps=support(self, other),
-                     rule=lambda k: (self.d(k) * other - self * other.d(k)) / (other * other))
+        return _node("div", self, other)
 
     def __pow__(self, k):
-        return Field(lambda xs, f=self.fn: f(xs) ** k, deps=self.deps,
-                     rule=lambda i: constant(k) * self ** (k - 1) * self.d(i))
+        return Field(None, self.deps, "pow", (self, k))
+
+
+_SYNTAX = {"add": "{} + {}", "neg": "-{}", "mul": "{} * {}", "div": "{} / {}", "pow": "{} ** {}"}
+
+
+def _node(op, *fields):
+    """The ``op`` node over operand fields; it reads what they read."""
+    fields = tuple(map(as_field, fields))
+    return Field(None, support(*fields), op, fields)
+
+
+def program(fields, shape=None):
+    """One straight-line function of a coordinate list giving the values of
+    ``fields``: a list, nested lists of ``shape`` filled row by row, or with
+    shape () the value of one field.  Each structurally distinct subfield
+    is one line, the operation the graph records on its operands' values,
+    so it is evaluated once per point and every output is exactly its
+    field's value alone, on floats and on duals.
+    """
+    env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp}
+    lines, named, text = [], {}, {}  # text: id(field) -> expression of its value
+
+    def emit(f):
+        """The expression of ``f``'s value, after its operands' lines."""
+        if not isinstance(f, Field):
+            return repr(f)
+        op, args = f.op, f.args
+        if op == "const":
+            return f"({args[0]!r})"
+        if id(f) in text:
+            return text[id(f)]
+        if op == "coord":
+            key = expr = f"xs[{args[0]}]"
+        elif op == "poly":
+            key = expr = " + ".join(["0.0"] + ["".join(
+                [f"({c!r})"] + [f" * xs[{s}]" + (f" ** {p}" if p != 1 else "") for s, p in expo])
+                for c, expo in args[0]])
+        elif op == "call":  # one line per callable, named by its order
+            key, expr = (op, id(args[0])), f"c{len(env)}(xs)"
+        else:
+            key = expr = _SYNTAX.get(op, op + "({})").format(*map(emit, args))
+        if key not in named:
+            if op == "call":
+                env[expr[:-4]] = args[0]
+            named[key] = f"v{len(lines)}"
+            lines.append(f"    {named[key]} = {expr}\n")
+        text[id(f)] = named[key]
+        return named[key]
+
+    out = [emit(f) for f in fields]
+    for width in reversed((len(out),) if shape is None else shape):
+        out = ["[" + ", ".join(out[i : i + width]) + "]" for i in range(0, len(out), width)]
+    exec(_code("def run(xs):\n" + "".join(lines) + f"    return {out[0]}\n"), env)
+    return env["run"]
+
+
+@functools.lru_cache(maxsize=128)
+def _code(source):
+    """Compiled program text, shared by equal programs (it never changes)."""
+    return compile(source, "<fields.program>", "exec")
 
 
 def finite(x, what="a coefficient"):
@@ -161,18 +244,16 @@ def finite(x, what="a coefficient"):
 
 def constant(c):
     c = finite(c)
-    if c == 0.0:
-        return ZERO
-    return Field(lambda xs: c, const_value=c, deps=frozenset(), rule=lambda k: ZERO)
+    return ZERO if c == 0.0 else Field(None, frozenset(), "const", (c,), c)
 
 
-ZERO = Field(lambda xs: 0.0, is_zero=True, const_value=0.0, deps=frozenset(), rule=lambda k: ZERO)
-ONE = Field(lambda xs: 1.0, const_value=1.0, deps=frozenset(), rule=lambda k: ZERO)
+ZERO = Field(None, frozenset(), "const", (0.0,), 0.0)
+ONE = constant(1.0)
 
 
 def coordinate(k):
     """The k-th chart coordinate as a field."""
-    return Field(lambda xs: xs[k], deps=frozenset((k,)), rule=lambda j: ONE)
+    return Field(None, frozenset((k,)), "coord", (k,))
 
 
 def as_field(f):
@@ -183,43 +264,17 @@ def as_field(f):
     raise TypeError(f"cannot treat {f!r} as a field")
 
 
-def _of(fn, outer):
-    """Field constructor applying ``fn``, whose derivative at f is ``outer(f)``
-    (the chain rule)."""
-
-    def of(f):
-        f = as_field(f)
-        return Field(lambda xs, g=f.fn: fn(g(xs)), deps=f.deps,
-                     rule=lambda k: outer(f) * f.d(k))
-
-    return of
-
-
-sin_of = _of(sin, lambda f: cos_of(f))
-cos_of = _of(cos, lambda f: -sin_of(f))
-exp_of = _of(exp, lambda f: exp_of(f))
+sin_of, cos_of, exp_of = (functools.partial(_node, op) for op in ("sin", "cos", "exp"))
+# the chain rule: the derivative of op at f, as a field
+_CHAIN = {"sin": cos_of, "cos": lambda f: -sin_of(f), "exp": exp_of}
 
 
 def polynomial(terms):
     """Sparse multivariate polynomial: ``terms = [(coeff, {slot: power})]``;
     zero powers are dropped, so ``deps`` is the slots with a non-zero power.
     Its partials are polynomials, by the power rule term by term."""
-    cooked = [(finite(c), tuple(sorted((k, p) for k, p in e.items() if p))) for c, e in terms]
-
-    def fn(xs):
-        total = 0.0
-        for c, expo in cooked:
-            t = c
-            for slot, p in expo:
-                t = t * (xs[slot] if p == 1 else xs[slot] ** p)
-            total = total + t
-        return total
-
-    def rule(k):
-        return polynomial([(c * p, {**dict(expo), k: p - 1})
-                           for c, expo in cooked for slot, p in expo if slot == k])
-
-    return Field(fn, deps=frozenset(slot for _, expo in cooked for slot, _ in expo), rule=rule)
+    cooked = tuple((finite(c), tuple(sorted((k, p) for k, p in e.items() if p))) for c, e in terms)
+    return Field(None, frozenset(slot for _, expo in cooked for slot, _ in expo), "poly", (cooked,))
 
 
 _OF_FIELD = {"sin": sin_of, "cos": cos_of, "exp": exp_of}

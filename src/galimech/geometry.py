@@ -17,7 +17,7 @@ metric-compatible connection are minus the usual Christoffel symbols.
 import numpy as np
 
 from . import duals
-from .fields import Field, ZERO, as_field, constant, support
+from .fields import Field, ZERO, as_field, constant, program, support
 from .units import ScaledScalar, DIMENSIONLESS
 
 
@@ -34,7 +34,8 @@ def _sym_key(a, b):
 
 
 class Metric:
-    """Spacelike metric: symmetric positive-definite matrix of fields on E."""
+    """Spacelike metric: symmetric positive-definite matrix of fields on E.
+    Its matrix and its jet are each one :func:`~galimech.fields.program`."""
 
     def __init__(self, chart, entries):
         """``entries`` maps (a, b) with 1 <= a <= b <= n to a Field."""
@@ -49,14 +50,12 @@ class Metric:
                 self._e[(a, b)] = as_field(f)
         self.is_constant = all(f.const_value is not None for f in self._e.values())
         self.deps = support(*self._e.values())
-        self._const_mat = None
+        g = [self.entry(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+        self.mat = program(g, (n, n))
+        self._jet = program(g + [f.d(lam) for lam in range(n + 1) for f in g], (n + 2, n, n))
         self._const_inv = None
         if self.is_constant:
-            m = [
-                [self._e[_sym_key(a, b)].const_value for b in range(1, n + 1)]
-                for a in range(1, n + 1)
-            ]
-            self._const_mat = m
+            m = self.mat(None)  # constant entries read no slot
             try:
                 self._const_inv = np.linalg.inv(np.array(m)).tolist()
             except np.linalg.LinAlgError:
@@ -65,20 +64,11 @@ class Metric:
     def entry(self, a, b):
         return self._e[_sym_key(a, b)]
 
-    def _matrix(self, vals):
-        n = self.chart.n
-        return [[vals[_sym_key(a, b)] for b in range(1, n + 1)] for a in range(1, n + 1)]
-
-    def mat(self, xs):
-        if self._const_mat is not None:
-            return [row[:] for row in self._const_mat]
-        return self._matrix({k: f(xs) for k, f in self._e.items()})
-
-    def partials(self, xs):
-        """[d_lam G for lam = 0..n]: the entries' derivative fields, exact
-        0.0 off their support."""
-        return [self._matrix({k: f.partial((lam,), xs) for k, f in self._e.items()})
-                for lam in range(self.chart.n + 1)]
+    def jet(self, xs):
+        """(G, [d_lam G for lam = 0..n]) at a point, from one pass of one
+        program; a partial off an entry's support is the constant 0.0."""
+        m = self._jet(xs)
+        return m[0], m[1:]
 
     def inv(self, xs):
         if self._const_inv is not None:
@@ -91,13 +81,7 @@ class Metric:
     def norm_sq(self, xs):
         """G(v, v) for the velocity slots v of a phase point."""
         n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        gm = self.mat(xs)
-        out = 0.0
-        for a in range(n):
-            for b in range(n):
-                out = out + gm[a][b] * v[a] * v[b]
-        return out
+        return _quadratic(self.mat(xs), xs[n + 1 : 2 * n + 1])
 
     def check_spd(self, points):
         """Cholesky probe at sample points; raises on failure."""
@@ -109,6 +93,15 @@ class Metric:
                 raise SingularMetricError(
                     f"metric not positive definite at {list(xs)}"
                 ) from None
+
+
+def _quadratic(gm, v):
+    """G(v, v) of a matrix ``gm``."""
+    out = 0.0
+    for a in range(len(v)):
+        for b in range(len(v)):
+            out = out + gm[a][b] * v[a] * v[b]
+    return out
 
 
 def identity_metric(chart):
@@ -205,13 +198,15 @@ class MetricBlocks:
         self.em = em
         self.deps = support(G, *(self.A or ()), *self.phi2.values(), *(time_gauge or ()),
                             *(em._e.values() if em is not None else ()))
+        e = range(G.chart.n + 1)  # da[lam][mu] = d_lam A_mu, a program when A is given
+        self._da = self.A and program([a.d(lam) for lam in e for a in self.A], (len(e), len(e)))
 
     def __call__(self, xs):
         G, A, em = self.G, self.A, self.em
         n = G.chart.n
         ginv = G.inv(xs)
         # dg[lam][h][b] = d_lam G_(h+1)(b+1), None for a constant metric
-        dg = None if G.is_constant else G.partials(xs)
+        dg = None if G.is_constant else G.jet(xs)[1]
 
         def raised(low):
             if not any(low):  # exact float zeros, as for a flat metric
@@ -222,7 +217,7 @@ class MetricBlocks:
             curl = {k: f(xs) for k, f in self.phi2.items()}
             tt = [0.0] * n if self.time_gauge is None else [f(xs) for f in self.time_gauge]
         else:
-            da = [[a.partial((lam,), xs) for a in A] for lam in range(n + 1)]  # d_lam A_mu
+            da = self._da(xs)
             curl = {
                 (a, b): da[a][b] - da[b][a] for a in range(1, n + 1) for b in range(a + 1, n + 1)
             }
@@ -521,19 +516,20 @@ class PoincareCartan:
 
     def theta_spatial(self, a, xs):
         """Component along d^a, a = 1..n."""
+        return self._spatial(a, xs, self.G.mat(xs))
+
+    def _spatial(self, a, xs, gm):
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
-        return (
-            sum(self.G.entry(a, b)(xs) * v[b - 1] for b in range(1, n + 1))
-            + self.A[a](xs)
-        )
+        return sum(gm[a - 1][b] * v[b] for b in range(n)) + self.A[a](xs)
 
     component = theta_spatial
 
     def components(self, xs):
         n = self.chart.n
-        out = [self.theta0(xs)]
-        out += [self.theta_spatial(a, xs) for a in range(1, n + 1)]
+        gm = self.G.mat(xs)
+        out = [-0.5 * _quadratic(gm, xs[n + 1 : 2 * n + 1]) + self.A[0](xs)]
+        out += [self._spatial(a, xs, gm) for a in range(1, n + 1)]
         out += [0.0] * n
         return out
 
@@ -642,6 +638,7 @@ def metric_compat_residual(K, G, xs):
     restriction of a spacetime connection."""
     n = G.chart.n
     kv = K.values(xs)
+    gm, dg = G.jet(xs)
 
     def kval(lam, i, mu):
         return kv[_sym_key(lam, mu)][i - 1]
@@ -650,10 +647,10 @@ def metric_compat_residual(K, G, xs):
     for lam in range(0, n + 1):
         for a in range(1, n + 1):
             for b in range(a, n + 1):
-                r = G.entry(a, b).partial((lam,), xs)
+                r = dg[lam][a - 1][b - 1]
                 for k in range(1, n + 1):
-                    r = r + kval(lam, k, a) * G.entry(k, b)(xs)
-                    r = r + kval(lam, k, b) * G.entry(a, k)(xs)
+                    r = r + kval(lam, k, a) * gm[k - 1][b - 1]
+                    r = r + kval(lam, k, b) * gm[a - 1][k - 1]
                 worst = max(worst, abs(duals.value(r)))
     return worst
 

@@ -13,13 +13,14 @@ the coordinate form of Cartan's identity.  Each formula is cross-checked in
 the tests against a finite-flow pullback oracle (:mod:`galimech.oracles`).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import duals
 from .duals import value
-from .fields import Field, ZERO, as_field, constant, coordinate, support
+from .fields import Field, ZERO, as_field, constant, coordinate, program, support
 from .geometry import (MetricBlocks, _sym_key, gamma00_of, lagrangian_and_momentum, lift_of,
                        motion_row)
 
@@ -68,22 +69,24 @@ class SpacetimeVectorField:
         self.prolong1_values_deps = None if s is None else s | {
             chart.n + k for k in s if 1 <= k <= chart.n}
 
-    def values_e(self, xs):
-        return [self.x0] + [c(xs) for c in self.comps]
+    @functools.cached_property
+    def values_e(self):
+        """The time component and the components at a point."""
+        run = program(self.comps)
+        return lambda xs: [self.x0, *run(xs)]
 
-    def d1(self, xs):
-        """d1[i][lam] = d_lam X^(i+1), lam = 0..n."""
+    @functools.cached_property
+    def d1(self):
+        """d1[i][lam] = d_lam X^(i+1), lam = 0..n, as one program."""
         e = range(self.chart.n + 1)
-        return [[c.partial((lam,), xs) for lam in e] for c in self.comps]
+        return program([c.d(lam) for c in self.comps for lam in e], (self.chart.n, len(e)))
 
-    def d2(self, xs):
-        """d2[i][lam][mu] = d_lam d_mu X^(i+1); each pair is evaluated once."""
+    @functools.cached_property
+    def d2(self):
+        """d2[i][lam][mu] = d_lam d_mu X^(i+1), as one program."""
         e = range(self.chart.n + 1)
-        out = []
-        for c in self.comps:
-            h = {(lam, mu): c.partial((lam, mu), xs) for lam in e for mu in e if lam <= mu}
-            out.append([[h[_sym_key(lam, mu)] for mu in e] for lam in e])
-        return out
+        return program([c.d(min(lam, mu)).d(max(lam, mu)) for c in self.comps for lam in e
+                        for mu in e], (self.chart.n, len(e), len(e)))
 
     def prolong1_values(self, xs):
         """Components of the holonomic lift on phase space."""
@@ -146,7 +149,7 @@ def lie_metric(X, G):
     n = G.chart.n
 
     def at(xs):
-        gm, dgm = G.mat(xs), G.partials(xs)
+        gm, dgm = G.jet(xs)
         xe, d1 = X.values_e(xs), X.d1(xs)
         out = [[0.0] * n for _ in range(n)]
         for a in range(n):
@@ -423,9 +426,14 @@ class SpecialQuadratic:
         self.deps = self.value_deps = support(self.fconst, *quad,
                                               *(f * v for f, v in zip(self.flin, vel)))
 
+    @functools.cached_property
+    def _coefficients(self):
+        return program([self.f0, *self.flin, self.fconst])
+
     def coefficients(self, xs):
         """(f0, [linear coefficients], constant) at the base point of ``xs``."""
-        return self.f0(xs), [f(xs) for f in self.flin], self.fconst(xs)
+        c = self._coefficients(xs)
+        return c[0], c[1:-1], c[-1]
 
     def value(self, xs):
         n = self.chart.n

@@ -35,8 +35,9 @@ from galimech.symmetry import (
     lie_two_form,
     momentum_map,
     noether_charge,
-    poisson_bracket,
+    pair_bracket,
     special_bracket,
+    tau_lift,
     tau_lift_values,
     vector_commutator,
 )
@@ -401,15 +402,9 @@ def test_criterion_13_lift_homomorphism():
         for g in charges[i + 1 :]:
             for tau in (0.0, 1.0):
                 for sigma in (0.0, 1.0):
-                    def hf(xs, fn=f.value, t=tau):
-                        return tau_lift_values(fn, t, model.omega, xs)
-
-                    def hg(xs, fn=g.value, t=sigma):
-                        return tau_lift_values(fn, t, model.omega, xs)
-
-                    def pb(xs, ff=f.value, gg=g.value):
-                        return poisson_bracket(ff, gg, model.omega, xs)
-
+                    hf = tau_lift(f.value, tau, model.omega)
+                    hg = tau_lift(g.value, sigma, model.omega)
+                    pb = pair_bracket((f.value, tau), (g.value, sigma), model.omega)[0]
                     for p in pts:
                         comm = vector_commutator(hf, hg, p)
                         lifted = tau_lift_values(pb, 0.0, model.omega, p)

@@ -159,6 +159,14 @@ def test_derive_json(tmp_path, capsys):
     assert data["lagrangian"] == pytest.approx(0.5 * 1.25)
 
 
+def test_unknown_charge_is_rejected_before_integrating(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.dynamics, "integrate", lambda *a: calls.append(a))
+    code = run_cli(["simulate", "--model", "rigidbody", "--charges", "d0,bogus"])
+    assert code == 3 and calls == []
+    assert "charge_bogus" in capsys.readouterr().err
+
+
 def test_simulate_csv(tmp_path, capsys):
     code = run_cli([
         "simulate", "--model", "free3d", "--x0", "0,0,0", "--v0", "1,0,0",

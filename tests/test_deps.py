@@ -20,6 +20,7 @@ from galimech.fields import (
     exp_of,
     from_config,
     polynomial,
+    program,
     sin_of,
 )
 from galimech.geometry import Metric, MetricBlocks, PhaseTwoForm
@@ -171,6 +172,30 @@ def _assert_sound_nested(undeclared, deps, xs, dim, what=""):
 _BUILDERS = {"random-0": lambda: random_compatible_model(0), "broken-field": nonclosed_field_model}
 
 
+def _exact(x):
+    """A scalar as comparable text: a float or the sorted terms of a dual,
+    so that -0.0, nan and every term must agree."""
+    return repr(sorted(x.terms.items()) if isinstance(x, duals.MultiDual) else x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs, st.integers(0, PHASE_DIM - 1), st.integers(0, PHASE_DIM - 1))
+def test_joint_program_equals_each_field_alone(spec, k, j):
+    f = from_config(spec)
+    fs = [f, f.d(k), f.d(k).d(j)]
+    seeded = list(POINT)
+    seeded[k] = seeded[k] + duals.MultiDual({1: 1.0})
+    seeded[j] = seeded[j] + duals.MultiDual({2: 1.0})
+    for xs in (POINT, seeded):
+        try:
+            alone = [g(xs) for g in fs]
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)):
+                program(fs)(xs)
+            continue
+        assert [_exact(x) for x in program(fs)(xs)] == [_exact(x) for x in alone], spec
+
+
 @pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody", "random-0",
                                   "broken-field"])
 def test_catalog_deps_are_sound(name):
@@ -215,22 +240,21 @@ def test_lift_with_deps_equals_undeclared_lift(name):
 
 
 def test_metric_blocks_seed_only_the_metric_support(rigidbody, monkeypatch):
-    seeded, along = [], set()
+    seeded = []
     for name in ("partial", "partial2", "partial_multi"):
         monkeypatch.setattr(duals, name, lambda *a, o=getattr(duals, name): seeded.append(a) or o(*a))
-    orig_d = Field.d
-
-    def spy(self, k):
-        f = orig_d(self, k)
-        if f is not ZERO:
-            along.add(k)
-        return f
-
-    monkeypatch.setattr(Field, "d", spy)
     xs = rigidbody.sample_phase(1, seed=1)[0]
     rigidbody.K.values(xs)
     assert seeded == []  # the metric entries carry derivative rules
-    assert along == {2, 3}  # theta and psi: t and phi are outside G's support
+    # theta and psi only: t and phi are outside G's support, so the jet's
+    # partials along them are the constant 0.0, a float even at a dual point
+    ys = list(xs)
+    ys[2] = ys[2] + duals.MultiDual({1: 1.0})
+    ys[3] = ys[3] + duals.MultiDual({2: 1.0})
+    _, dg = rigidbody.G.jet(ys)
+    assert all(type(x) is float and x == 0.0 for lam in (0, 1) for row in dg[lam] for x in row)
+    assert all(any(isinstance(x, duals.MultiDual) for row in dg[lam] for x in row)
+               for lam in (2, 3))
 
 
 def test_rigidbody_forms_declare_their_support(rigidbody):
@@ -336,7 +360,7 @@ def test_catalog_field_rules_match_seeded_partials(name):
     fields = list(model.G._e.values()) + list(model.A) + list(model.a_total or [])
     fields += [c for action in model.actions.values() for gen in action.generators
                for c in gen.comps]
-    assert all(f.rule is not None for f in fields), name
+    assert all(f.op != "call" for f in fields), name  # each carries a derivative rule
     for k, f in enumerate(fields):
         _assert_rules_match_seeded(f, xs, model.chart.dim_phase, what=(name, k))
 
@@ -346,7 +370,7 @@ def test_field_derivatives_are_built_once():
     assert f.d(1) is f.d(1) and f.d(2).d(1) is f.d(2).d(1)
     assert f.d(0) is ZERO and coordinate(1).d(1).const_value == 1.0
     bare = Field(lambda xs: xs[0] * xs[1])
-    assert bare.rule is None and bare.d(0).partial((), [2.0, 3.0]) == 3.0
+    assert bare.op == "call" and bare.d(0).partial((), [2.0, 3.0]) == 3.0
 
 
 def test_tau_lift_inverts_the_metric_once(rigidbody, monkeypatch):

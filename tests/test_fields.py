@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from galimech.fields import (
     sample_points,
     sin_of,
 )
+from galimech.catalog import load_model
 from galimech.oracles import fd_oracle
+from galimech.symmetry import check_equivalences
 
 
 def test_chart_indexing():
@@ -162,3 +166,36 @@ def test_zero_shortcuts():
     assert f is not ZERO
     assert (ZERO * coordinate(1)).is_zero
     assert value((coordinate(1) - coordinate(1))([0.0, 2.0])) == 0.0
+
+
+def test_programs_built_under_contention_match_serial():
+    # each thread evaluates every generator of one fresh model, starting at a
+    # different one, so the lazily compiled programs are built concurrently
+    def run(m, first):
+        gens = m.actions["rotations"].generators
+        pts = [m.sample_e(2, 4), m.sample_phase(2, 4), m.sample_te(2, 4), m.sample_j2(2, 4)]
+        order = gens[first:] + gens[:first]
+        res = {X.label: check_equivalences(m, X, *pts).residuals for X in order}
+        return res, [m.dyn.gamma00_values(p) for p in pts[1]]
+
+    serial = run(load_model("rigidbody"), 0)
+    model = load_model("rigidbody")
+    threaded = [None] * 3
+    start = threading.Barrier(3)
+
+    def work(i):
+        start.wait(timeout=60)
+        threaded[i] = run(model, i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == [serial] * 3

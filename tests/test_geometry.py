@@ -277,6 +277,21 @@ def test_one_metric_inverse_per_acceleration(monkeypatch):
         assert len(calls) == 1
 
 
+def test_metric_jet_evaluates_each_trig_leaf_once(monkeypatch):
+    # rigidbody's metric reads sin and cos of theta and psi: four values
+    calls = []
+    for name in ("sin", "cos"):
+        monkeypatch.setattr(duals, name, lambda x, o=getattr(duals, name): calls.append(1) or o(x))
+    model = load_model("rigidbody")
+    for xs in model.sample_e(3, seed=1):
+        ys = list(xs)
+        ys[2] = ys[2] + duals.MultiDual({1: 1.0})
+        for point in (xs, ys):
+            calls.clear()
+            model.G.jet(point)
+            assert len(calls) <= 4
+
+
 def test_spd_probe():
     chart = Chart(2)
     G = Metric(chart, {
