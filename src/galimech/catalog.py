@@ -99,7 +99,7 @@ class Model:
             for mu in range(lam + 1, n + 1):
                 for xs in points:
                     da = as_field(a[mu]).partial((lam,), xs) - as_field(a[lam]).partial((mu,), xs)
-                    f = self.em.value(lam, mu, xs)
+                    f = self.em.entry(lam, mu)(xs)
                     if abs(da - f) > 1e-9 * (1.0 + abs(f)):
                         raise ModelError(
                             f"electromagnetic potential does not match the field "

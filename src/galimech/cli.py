@@ -14,6 +14,7 @@ codes: 0 all checks pass, 2 a symmetry or consistency check failed,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -531,7 +532,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process (parsing does not change it)."""
     p = _Parser(
         prog="galimech",
         description="Covariant Galilean mechanics on charts: derived structure, "
@@ -621,6 +624,9 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"error: {command}: a field is singular or overflows at a sample point ({exc})",
               file=sys.stderr)
+        return 3
+    except RecursionError:
+        print(f"error: {command}: a field is nested too deeply", file=sys.stderr)
         return 3
     except (NotASymmetryError, ClassifyError, geometry.SingularMetricError,
             geometry.SingularOmegaError, dynamics.IntegrationError) as exc:

@@ -193,20 +193,6 @@ def exp(x):
     return _series(x, [e] * (_order(x) + 1))
 
 
-def sqrt(x):
-    if not isinstance(x, MultiDual):
-        return math.sqrt(x)
-    a = x.terms.get(0, 0.0)
-    r = math.sqrt(a)
-    k = _order(x)
-    derivs = [r]
-    coef = 0.5
-    for j in range(1, k + 1):
-        derivs.append(coef * r / a**j)
-        coef *= 0.5 - j
-    return _series(x, derivs)
-
-
 def _take(x, bit):
     """Coefficient of eps_bit: terms containing the bit, with the bit dropped."""
     if not isinstance(x, MultiDual):

@@ -11,6 +11,7 @@ once per point, on floats and on dual numbers alike.
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -54,13 +55,15 @@ class Field:
     """A smooth scalar function of chart coordinates, as an expression graph.
 
     ``op`` names the operation on ``args``: "add", "mul", "div", "neg",
-    "sin", "cos", "exp" of fields and "pow" of a field and an integer; the
-    leaves are "const", "coord", "poly" and "call", the bare callable of
-    ``Field(fn)`` in generic scalar arithmetic.  A field evaluates as its
-    one-field :func:`program` ``fn``.  ``const_value`` marks constants;
-    ``deps`` is the set of slots the field may read (None: unknown, so all).
-    Each operation has a derivative rule (:meth:`d`); a bare callable is
-    differentiated by a seeded dual pass.
+    "sin", "cos", "exp" of fields, "pow" of a field and an integer and
+    "matvec" (:func:`matvec`); the leaves are "const", "coord", "poly" and
+    "call", the bare callable of ``Field(fn)`` in generic scalar arithmetic.
+    A field evaluates as its one-field :func:`program` ``fn``.
+    ``const_value`` marks constants; an operation on constants is folded
+    into one when it is built.  ``deps`` is the set of slots the field may
+    read (None: unknown, so all).  Each operation has a derivative rule
+    (:meth:`d`); a bare callable and a matvec node are differentiated by a
+    seeded dual pass.
     """
 
     __slots__ = ("op", "args", "const_value", "deps", "_d", "_fn")
@@ -94,7 +97,7 @@ class Field:
         if f is None:
             if self.deps is not None and k not in self.deps:
                 f = ZERO
-            elif self.op == "call":
+            elif self.op in ("call", "matvec"):
                 f = Field(lambda xs: duals.partial(self, xs, k), self.deps)
             else:
                 f = self._rule(k)
@@ -172,27 +175,58 @@ class Field:
         return _node("div", self, other)
 
     def __pow__(self, k):
-        return Field(None, self.deps, "pow", (self, k))
+        folded = _folded(operator.pow, self.const_value, k)
+        return folded or Field(None, self.deps, "pow", (self, k))
 
 
 _SYNTAX = {"add": "{} + {}", "neg": "-{}", "mul": "{} * {}", "div": "{} / {}", "pow": "{} ** {}"}
+_FOLD = {"add": operator.add, "neg": operator.neg, "mul": operator.mul, "div": operator.truediv,
+         "sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+
+def _folded(fn, *consts):
+    """The constant ``fn(*consts)``, or None when an operand is not constant
+    (None) or the value is not finite: such an operation stays a node and
+    fails, if it does, where it is evaluated."""
+    if None in consts:
+        return None
+    try:
+        c = fn(*consts)
+    except ArithmeticError:
+        return None
+    return constant(c) if math.isfinite(c) else None
 
 
 def _node(op, *fields):
     """The ``op`` node over operand fields; it reads what they read."""
     fields = tuple(map(as_field, fields))
-    return Field(None, support(*fields), op, fields)
+    folded = _folded(_FOLD[op], *(f.const_value for f in fields))
+    return folded or Field(None, support(*fields), op, fields)
+
+
+def matvec(m, vec):
+    """The fields sum_h M[i][h] vec[h] of a matrix-valued callable ``m`` of
+    the point, which declares its ``deps``.  A program calls ``m`` once per
+    point, on the line a bare ``Field(m)`` output would use, and multiplies
+    each distinct vector by it in one line.  A zero vector gives zeros."""
+    vec = tuple(map(as_field, vec))
+    if all(f.is_zero for f in vec):
+        return [ZERO] * len(vec)
+    mat = Field(m, m.deps)
+    return [Field(None, support(mat, *vec), "matvec", (mat, vec, i)) for i in range(len(vec))]
 
 
 def program(fields, shape=None):
     """One straight-line function of a coordinate list giving the values of
-    ``fields``: a list, nested lists of ``shape`` filled row by row, or with
-    shape () the value of one field.  Each structurally distinct subfield
+    ``fields``: a list, nested lists of ``shape`` filled row by row, with
+    shape () the value of one field, or for a dict of lists of fields the
+    same dict of lists of values.  Each structurally distinct subfield
     is one line, the operation the graph records on its operands' values,
     so it is evaluated once per point and every output is exactly its
     field's value alone, on floats and on duals.
     """
-    env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp}
+    env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp,
+           "matvec": lambda m, v: [sum(row[h] * v[h] for h in range(len(v))) for row in m]}
     lines, named, text = [], {}, {}  # text: id(field) -> expression of its value
 
     def emit(f):
@@ -212,6 +246,8 @@ def program(fields, shape=None):
                 for c, expo in args[0]])
         elif op == "call":  # one line per callable, named by its order
             key, expr = (op, id(args[0])), f"c{len(env)}(xs)"
+        elif op == "matvec":  # one line per matrix and vector, read entry by entry
+            key = expr = f"matvec({emit(args[0])}, [{', '.join(map(emit, args[1]))}])"
         else:
             key = expr = _SYNTAX.get(op, op + "({})").format(*map(emit, args))
         if key not in named:
@@ -219,12 +255,16 @@ def program(fields, shape=None):
                 env[expr[:-4]] = args[0]
             named[key] = f"v{len(lines)}"
             lines.append(f"    {named[key]} = {expr}\n")
-        text[id(f)] = named[key]
-        return named[key]
+        text[id(f)] = named[key] + (f"[{args[2]}]" if op == "matvec" else "")
+        return text[id(f)]
 
-    out = [emit(f) for f in fields]
-    for width in reversed((len(out),) if shape is None else shape):
-        out = ["[" + ", ".join(out[i : i + width]) + "]" for i in range(0, len(out), width)]
+    if isinstance(fields, dict):
+        out = ["{" + ", ".join(f"{k!r}: [{', '.join(map(emit, fs))}]"
+                               for k, fs in fields.items()) + "}"]
+    else:
+        out = [emit(f) for f in fields]
+        for width in reversed((len(out),) if shape is None else shape):
+            out = ["[" + ", ".join(out[i : i + width]) + "]" for i in range(0, len(out), width)]
     exec(_code("def run(xs):\n" + "".join(lines) + f"    return {out[0]}\n"), env)
     return env["run"]
 
@@ -274,7 +314,11 @@ def polynomial(terms):
     zero powers are dropped, so ``deps`` is the slots with a non-zero power.
     Its partials are polynomials, by the power rule term by term."""
     cooked = tuple((finite(c), tuple(sorted((k, p) for k, p in e.items() if p))) for c, e in terms)
-    return Field(None, frozenset(slot for _, expo in cooked for slot, _ in expo), "poly", (cooked,))
+    # with no non-zero power it is the constant of its terms, added up as evaluated
+    folded = _folded(lambda *cs: functools.reduce(operator.add, cs, 0.0),
+                     *(None if expo else c for c, expo in cooked))
+    deps = frozenset(slot for _, expo in cooked for slot, _ in expo)
+    return folded or Field(None, deps, "poly", (cooked,))
 
 
 _OF_FIELD = {"sin": sin_of, "cos": cos_of, "exp": exp_of}

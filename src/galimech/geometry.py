@@ -14,10 +14,12 @@ acceleration is a *plus* contraction, i.e. the spatial coefficients of a
 metric-compatible connection are minus the usual Christoffel symbols.
 """
 
+import functools
+
 import numpy as np
 
 from . import duals
-from .fields import Field, ZERO, as_field, constant, program, support
+from .fields import Field, ZERO, as_field, constant, matvec, program, support
 from .units import ScaledScalar, DIMENSIONLESS
 
 
@@ -35,7 +37,10 @@ def _sym_key(a, b):
 
 class Metric:
     """Spacelike metric: symmetric positive-definite matrix of fields on E.
-    Its matrix and its jet are each one :func:`~galimech.fields.program`."""
+    Its matrix and its jet are each one :func:`~galimech.fields.program`.
+    ``inverse`` is G^-1 as a callable of the point for programs
+    (:func:`~galimech.fields.matvec`); it looks :meth:`inv` up at each call.
+    """
 
     def __init__(self, chart, entries):
         """``entries`` maps (a, b) with 1 <= a <= b <= n to a Field."""
@@ -48,13 +53,13 @@ class Metric:
                 if f is None:
                     raise ValueError(f"metric diagonal entry ({a},{a}) missing")
                 self._e[(a, b)] = as_field(f)
-        self.is_constant = all(f.const_value is not None for f in self._e.values())
         self.deps = support(*self._e.values())
-        g = [self.entry(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-        self.mat = program(g, (n, n))
-        self._jet = program(g + [f.d(lam) for lam in range(n + 1) for f in g], (n + 2, n, n))
+        self._g = [self.entry(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+        self.mat = program(self._g, (n, n))
+        self.inverse = lambda xs: self.inv(xs)
+        self.inverse.deps = self.deps
         self._const_inv = None
-        if self.is_constant:
+        if all(f.const_value is not None for f in self._e.values()):
             m = self.mat(None)  # constant entries read no slot
             try:
                 self._const_inv = np.linalg.inv(np.array(m)).tolist()
@@ -64,9 +69,15 @@ class Metric:
     def entry(self, a, b):
         return self._e[_sym_key(a, b)]
 
+    @functools.cached_property
+    def _jet(self):
+        n, g = self.chart.n, self._g
+        return program(g + [f.d(lam) for lam in range(n + 1) for f in g], (n + 2, n, n))
+
     def jet(self, xs):
         """(G, [d_lam G for lam = 0..n]) at a point, from one pass of one
-        program; a partial off an entry's support is the constant 0.0."""
+        program compiled on first use; a partial off an entry's support is
+        the constant 0.0."""
         m = self._jet(xs)
         return m[0], m[1:]
 
@@ -116,31 +127,22 @@ def _with_velocities(deps, n):
     return None if deps is None else deps | frozenset(range(n + 1, 2 * n + 1))
 
 
-def _field_blocks(sym):
-    """Evaluator of a coefficient set given by fields {(lam, mu): [n fields]};
-    its ``deps`` is the union of theirs."""
-
-    def blocks(xs):
-        return {k: [f(xs) for f in fs] for k, fs in sym.items()}
-
-    blocks.deps = support(*(f for fs in sym.values() for f in fs))
-    return blocks
-
-
 class _Coefficients:
     """One coefficient record of a connection, shared by the three
     connections in bijection (spacetime, phase, second-order).
 
     ``sym`` maps (lam, mu) with lam <= mu to n fields (component index
     i = 1..n), the K[lam][i][mu] of a dt-preserving torsion-free connection
-    with its (lam, mu) symmetry shared structurally; ``blocks`` evaluates the
-    whole record in one pass, returning {(lam, mu): [n values]} at a point.
-    The correspondence maps hand both on unchanged, so the classes differ
-    only in how they read them.  When ``blocks`` is given the fields are
-    per-component views of it; otherwise the fields are evaluated.
+    with its (lam, mu) symmetry shared structurally.  A metric record keeps
+    its metric ``G`` and lowered vectors ``low`` too: ``sym`` is ``low``
+    raised by one :func:`~galimech.fields.matvec` by ``G.inverse`` each.
+    ``blocks`` evaluates the record as one program of the ``sym`` fields,
+    compiled on first use: {(lam, mu): [n values]} at a point, for a metric
+    record a :class:`RaisedBlocks`.  The correspondence maps hand the record
+    on unchanged (:meth:`read_as`); the classes differ only in reading it.
     """
 
-    def __init__(self, chart, sym, blocks=None):
+    def __init__(self, chart, sym, G=None, low=None):
         self.chart = chart
         n = chart.n
         self.sym = {
@@ -148,7 +150,31 @@ class _Coefficients:
             for lam in range(0, n + 1)
             for mu in range(lam, n + 1)
         }
-        self.blocks = blocks or _field_blocks(self.sym)
+        self.G, self.low = G, low
+        self.deps = support(*(f for fs in self.sym.values() for f in fs))
+
+    def read_as(self, cls):
+        """This record read as a ``cls`` connection: the two share one state,
+        so also the program compiled for either."""
+        other = object.__new__(cls)
+        other.__dict__ = self.__dict__
+        return other
+
+    @functools.cached_property
+    def blocks(self):
+        """The record's program, compiled on first use."""
+        if self.G is None:
+            run = program(self.sym)
+        else:
+            raw = program({**self.sym, "ginv": [Field(self.G.inverse, self.G.deps)]})
+
+            def run(xs):
+                out = RaisedBlocks(raw(xs))
+                out.ginv = out.pop("ginv")[0]
+                return out
+
+        run.deps = self.deps
+        return run
 
 
 class SpacetimeConnection(_Coefficients):
@@ -174,109 +200,34 @@ class RaisedBlocks(dict):
     __slots__ = ("ginv",)
 
 
-class MetricBlocks:
-    """One-pass evaluator of a metric-compatible connection.
+def _raised(G, low):
+    """The metric record of G with lowered vectors ``low``."""
+    return SpacetimeConnection(G.chart, {k: matvec(G.inverse, v) for k, v in low.items()}, G, low)
 
-    At a point it returns every coefficient block {(lam, mu): [n values]}
-    from one metric inverse and the first partials of the metric and of
-    the gauge potential A, read off their fields' derivative rules
-    (:meth:`Field.d`).  The gauge part is read from dA: its spatial curl fixes the
-    antisymmetric part of the lowered time-space blocks, and
-    d_a A_0 - d_0 A_a, raised by the same inverse, is the time-time block.
-    Without A, the explicit gauge fields ``phi2`` and ``time_gauge`` of
-    :func:`metric_connection` are read once per point instead.  ``em`` is a
-    minimally coupled field, whose (q/m)-scaled raised entries enter the
-    time-space blocks at half weight and the time-time block at full weight.
-    ``deps`` is the union of the inputs' supports.
+
+def metric_connection(chart, G, A=None):
+    """Metric-compatible connection of the metric G and a spacetime 1-form
+    potential ``A`` (n+1 fields, default zero), chosen so the derived
+    two-form is exact.  Its lowered vectors come from the derivative rules
+    of G and A: -(d_a G_hb + d_b G_ha - d_h G_ab)/2 for the spatial blocks;
+    -d_0 G_hb/2 plus half the curl d_h A_b - d_b A_h for the time-space
+    blocks; d_h A_0 - d_0 A_h for the time-time block.
     """
-
-    def __init__(self, G, A=None, phi2=None, time_gauge=None, em=None):
-        self.G = G
-        self.A = None if A is None or all(a.is_zero for a in A) else A
-        self.phi2 = phi2 or {}
-        self.time_gauge = time_gauge
-        self.em = em
-        self.deps = support(G, *(self.A or ()), *self.phi2.values(), *(time_gauge or ()),
-                            *(em._e.values() if em is not None else ()))
-        e = range(G.chart.n + 1)  # da[lam][mu] = d_lam A_mu, a program when A is given
-        self._da = self.A and program([a.d(lam) for lam in e for a in self.A], (len(e), len(e)))
-
-    def __call__(self, xs):
-        G, A, em = self.G, self.A, self.em
-        n = G.chart.n
-        ginv = G.inv(xs)
-        # dg[lam][h][b] = d_lam G_(h+1)(b+1), None for a constant metric
-        dg = None if G.is_constant else G.jet(xs)[1]
-
-        def raised(low):
-            if not any(low):  # exact float zeros, as for a flat metric
-                return [0.0] * n
-            return [sum(ginv[i][h] * low[h] for h in range(n)) for i in range(n)]
-
-        if A is None:
-            curl = {k: f(xs) for k, f in self.phi2.items()}
-            tt = [0.0] * n if self.time_gauge is None else [f(xs) for f in self.time_gauge]
-        else:
-            da = self._da(xs)
-            curl = {
-                (a, b): da[a][b] - da[b][a] for a in range(1, n + 1) for b in range(a + 1, n + 1)
-            }
-            tt = raised([da[a][0] - da[0][a] for a in range(1, n + 1)])
-
-        out = RaisedBlocks()
-        out.ginv = ginv
-        for a in range(1, n + 1):
-            for b in range(a, n + 1):
-                out[(a, b)] = [0.0] * n if dg is None else raised([
-                    -0.5 * (dg[a][h - 1][b - 1] + dg[b][h - 1][a - 1] - dg[h][a - 1][b - 1])
-                    for h in range(1, n + 1)
-                ])
-        for b in range(1, n + 1):
-            low = []
-            for h in range(1, n + 1):
-                v = 0.0 if dg is None else -0.5 * dg[0][h - 1][b - 1]
-                key = _sym_key(h, b)
-                if key in curl and h != b:
-                    sgn = 1.0 if h < b else -1.0
-                    v = v + 0.5 * sgn * curl[key]
-                if em is not None:
-                    v = v + 0.5 * em.coupling * em.value(h, b, xs)
-                low.append(v)
-            out[(0, b)] = raised(low)
-        if em is not None:
-            f0 = raised([em.coupling * em.value(h, 0, xs) for h in range(1, n + 1)])
-            tt = [t + f for t, f in zip(tt, f0)]
-        out[(0, 0)] = tt
-        return out
-
-
-def _derived_connection(chart, blocks):
-    """Spacetime connection of an evaluator, with per-component views."""
     n = chart.n
-    views = {
-        (lam, mu): [Field(lambda xs, k=(lam, mu), i=i: blocks(xs)[k][i], deps=blocks.deps)
-                    for i in range(n)]
-        for lam in range(0, n + 1)
-        for mu in range(lam, n + 1)
-    }
-    return SpacetimeConnection(chart, views, blocks)
+    sp = range(1, n + 1)
+    A = [ZERO] * (n + 1) if A is None else [as_field(a) for a in A]
+    g, half = G.entry, constant(0.5)
 
+    def curl(a, b):  # d_a A_b - d_b A_a
+        return A[b].d(a) - A[a].d(b)
 
-def metric_connection(chart, G, phi2=None, time_gauge=None, A=None):
-    """Metric-compatible connection.
-
-    The spatial block and the symmetric time part are determined by the
-    metric.  The gauge part comes from a spacetime 1-form potential ``A``
-    (n+1 fields), chosen so the derived two-form is exact, or else from
-    explicit fields: ``phi2`` (antisymmetric spatial fields, entered as a
-    dict {(a, b): Field} for a < b) fixes the antisymmetric part of the
-    lowered time-space coefficients, and ``time_gauge`` (n fields, raised
-    index) fixes the time-time coefficients.  All default to zero.
-    """
-    phi2 = {k: as_field(f) for k, f in (phi2 or {}).items() if not as_field(f).is_zero}
-    if time_gauge is not None:
-        time_gauge = [as_field(f) for f in time_gauge]
-    return _derived_connection(chart, MetricBlocks(G, A, phi2, time_gauge))
+    low = {(a, b): [constant(-0.5) * (g(h, b).d(a) + g(h, a).d(b) - g(a, b).d(h)) for h in sp]
+           for a in sp for b in range(a, n + 1)}
+    for b in sp:
+        low[(0, b)] = [constant(-0.5) * g(h, b).d(0) + (
+            half * curl(h, b) if h < b else -half * curl(b, h) if h > b else ZERO) for h in sp]
+    low[(0, 0)] = [A[0].d(h) - A[h].d(0) for h in sp]
+    return _raised(G, low)
 
 
 class PhaseConnection(_Coefficients):
@@ -324,11 +275,11 @@ def gamma00_of(kv, v):
 
 
 def phase_from_spacetime(K):
-    return PhaseConnection(K.chart, K.sym, K.blocks)
+    return K.read_as(PhaseConnection)
 
 
 def spacetime_from_phase(gamma):
-    return SpacetimeConnection(gamma.chart, gamma.sym, gamma.blocks)
+    return gamma.read_as(SpacetimeConnection)
 
 
 class DynamicalConnection(_Coefficients):
@@ -346,11 +297,11 @@ class DynamicalConnection(_Coefficients):
 
 
 def dynamical_from_phase(gamma):
-    return DynamicalConnection(gamma.chart, gamma.sym, gamma.blocks)
+    return gamma.read_as(DynamicalConnection)
 
 
 def phase_from_dynamical(dyn):
-    return PhaseConnection(dyn.chart, dyn.sym, dyn.blocks)
+    return dyn.read_as(PhaseConnection)
 
 
 class EMField:
@@ -380,15 +331,6 @@ class EMField:
             return self._e.get((lam, mu), ZERO)
         return -self._e.get((mu, lam), ZERO)
 
-    def value(self, lam, mu, xs):
-        if lam == mu:
-            return 0.0
-        sgn = 1.0
-        if lam > mu:
-            lam, mu, sgn = mu, lam, -1.0
-        f = self._e.get((lam, mu))
-        return 0.0 if f is None else sgn * f(xs)
-
 
 class Observer:
     """Section of the phase bundle: n velocity fields on E."""
@@ -414,7 +356,7 @@ class PhaseTwoForm:
         self.G = G
         self.conn = gamma_conn
         self.dyn = dynamical_from_phase(gamma_conn)
-        self.matrix_deps = _with_velocities(support(G, gamma_conn.blocks), G.chart.n)
+        self.matrix_deps = _with_velocities(support(G, gamma_conn), G.chart.n)
 
     def matrix(self, xs):
         n = self.chart.n
@@ -464,19 +406,23 @@ class PhaseTwoForm:
 def minimal_coupling(omega, em):
     """Total structure absorbing an electromagnetic field.
 
-    Returns the two-form of the total connection, whose time-space and
-    time-time coefficients pick up the raised field entries scaled by
-    q/(2m) and q/m respectively.  Entrywise the evaluation matrix equals
-    the matrix of ``omega`` plus the (q/m)-scaled field embedded in the
-    spacetime block.  ``omega`` must come from a metric connection.
+    Returns the two-form of the total connection, whose lowered time-space
+    and time-time vectors pick up the field entries scaled by q/(2m) and
+    q/m respectively before they are raised.  Entrywise the evaluation
+    matrix equals the matrix of ``omega`` plus the (q/m)-scaled field
+    embedded in the spacetime block.  ``omega`` must come from a metric
+    connection.
     """
     if em is None or em.coupling == 0.0 or not em._e:
         return omega
-    nat = omega.conn.blocks
-    if not isinstance(nat, MetricBlocks):
+    low, c = omega.conn.low, em.coupling
+    if low is None:
         raise TypeError("minimal coupling needs the two-form of a metric connection")
-    total = MetricBlocks(nat.G, nat.A, nat.phi2, nat.time_gauge, em)
-    return PhaseTwoForm(omega.G, phase_from_spacetime(_derived_connection(omega.chart, total)))
+    sp = range(1, omega.chart.n + 1)
+    low = {**low, (0, 0): [v + constant(c) * em.entry(h, 0) for h, v in zip(sp, low[(0, 0)])]}
+    for b in sp:
+        low[(0, b)] = [v + constant(0.5 * c) * em.entry(h, b) for h, v in zip(sp, low[(0, b)])]
+    return PhaseTwoForm(omega.G, phase_from_spacetime(_raised(omega.conn.G, low)))
 
 
 def motion_row(G, dyn, xs, accel):

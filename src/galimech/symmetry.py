@@ -21,8 +21,7 @@ import numpy as np
 from . import duals
 from .duals import value
 from .fields import Field, ZERO, as_field, constant, coordinate, program, support
-from .geometry import (MetricBlocks, _sym_key, gamma00_of, lagrangian_and_momentum, lift_of,
-                       motion_row)
+from .geometry import _sym_key, gamma00_of, lagrangian_and_momentum, lift_of, motion_row
 
 
 TOL_PASS = 1e-9
@@ -308,7 +307,7 @@ def lie_euler_lagrange(X, G, dyn, j2_xs):
     def e_row(j2):
         return motion_row(G, dyn, j2[: 2 * n + 1], j2[2 * n + 1 : 3 * n + 1])
 
-    s = support(G, dyn.blocks)
+    s = support(G, dyn)
     e_row.deps = None if s is None else s | frozenset(range(n + 1, 3 * n + 1))
     e0, d_e = e_row(j2_xs), duals.grad(e_row, j2_xs)
     d1, d2 = X.d1(j2_xs), X.d2(j2_xs)
@@ -572,10 +571,9 @@ def tau_lift_values(fn, tau, omega, xs):
     """
     chart = omega.chart
     n = chart.n
-    blocks = omega.conn.blocks
-    kv = blocks(xs)
+    kv = omega.conn.blocks(xs)
     # omega's own metric connection hands over the inverse that raised its blocks
-    ginv = kv.ginv if isinstance(blocks, MetricBlocks) and blocks.G is omega.G else omega.G.inv(xs)
+    ginv = kv.ginv if omega.conn.G is omega.G else omega.G.inv(xs)
     gmat = omega.G.mat(xs)
     v = xs[n + 1 : 2 * n + 1]
     gl = lift_of(kv, v)
@@ -694,7 +692,7 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
         keys = [(h, k) for h in range(n) for k in range(h, n)]
         quad = dict(zip(keys, coeffs))
         lin, const = coeffs[len(keys) : len(keys) + n], coeffs[len(keys) + n]
-        ginv = duals.invert_generic(G.mat(base + [0.0] * n))
+        ginv = G.inv(base)
         tr = 0.0
         for h in range(n):
             for k in range(n):

@@ -55,7 +55,7 @@ def test_config_round_trip(tmp_path):
     assert m.name == "uniform-field"
     # field entry echoed through the derivation
     p = [0.0, 0.1, 0.2, 0.3]
-    assert value(m.em.value(1, 2, p)) == 2.5
+    assert value(m.em.entry(1, 2)(p)) == 2.5
     assert m.theta is not None
 
 
@@ -464,6 +464,24 @@ def test_a_field_singular_at_a_sample_point_names_the_command(capsys):
                         "--points", "2"], capsys)
     assert err == ("error: check-symmetry: a field is singular or overflows at a sample point "
                    "(float division by zero)\n")
+
+
+def test_deeply_nested_config_field_is_input_error(tmp_path, capsys):
+    term = {"kind": "polynomial", "coeffs": [[1e-4, [1, 2]]]}
+    entry = {"kind": "sum", "terms": [{"kind": "constant", "value": 2.0}] + [term] * 700}
+    err = _config_error(tmp_path, capsys, {"n": 2, "metric": {"entries": {"1,1": entry}}})
+    assert err == "error: derive: a field is nested too deeply\n"
+
+
+def test_deeply_nested_field_expression_is_input_error(capsys):
+    field = "(" + " + ".join(["x1"] * 900) + ") d1"
+    err = _input_error(["check-symmetry", "--model", "free3d", "--field", field,
+                        "--points", "1"], capsys)
+    assert err == "error: check-symmetry: a field is nested too deeply\n"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_singular_constant_metric_is_a_check_failure(tmp_path, capsys):

@@ -23,7 +23,7 @@ from galimech.fields import (
     program,
     sin_of,
 )
-from galimech.geometry import Metric, MetricBlocks, PhaseTwoForm
+from galimech.geometry import Metric, PhaseTwoForm
 from galimech.symmetry import (
     SpacetimeVectorField,
     SpecialQuadratic,
@@ -311,9 +311,9 @@ def test_bound_charge_value_declares_the_charge_support(free3d, monkeypatch):
 
 def test_tau_lift_evaluates_the_connection_once(rigidbody, monkeypatch):
     calls = []
-    orig = MetricBlocks.__call__
-    monkeypatch.setattr(MetricBlocks, "__call__",
-                        lambda self, xs: calls.append(1) or orig(self, xs))
+    conn = rigidbody.omega.conn
+    orig = conn.blocks
+    monkeypatch.setattr(conn, "blocks", lambda xs: calls.append(1) or orig(xs))
     charge = named_charges(rigidbody)["charge_Rz"]
     tau_lift_values(charge, 0.0, rigidbody.omega, rigidbody.sample_phase(1, seed=2)[0])
     assert len(calls) == 1

@@ -70,16 +70,6 @@ def test_power_matches_repeated_multiplication(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sqrt():
-    def f(xs):
-        return duals.sqrt(xs[0] * xs[0] + xs[1])
-
-    p = [1.2, 0.5]
-    r = math.sqrt(1.2 ** 2 + 0.5)
-    assert abs(partial(f, p, 0) - 1.2 / r) < 1e-13
-    assert abs(partial2(f, p, 1, 1) - (-0.25 / r ** 3)) < 1e-13
-
-
 def test_nesting_gives_third_order_info():
     # derivative of a derivative: d/dx (d/dy f) computed by nesting engine calls
     def inner(xs):

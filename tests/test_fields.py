@@ -168,6 +168,16 @@ def test_zero_shortcuts():
     assert value((coordinate(1) - coordinate(1))([0.0, 2.0])) == 0.0
 
 
+def test_operations_on_constants_fold():
+    assert (constant(2) * constant(3)).const_value == 6.0
+    assert polynomial([(1.5, {1: 0}), (0.25, {})]).const_value == 1.75
+    assert polynomial([(1.5, {1: 0})]).d(1) is ZERO
+    assert (sin_of(constant(0.5)) - constant(0.5) ** 2).const_value == math.sin(0.5) - 0.25
+    # a value that is not finite stays an operation, to fail where it is evaluated
+    assert (constant(1e300) * constant(1e300)).op == "mul"
+    assert (constant(0.0) ** -1).op == "pow"
+
+
 def test_programs_built_under_contention_match_serial():
     # each thread evaluates every generator of one fresh model, starting at a
     # different one, so the lazily compiled programs are built concurrently

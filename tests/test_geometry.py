@@ -35,7 +35,7 @@ from galimech.geometry import (
     zero_connection,
 )
 from galimech.units import CHARGE, MASS, ScaledScalar
-from tests_support import nonmetric_two_form, random_compatible_model
+from tests_support import explicit_connection, nonmetric_two_form, random_compatible_model
 
 
 def random_connection(chart, rng):
@@ -140,22 +140,6 @@ def test_metric_connection_time_derivative_example():
     assert lowered == pytest.approx(-c / 2, abs=1e-13)
 
 
-def test_metric_connection_gauge_inputs():
-    chart = Chart(2)
-    G = identity_metric(chart)
-    phi2 = {(1, 2): constant(0.6)}
-    tg = [constant(0.1), constant(-0.2)]
-    K = metric_connection(chart, G, phi2=phi2, time_gauge=tg)
-    p = [0.0, 0.0, 0.0]
-    # antisymmetric part of the lowered time-space block is phi2/2
-    k012 = value(K.entry(0, 1, 2)(p))
-    k021 = value(K.entry(0, 2, 1)(p))
-    assert k012 - k021 == pytest.approx(0.6, abs=1e-14)
-    assert value(K.entry(0, 1, 0)(p)) == 0.1
-    # torsion symmetry is structural
-    assert K.entry(0, 1, 2) is K.entry(2, 1, 0)
-
-
 def test_metric_compatibility_holds_for_any_gauge():
     chart = Chart(2)
     G = Metric(chart, {
@@ -163,10 +147,15 @@ def test_metric_compatibility_holds_for_any_gauge():
         (2, 2): constant(2.0) + constant(0.3) * coordinate(0),
         (1, 2): constant(0.2) * coordinate(2),
     })
-    phi2 = {(1, 2): coordinate(1)}
-    K = metric_connection(chart, G, phi2=phi2, time_gauge=[coordinate(2), ZERO])
+    x1, x2 = coordinate(1), coordinate(2)
+    # the explicit gauge fields, and a potential whose curl d1 A2 - d2 A1 is x1
+    explicit = explicit_connection(G, {(1, 2): x1}, [x2, ZERO])
+    K = metric_connection(chart, G, A=[x1 * x2, ZERO, constant(0.5) * x1 ** 2])
     for p in sample_points(10, [(-1, 1)] * 3, seed=3):
+        assert metric_compat_residual(explicit, G, p) < 1e-12
         assert metric_compat_residual(K, G, p) < 1e-12
+    # torsion symmetry is structural
+    assert K.entry(0, 1, 2) is K.entry(2, 1, 0)
 
 
 def test_connection_values_follow_in_place_mutation(rigidbody):
@@ -176,6 +165,19 @@ def test_connection_values_follow_in_place_mutation(rigidbody):
         evaluate(xs)
         xs[2] = 2.0
         assert evaluate(xs) == evaluate(list(xs))
+
+
+@pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody", "random-0",
+                                  "random-1", "random-2", "random-3"])
+def test_connection_program_equals_its_fields_one_by_one(name):
+    if name.startswith("random"):
+        model = random_compatible_model(int(name[-1]))
+    else:
+        model = load_model(name)
+    K = model.K
+    assert all(f.op != "call" for fs in K.sym.values() for f in fs)
+    for p in model.sample_phase(2, seed=4):
+        assert K.values(p) == {key: [f(p) for f in fs] for key, fs in K.sym.items()}
 
 
 @pytest.mark.parametrize("name", ["rigidbody", "cyclotron", "random"])
@@ -226,7 +228,7 @@ def potential_reference_connection(model):
                    for a in range(1, n + 1))
 
     time_gauge = [Field(lambda xs, i=i: raised(xs, i)) for i in range(n)]
-    return metric_connection(model.chart, G, phi2=phi2, time_gauge=time_gauge)
+    return explicit_connection(G, phi2, time_gauge)
 
 
 def generated_n2_model():

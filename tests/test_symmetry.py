@@ -6,7 +6,7 @@ import pytest
 
 from galimech import duals
 from galimech.duals import value
-from galimech.catalog import load_model
+from galimech.catalog import load_model, named_charges
 from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial, sample_points
 from galimech.geometry import lagrangian_and_momentum, poincare_cartan
 from galimech.symmetry import (
@@ -851,6 +851,16 @@ def test_classified_value_fits_once_per_point(free3d):
     p = [0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7]
     assert abs(value(sq.value(p)) - value(charge(p))) < 1e-12
     assert len(calls) == 10  # the velocity nodes of one fit, n = 3
+
+
+def test_validating_a_fitted_bracket_inverts_no_metric(free3d, monkeypatch):
+    charges = named_charges(free3d)
+    sq = special_bracket(charges["charge_R1"], charges["charge_R2"], free3d.omega)
+    calls = []
+    orig = duals.invert_generic
+    monkeypatch.setattr(duals, "invert_generic", lambda a: calls.append(1) or orig(a))
+    sq.validate([0.1, 0.2, -0.3, 0.4])
+    assert calls == []
 
 
 def test_a_nan_entry_makes_its_residual_nan(free3d):

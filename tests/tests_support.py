@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: random connections and models, a
-deliberately non-metric two-form, and a strategy for config field specs."""
+metric connection given by explicit coefficient fields, a deliberately
+non-metric two-form, and a strategy for config field specs."""
 
 import random
 
 from hypothesis import strategies as st
 
 from galimech.catalog import Model
-from galimech.fields import Chart, ZERO, constant, coordinate, polynomial
+from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial
 from galimech.geometry import (
     Metric,
     PhaseTwoForm,
@@ -30,6 +31,39 @@ def random_connection(chart, rng):
                 fields.append(polynomial(terms))
             sym[(lam, mu)] = fields
     return SpacetimeConnection(chart, sym)
+
+
+def explicit_connection(G, phi2=None, time_gauge=None):
+    """Metric connection of G given by explicit coefficient fields, each a
+    bare callable that lowers from ``G.jet`` and raises with ``G.inv`` at
+    the point.  The gauge part is given by fields too: ``phi2``
+    ({(a, b): field} for a < b) is the antisymmetric part of the lowered
+    time-space blocks, and ``time_gauge`` (n fields, raised) is the
+    time-time block; both default to zero."""
+    n = G.chart.n
+    phi2 = phi2 or {}
+
+    def lowered(lam, mu, h, xs):
+        dg = G.jet(xs)[1]
+        if lam:
+            return -0.5 * (dg[lam][h - 1][mu - 1] + dg[mu][h - 1][lam - 1] - dg[h][lam - 1][mu - 1])
+        v = -0.5 * dg[0][h - 1][mu - 1]
+        key = (min(h, mu), max(h, mu))
+        if h != mu and key in phi2:
+            v = v + (0.5 if h < mu else -0.5) * phi2[key](xs)
+        return v
+
+    def coefficient(lam, mu, i):
+        def fn(xs):
+            ginv = G.inv(xs)
+            return sum(ginv[i][h - 1] * lowered(lam, mu, h, xs) for h in range(1, n + 1))
+
+        return Field(fn)
+
+    sym = {(lam, mu): [coefficient(lam, mu, i) for i in range(n)]
+           for lam in range(n + 1) for mu in range(max(lam, 1), n + 1)}
+    sym[(0, 0)] = list(time_gauge or [ZERO] * n)
+    return SpacetimeConnection(G.chart, sym)
 
 
 def random_compatible_model(seed, n=3):
