@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import catalog, dynamics, geometry
-from .duals import value
+from .duals import jet, value
 from .fields import ZERO, constant, coordinate, sin_of, cos_of, exp_of, finite
 from .symmetry import (
     ClassifyError,
@@ -30,15 +30,15 @@ from .symmetry import (
     classify_special_quadratic,
     classify_spacetime,
     check_equivalences,
+    commutator,
     gamma_dot,
     generator_match,
     momentum_map,
-    noether_charge,
+    noether_charges,
     pair_bracket,
     special_bracket,
     tau_lift,
     tau_lift_values,
-    vector_commutator,
 )
 from .units import UnitMismatchError
 
@@ -278,16 +278,22 @@ def _mk_report(args, command, model, checks, extra=None):
     return rep
 
 
-def _emit(args, payload, default_name):
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if args.out:
+def _emit(args, payload, name):
+    """Write a report (JSON, or text as is) to stdout or as ``name`` under --out."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if not args.out:
+        sys.stdout.write(payload)
+        return
+    path = os.path.join(args.out, name)
+    try:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, default_name)
         with open(path, "w", encoding="utf8") as fh:
-            fh.write(text)
-        print(path)
-    else:
-        sys.stdout.write(text)
+            fh.write(payload)
+    except OSError as exc:
+        raise ValueError(f"{args.command}: cannot write --out {args.out}: "
+                         f"{exc.strerror or exc}") from None
+    print(path)
 
 
 def _exit_code(report):
@@ -335,7 +341,10 @@ def cmd_simulate(args, model):
             nm = nm.strip()
             wanted.append(nm if nm.startswith("charge_") else f"charge_{nm}")
         charges = catalog.named_charges(model, wanted)
-    traj = dynamics.integrate(model.dyn, [t0, *x0, *v0], T, h)
+    try:
+        traj = dynamics.integrate(model.dyn, [t0, *x0, *v0], T, h)
+    except dynamics.StepError as exc:
+        raise ValueError(f"simulate: --T {args.T} and --h {args.h}: {exc}") from None
     lines = []
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)]
     header += list(charges)
@@ -347,46 +356,23 @@ def cmd_simulate(args, model):
         p = [float(c) for c in traj.phase_coords(k)]
         row += [repr(float(value(fn.value(p)))) for fn in charges.values()]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "trajectory.csv")
-        with open(path, "w", encoding="utf8") as fh:
-            fh.write(text)
-        print(path)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(lines) + "\n", "trajectory.csv")
     return 0
 
 
 def cmd_check_symmetry(args, model):
     gens, _ = resolve_generators(model, args.field)
-    pts_e = model.sample_e(args.points, args.seed)
-    pts_phase = model.sample_phase(args.points, args.seed)
-    pts_te = model.sample_te(args.points, args.seed)
-    pts_j2 = model.sample_j2(args.points, args.seed)
+    samplers = (model.sample_e, model.sample_phase, model.sample_te, model.sample_j2)
+    reports = check_equivalences(model, gens, *(s(args.points, args.seed) for s in samplers),
+                                 args.tol_pass, args.tol_fail)
     checks = []
-    for X in gens:
-        rep = check_equivalences(
-            model, X, pts_e, pts_phase, pts_te, pts_j2, args.tol_pass, args.tol_fail
-        )
+    for X, rep in zip(gens, reports):
         for name, r in sorted(rep.residuals.items()):
-            checks.append(
-                {
-                    "generator": X.label,
-                    "condition": name,
-                    "residual": r,
-                    "verdict": rep.verdict(name),
-                }
-            )
-        checks.append(
-            {
-                "generator": X.label,
-                "condition": "correspondence-consistency",
-                "residual": 0.0 if rep.consistent() else 1.0,
-                "verdict": "pass" if rep.consistent() else "fail",
-            }
-        )
+            checks.append({"generator": X.label, "condition": name, "residual": r,
+                           "verdict": rep.verdict(name)})
+        ok = rep.consistent()
+        checks.append({"generator": X.label, "condition": "correspondence-consistency",
+                       "residual": 0.0 if ok else 1.0, "verdict": "pass" if ok else "fail"})
     report = _mk_report(args, "check-symmetry", model, checks, {"field": args.field})
     _emit(args, report, "check-symmetry.json")
     return _exit_code(report)
@@ -400,8 +386,8 @@ def cmd_noether(args, model):
     gens, _ = resolve_generators(model, args.field)
     pts = model.sample_phase(args.points, args.seed)
     checks = []
-    for X in gens:
-        charge, residual, conserved = noether_charge(X, model.theta, pts, args.tol_pass)
+    charges = noether_charges(gens, model.theta, pts, args.tol_pass)
+    for X, (charge, residual, conserved) in zip(gens, charges):
         gdot = max(abs(value(gamma_dot(charge, model.dyn, p))) for p in pts)
         anchor = model.anchor()
         checks.append(
@@ -488,6 +474,12 @@ def cmd_brackets(args, model):
     checks = []
     sample = pts[: min(len(pts), 8)]
     om = model.omega
+    # each charge's time scale and the jet of its lift, once per sample point
+    lifts = {la: [] for la in labels}
+    for la, f in charges.items():
+        for xs in sample:
+            tau = value(f.f0(xs))
+            lifts[la].append((tau, jet(tau_lift(f, tau, om), xs)))
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
             f, g = charges[la], charges[lb]
@@ -499,15 +491,11 @@ def cmd_brackets(args, model):
             # homomorphism of the pair bracket into vector fields; the lifts
             # and the bracket declare their support, so only that is seeded
             worst = 0.0
-            for xs in sample:
-                fp, gp = (f, value(f.f0(xs))), (g, value(g.f0(xs)))
-                comm = vector_commutator(tau_lift(*fp, om), tau_lift(*gp, om), xs)
-                bracket, sigma = pair_bracket(fp, gp, om)
+            for xs, (tf, fjet), (tg, gjet) in zip(sample, lifts[la], lifts[lb]):
+                comm = commutator(fjet, gjet)
+                bracket, sigma = pair_bracket((f, tf), (g, tg), om)
                 lifted = tau_lift_values(bracket, sigma, om, xs)
-                worst = max(
-                    worst,
-                    max(abs(value(a) - value(b)) for a, b in zip(comm, lifted)),
-                )
+                worst = max(worst, max(abs(value(a) - value(b)) for a, b in zip(comm, lifted)))
             checks.append(
                 {
                     "pair": [la, lb],

@@ -301,6 +301,11 @@ def grad(fn, point):
     return [seeded.get(i, zero) for i in range(len(point))]
 
 
+def jet(fn, point):
+    """(fn(point), grad(fn, point)): the value and every first partial."""
+    return fn(point), grad(fn, point)
+
+
 def solve_generic(a, b):
     """Solve the square linear system a x = b by Gaussian elimination.
 

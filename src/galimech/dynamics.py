@@ -18,6 +18,10 @@ class IntegrationError(RuntimeError):
     """State became non-finite during integration."""
 
 
+class StepError(ValueError):
+    """The horizon and step give no usable step count."""
+
+
 @dataclass
 class Trajectory:
     """Uniformly sampled solution (t_k, x_k, v_k)."""
@@ -43,9 +47,11 @@ def integrate(dyn, p0, T, h):
     """Fixed-step RK4 for the first-order system (t, x, v) from the
     coordinate list ``p0`` = (t, x..., v...)."""
     if h <= 0 or T <= 0:
-        raise ValueError("need positive horizon and step")
+        raise StepError("need positive horizon and step")
     n = dyn.chart.n
-    steps = int(round(T / h))
+    if not np.isfinite(steps := T / h):
+        raise StepError(f"the step count T/h = {steps} is not finite")
+    steps = int(round(steps))
 
     def rhs(state):
         t = state[0]
@@ -55,9 +61,10 @@ def integrate(dyn, p0, T, h):
         return np.concatenate(([1.0], v, acc))
 
     state = np.array(p0, dtype=float)
-    ts = np.empty(steps + 1)
-    xs = np.empty((steps + 1, n))
-    vs = np.empty((steps + 1, n))
+    try:
+        ts, xs, vs = np.empty(steps + 1), np.empty((steps + 1, n)), np.empty((steps + 1, n))
+    except (MemoryError, ValueError):
+        raise StepError(f"the arrays of {steps} steps cannot be allocated") from None
     ts[0], xs[0], vs[0] = state[0], state[1 : n + 1], state[n + 1 :]
     for k in range(steps):
         k1 = rhs(state)

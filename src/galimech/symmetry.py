@@ -6,9 +6,9 @@ component, which is exactly the class whose Lie derivative annihilates the
 time form.  Their holonomic lift to phase space adds the velocity
 components d/dt X^i computed along the contact direction; the tangent lift
 lives on TE.  Lie derivatives of the non-tensorial objects (metric,
-connections) use the well-defined restricted expressions.  Every family
-reads the jet (the value and all first partials) of each input once per
-point and combines the jets algebraically; the Lie derivatives of forms use
+connections) use the well-defined restricted expressions.  Each family is
+one formula over the jets (the value and all first partials) of its
+structure and of the generator at a point; the Lie derivatives of forms use
 the coordinate form of Cartan's identity.  Each formula is cross-checked in
 the tests against a finite-flow pullback oracle (:mod:`galimech.oracles`).
 """
@@ -21,7 +21,7 @@ import numpy as np
 from . import duals
 from .duals import value
 from .fields import Field, ZERO, as_field, constant, coordinate, program, support
-from .geometry import _sym_key, gamma00_of, lagrangian_and_momentum, lift_of, motion_row
+from .geometry import _sym_key, gamma00_of, lift_of, motion_row
 
 
 TOL_PASS = 1e-9
@@ -142,25 +142,52 @@ def classify_spacetime(chart, raw_comps, points, tol=TOL_PASS):
 # -- Lie derivatives by coordinate formula ---------------------------------
 
 
+def _lie_metric(gjet, xe, d1):
+    (gm, dgm), n = gjet, len(d1)
+    out = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            s = _along([dg[a][b] for dg in dgm], xe)
+            for k in range(n):
+                s = s + gm[k][b] * d1[k][a + 1]
+                s = s + gm[a][k] * d1[k][b + 1]
+            out[a][b] = out[b][a] = s
+    return out
+
+
 def lie_metric(X, G):
     """Vertical-restricted Lie derivative of the metric; returns a function
     of a spacetime point giving the symmetric n x n matrix."""
-    n = G.chart.n
+    return lambda xs: _lie_metric(G.jet(xs), X.values_e(xs), X.d1(xs))
 
-    def at(xs):
-        gm, dgm = G.jet(xs)
-        xe, d1 = X.values_e(xs), X.d1(xs)
-        out = [[0.0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                s = _along([dg[a][b] for dg in dgm], xe)
-                for k in range(n):
-                    s = s + gm[k][b] * d1[k][a + 1]
-                    s = s + gm[a][k] * d1[k][b + 1]
-                out[a][b] = out[b][a] = s
-        return out
 
-    return at
+def _prolong_jet(X, xs):
+    """X's first and second partials and its holonomic lift at ``xs``."""
+    d1 = X.d1(xs)
+    return d1, X.d2(xs), X._prolong1(xs, d1)
+
+
+def _lie_phase_connection(kjet, xs, d1, d2, lift):
+    (kv, dkv), n = kjet, len(d1)
+    v = xs[n + 1 : 2 * n + 1]
+    u = [1.0, *v]
+    # gl[i][mu] and its partials dgl[lam][i][mu] along x^lam at fixed velocity
+    gl, dgl = lift_of(kv, v), [lift_of(dk, v) for dk in dkv]
+    out = []
+    for mu in range(0, n + 1):
+        row = []
+        for i in range(n):
+            # d_mu of the lift velocity component
+            s = _along(d2[i][mu], u)
+            for lam in range(1, n + 1):
+                s = s - gl[i][lam] * d1[lam - 1][mu]
+            s = s - _along([dg[i][mu] for dg in dgl], lift[: n + 1])
+            for k in range(1, n + 1):
+                s = s - lift[n + k] * kv[_sym_key(mu, k)][i]
+                s = s + gl[k - 1][mu] * d1[i][k]
+            row.append(s)
+        out.append(row)
+    return out
 
 
 def lie_phase_connection(X, pconn):
@@ -168,32 +195,26 @@ def lie_phase_connection(X, pconn):
     returns a function of a phase point giving rows over d^mu and
     components i (an (n+1) x n array)."""
     n = pconn.chart.n
+    return lambda xs: _lie_phase_connection(duals.jet(pconn.blocks, xs[: n + 1]), xs,
+                                            *_prolong_jet(X, xs))
 
-    def at(xs):
-        v = xs[n + 1 : 2 * n + 1]
-        u = [1.0, *v]
-        kv, dkv = pconn.blocks(xs[: n + 1]), duals.grad(pconn.blocks, xs[: n + 1])
-        # gl[i][mu] and its partials dgl[lam][i][mu] along x^lam at fixed velocity
-        gl, dgl = lift_of(kv, v), [lift_of(dk, v) for dk in dkv]
-        d1, d2 = X.d1(xs), X.d2(xs)
-        lift = X._prolong1(xs, d1)
-        out = []
-        for mu in range(0, n + 1):
-            row = []
-            for i in range(n):
-                # d_mu of the lift velocity component
-                s = _along(d2[i][mu], u)
-                for lam in range(1, n + 1):
-                    s = s - gl[i][lam] * d1[lam - 1][mu]
-                s = s - _along([dg[i][mu] for dg in dgl], lift[: n + 1])
-                for k in range(1, n + 1):
-                    s = s - lift[n + k] * kv[_sym_key(mu, k)][i]
-                    s = s + gl[k - 1][mu] * d1[i][k]
-                row.append(s)
-            out.append(row)
-        return out
 
-    return at
+def _lie_dynamical(kjet, xs, d1, d2, lift):
+    (kv, dkv), n = kjet, len(d1)
+    v = xs[n + 1 : 2 * n + 1]
+    u = [1.0, *v]
+    g00, gl = gamma00_of(kv, v), lift_of(kv, v)
+    # dg[d][i] = d_d gamma^i: from the blocks' partials along x^lam, and
+    # 2 gl[i][k] along v^k
+    dg = [gamma00_of(dk, v) for dk in dkv] + [[2.0 * g[k] for g in gl] for k in range(1, n + 1)]
+    out = []
+    for i in range(n):
+        s = _along([d[i] for d in dg], lift)
+        for k in range(1, n + 1):
+            s = s - g00[k - 1] * d1[i][k]
+        # total second derivative of X^i along the contact direction
+        out.append(s - _along([_along(r, u) for r in d2[i]], u))
+    return out
 
 
 def lie_dynamical(X, dyn):
@@ -201,27 +222,34 @@ def lie_dynamical(X, dyn):
     lift (equivalently the bracket with the associated vector field);
     returns a function of a phase point giving the n components."""
     n = dyn.chart.n
+    return lambda xs: _lie_dynamical(duals.jet(dyn.blocks, xs[: n + 1]), xs, *_prolong_jet(X, xs))
 
-    def at(xs):
-        v = xs[n + 1 : 2 * n + 1]
-        u = [1.0, *v]
-        kv, dkv = dyn.blocks(xs[: n + 1]), duals.grad(dyn.blocks, xs[: n + 1])
-        g00, gl = gamma00_of(kv, v), lift_of(kv, v)
-        # dg[d][i] = d_d gamma^i: from the blocks' partials along x^lam, and
-        # 2 gl[i][k] along v^k
-        dg = [gamma00_of(dk, v) for dk in dkv] + [[2.0 * g[k] for g in gl] for k in range(1, n + 1)]
-        d1, d2 = X.d1(xs), X.d2(xs)
-        lift = X._prolong1(xs, d1)
-        out = []
+
+def _lie_spacetime_connection(kjet, te, xe, d1, d2):
+    (kv, dkv), n = kjet, len(d1)
+    e = range(n + 1)
+    xdot = te[n + 1 : 2 * n + 2]
+    xk = {key: [_along([dk[key][i] for dk in dkv], xe) for i in range(n)] for key in kv}
+
+    def along_xdot(blocks):  # [lam][i]: blocks[(lam, nu)][i] xdot^nu
+        return [[_along([blocks[_sym_key(lam, nu)][i] for nu in e], xdot) for i in range(n)]
+                for lam in e]
+
+    # kx: the connection along xdot; xdk: the same of its derivative along X
+    kx, xdk = along_xdot(kv), along_xdot(xk)
+    tdot = [_along(r, xdot) for r in d1]
+    out = []
+    for lam in e:
+        row = []
         for i in range(n):
-            s = _along([d[i] for d in dg], lift)
-            for k in range(1, n + 1):
-                s = s - g00[k - 1] * d1[i][k]
-            # total second derivative of X^i along the contact direction
-            out.append(s - _along([_along(r, u) for r in d2[i]], u))
-        return out
-
-    return at
+            s = xdk[lam][i]
+            for j in range(n):
+                s = s + kv[_sym_key(lam, j + 1)][i] * tdot[j]
+                s = s - kx[lam][j] * d1[i][j + 1]
+                s = s + kx[j + 1][i] * d1[j][lam]
+            row.append(s - _along(d2[i][lam], xdot))
+        out.append(row)
+    return out
 
 
 def lie_spacetime_connection(X, K):
@@ -229,66 +257,33 @@ def lie_spacetime_connection(X, K):
     returns a function of a TE point (x, xdot) giving rows over d^lam and
     components i."""
     n = K.chart.n
-    e = range(n + 1)
-
-    def at(te):
-        xdot = te[n + 1 : 2 * n + 2]
-        kv, dkv = K.blocks(te[: n + 1]), duals.grad(K.blocks, te[: n + 1])
-        xe, d1, d2 = X.values_e(te), X.d1(te), X.d2(te)
-        xk = {key: [_along([dk[key][i] for dk in dkv], xe) for i in range(n)] for key in kv}
-
-        def along_xdot(blocks):  # [lam][i]: blocks[(lam, nu)][i] xdot^nu
-            return [[_along([blocks[_sym_key(lam, nu)][i] for nu in e], xdot) for i in range(n)]
-                    for lam in e]
-
-        # kx: the connection along xdot; xdk: the same of its derivative along X
-        kx, xdk = along_xdot(kv), along_xdot(xk)
-        tdot = [_along(r, xdot) for r in d1]
-        out = []
-        for lam in e:
-            row = []
-            for i in range(n):
-                s = xdk[lam][i]
-                for j in range(n):
-                    s = s + kv[_sym_key(lam, j + 1)][i] * tdot[j]
-                    s = s - kx[lam][j] * d1[i][j + 1]
-                    s = s + kx[j + 1][i] * d1[j][lam]
-                row.append(s - _along(d2[i][lam], xdot))
-            out.append(row)
-        return out
-
-    return at
+    return lambda te: _lie_spacetime_connection(duals.jet(K.blocks, te[: n + 1]), te,
+                                                X.values_e(te), X.d1(te), X.d2(te))
 
 
 def lie_lagrangian(X, lag):
     """Directional derivative of the Lagrangian density along the holonomic
     lift; vanishing is the Lagrangian form of invariance."""
-
-    def at(xs):
-        return _along(duals.grad(lag.value, xs), X.prolong1_values(xs))
-
-    return at
+    return lambda xs: _along(duals.grad(lag.value, xs), X.prolong1_values(xs))
 
 
 # -- Lie derivative of forms from jets -------------------------------------------
 
 
+def _lie_one_form(cjet, yjet):
+    (c, dc), (y, dy) = cjet, yjet
+    return [_along([d[b] for d in dc], y) + _along(c, dy[b]) for b in range(len(y))]
+
+
 def lie_one_form(vec_fn, comp_fn, xs):
     """Lie derivative of a one-form given by its component list, from the
     jets of Y and c: (L_Y c)_b = Y^a d_a c_b + c_a d_b Y^a."""
-    dim = len(xs)
-    y, dy = vec_fn(xs), duals.grad(vec_fn, xs)
-    c, dc = comp_fn(xs), duals.grad(comp_fn, xs)
-    return [_along([d[b] for d in dc], y) + _along(c, dy[b]) for b in range(dim)]
+    return _lie_one_form(duals.jet(comp_fn, xs), duals.jet(vec_fn, xs))
 
 
-def lie_two_form(vec_fn, mat_fn, xs):
-    """Lie derivative of a two-form given by its evaluation matrix, from
-    the jets of Y and W:
-    (L_Y W)_bc = Y^a d_a W_bc + W_ac d_b Y^a + W_ba d_c Y^a."""
-    dim = len(xs)
-    y, dy = vec_fn(xs), duals.grad(vec_fn, xs)
-    m, dm = mat_fn(xs), duals.grad(mat_fn, xs)
+def _lie_two_form(mjet, yjet):
+    (m, dm), (y, dy) = mjet, yjet
+    dim = len(y)
     out = [[0.0] * dim for _ in range(dim)]
     for b in range(dim):
         for c in range(b + 1, dim):
@@ -299,9 +294,15 @@ def lie_two_form(vec_fn, mat_fn, xs):
     return out
 
 
-def lie_euler_lagrange(X, G, dyn, j2_xs):
-    """Lie derivative of the motion two-form along the second holonomic
-    lift, evaluated at second-order data (x, v, a)."""
+def lie_two_form(vec_fn, mat_fn, xs):
+    """Lie derivative of a two-form given by its evaluation matrix, from
+    the jets of Y and W:
+    (L_Y W)_bc = Y^a d_a W_bc + W_ac d_b Y^a + W_ba d_c Y^a."""
+    return _lie_two_form(duals.jet(mat_fn, xs), duals.jet(vec_fn, xs))
+
+
+def _motion_row(G, dyn):
+    """The motion row G_ab (a^a - gamma^a) of a point (x, v, a), with its deps."""
     n = G.chart.n
 
     def e_row(j2):
@@ -309,12 +310,15 @@ def lie_euler_lagrange(X, G, dyn, j2_xs):
 
     s = support(G, dyn)
     e_row.deps = None if s is None else s | frozenset(range(n + 1, 3 * n + 1))
-    e0, d_e = e_row(j2_xs), duals.grad(e_row, j2_xs)
-    d1, d2 = X.d1(j2_xs), X.d2(j2_xs)
-    u = [1.0, *j2_xs[n + 1 : 2 * n + 1]]
-    acc = j2_xs[2 * n + 1 : 3 * n + 1]
+    return e_row
+
+
+def _lie_euler_lagrange(ejet, j2, d1, d2, lift):
+    (e0, d_e), n = ejet, len(d1)
+    u = [1.0, *j2[n + 1 : 2 * n + 1]]
+    acc = j2[2 * n + 1 : 3 * n + 1]
     # the second lift adds d^2/dt^2 X^i along the contact direction
-    lift = X._prolong1(j2_xs, d1) + [
+    lift = lift + [
         _along([_along(r, u) for r in h], u) + _along(r1[1:], acc) for h, r1 in zip(d2, d1)]
     out = []
     for j in range(n):
@@ -323,6 +327,13 @@ def lie_euler_lagrange(X, G, dyn, j2_xs):
             s = s + e0[k] * d1[k][j + 1]
         out.append(s)
     return out
+
+
+def lie_euler_lagrange(X, G, dyn, j2_xs):
+    """Lie derivative of the motion two-form along the second holonomic
+    lift, evaluated at second-order data (x, v, a)."""
+    return _lie_euler_lagrange(duals.jet(_motion_row(G, dyn), j2_xs), j2_xs,
+                               *_prolong_jet(X, j2_xs))
 
 
 # -- invariance report ------------------------------------------------------
@@ -372,37 +383,57 @@ class EquivalenceReport:
         return True
 
 
-def _worst(family, points):
-    """Largest |entry| of a residual family (nested lists of scalars) over
-    points; nan when any entry is nan, which ``max`` alone would drop."""
+def _worst(residual, prev=None):
+    """Largest |entry| of a residual (nested lists of scalars) and of ``prev``
+    if given; nan when any entry is nan, which ``max`` alone would drop."""
     def leaves(r):
         return [x for e in r for x in leaves(e)] if isinstance(r, list) else [r]
 
-    return max((abs(value(x)) for p in points for x in leaves(family(p))),
-               key=lambda r: (r != r, r))
+    r = residual if prev is None else [prev, residual]
+    return max((abs(value(x)) for x in leaves(r)), key=lambda r: (r != r, r))
 
 
-def check_equivalences(model, X, points_e, points_phase, points_te, points_j2,
+def _note(worst, family, residual):
+    worst[family] = _worst(residual, worst.get(family))  # a running worst
+
+
+def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2,
                        tol_pass=TOL_PASS, tol_fail=TOL_FAIL):
-    """Evaluate every invariance residual family for one generator."""
-    lift = X.prolong1_values
-    res = {
-        "spacetime_connection": _worst(lie_spacetime_connection(X, model.K), points_te),
-        "phase_connection": _worst(lie_phase_connection(X, model.pconn), points_phase),
-        "dynamical_connection": _worst(lie_dynamical(X, model.dyn), points_phase),
-        "metric": _worst(lie_metric(X, model.G), points_e),
-        "two_form": _worst(lambda p: lie_two_form(lift, model.omega.matrix, p), points_phase),
-        "motion_form": _worst(lambda p: lie_euler_lagrange(X, model.G, model.dyn, p), points_j2),
-    }
-    if model.theta is not None:
-        res["cartan_form"] = _worst(lambda p: lie_one_form(lift, model.theta.components, p),
-                                    points_phase)
-        lag, _ = lagrangian_and_momentum(model.theta)
-        res["lagrangian"] = _worst(lie_lagrangian(X, lag), points_phase)
-
-    return EquivalenceReport(
-        getattr(model, "name", "?"), X.label or "X", res, tol_pass, tol_fail
-    )
+    """One :class:`EquivalenceReport` per generator of ``gens``.  At each
+    point the jets that do not depend on the generator (G, the connection
+    record the model's connections share, Omega, theta, dL, the motion row)
+    are evaluated once, and every generator's families read them."""
+    n, theta, e_row = model.chart.n, model.theta, _motion_row(model.G, model.dyn)
+    worst = [{} for _ in gens]
+    for te in points_te:
+        kjet = duals.jet(model.K.blocks, te[: n + 1])
+        for X, w in zip(gens, worst):
+            _note(w, "spacetime_connection", _lie_spacetime_connection(
+                kjet, te, X.values_e(te), X.d1(te), X.d2(te)))
+    for xs in points_phase:
+        kjet, mjet = duals.jet(model.pconn.blocks, xs[: n + 1]), duals.jet(model.omega.matrix, xs)
+        if theta is not None:  # the form is its own splitting: its value is L
+            cjet, dlag = duals.jet(theta.components, xs), duals.grad(theta.value, xs)
+        for X, w in zip(gens, worst):
+            d1, d2, lift = _prolong_jet(X, xs)
+            yjet = lift, duals.grad(X.prolong1_values, xs)
+            _note(w, "phase_connection", _lie_phase_connection(kjet, xs, d1, d2, lift))
+            _note(w, "dynamical_connection", _lie_dynamical(kjet, xs, d1, d2, lift))
+            _note(w, "two_form", _lie_two_form(mjet, yjet))
+            if theta is not None:
+                _note(w, "cartan_form", _lie_one_form(cjet, yjet))
+                _note(w, "lagrangian", _along(dlag, lift))
+    for xs in points_e:
+        gjet = model.G.jet(xs)
+        for X, w in zip(gens, worst):
+            _note(w, "metric", _lie_metric(gjet, X.values_e(xs), X.d1(xs)))
+    for j2 in points_j2:
+        ejet = duals.jet(e_row, j2)
+        for X, w in zip(gens, worst):
+            _note(w, "motion_form", _lie_euler_lagrange(ejet, j2, *_prolong_jet(X, j2)))
+    name = getattr(model, "name", "?")
+    return [EquivalenceReport(name, X.label or "X", w, tol_pass, tol_fail)
+            for X, w in zip(gens, worst)]
 
 
 # -- quantisable phase functions -------------------------------------------
@@ -456,6 +487,27 @@ def gamma_dot(fn, dyn, xs):
     return sum(vec[a] * g[a] for a in range(2 * n + 1))
 
 
+def noether_charges(gens, theta, check_points=None, tol=TOL_PASS):
+    """:func:`noether_charge` of each generator of ``gens``; at each check
+    point the form's jet is evaluated once for all of them."""
+    n, G = theta.chart.n, theta.G
+    residuals = [None] * len(gens)
+    for p in check_points or ():
+        cjet = duals.jet(theta.components, p)
+        residuals = [_worst(_lie_one_form(cjet, duals.jet(X.prolong1_values, p)), r)
+                     for X, r in zip(gens, residuals)]
+    out = []
+    for X, residual in zip(gens, residuals):
+        flin = [-sum((X.comps[a - 1] * G.entry(a, b) for a in range(1, n + 1)), ZERO)
+                for b in range(1, n + 1)]
+        fconst = constant(-X.x0) * theta.A[0]
+        for a in range(1, n + 1):
+            fconst = fconst - X.comps[a - 1] * theta.A[a]
+        charge = SpecialQuadratic(G, constant(X.x0), flin, fconst)
+        out.append((charge, residual, residual is None or residual < tol))
+    return out
+
+
 def noether_charge(X, theta, check_points=None, tol=TOL_PASS):
     """Conserved charge of a generator preserving the potential form.
 
@@ -464,21 +516,7 @@ def noether_charge(X, theta, check_points=None, tol=TOL_PASS):
     the invariance residual of the form is measured; a generator that fails
     it still yields a function, flagged as not conserved.
     """
-    chart = theta.chart
-    n = chart.n
-    G = theta.G
-    flin = [-sum((X.comps[a - 1] * G.entry(a, b) for a in range(1, n + 1)), ZERO)
-            for b in range(1, n + 1)]
-    fconst = constant(-X.x0) * theta.A[0]
-    for a in range(1, n + 1):
-        fconst = fconst - X.comps[a - 1] * theta.A[a]
-    charge = SpecialQuadratic(G, constant(X.x0), flin, fconst)
-    residual = None
-    if check_points is not None:
-        residual = _worst(lambda p: lie_one_form(X.prolong1_values, theta.components, p),
-                          check_points)
-    conserved = residual is None or residual < tol
-    return charge, residual, conserved
+    return noether_charges([X], theta, check_points, tol)[0]
 
 
 @dataclass
@@ -531,13 +569,10 @@ def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
     is fixed by recording the charge value at the anchor (chart origin with
     zero velocity by default).
     """
-    chart = theta.chart
-    n = chart.n
-    if anchor is None:
-        anchor = [0.0] * (2 * n + 1)
+    anchor = [0.0] * (2 * theta.chart.n + 1) if anchor is None else anchor
     entries = []
-    for idx, gen in enumerate(action.generators):
-        charge, residual, conserved = noether_charge(gen, theta, check_points, tol)
+    charges = noether_charges(action.generators, theta, check_points, tol)
+    for idx, (gen, (charge, residual, conserved)) in enumerate(zip(action.generators, charges)):
         if not conserved:
             raise NotASymmetryError(
                 f"generator {gen.label or idx} of action {action.name}: "
@@ -787,12 +822,12 @@ def pair_bracket(f_pair, g_pair, omega):
     return val, 0.0
 
 
+def commutator(ujet, vjet):
+    """Bracket of two vector fields from their jets (values, grad) at a point."""
+    (u, du), (v, dv), dim = ujet, vjet, range(len(ujet[0]))
+    return [sum(u[c] * dv[c][a] - v[c] * du[c][a] for c in dim) for a in dim]
+
+
 def vector_commutator(u_fn, v_fn, xs):
     """Bracket of two vector fields given by component functions."""
-    dim = len(xs)
-    u, du = u_fn(xs), duals.grad(u_fn, xs)
-    v, dv = v_fn(xs), duals.grad(v_fn, xs)
-    return [
-        sum(u[c] * dv[c][a] - v[c] * du[c][a] for c in range(dim))
-        for a in range(dim)
-    ]
+    return commutator(duals.jet(u_fn, xs), duals.jet(v_fn, xs))

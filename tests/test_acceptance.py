@@ -214,8 +214,8 @@ def test_criterion_06_equivalence_suite(catalog_models):
     disagreements = 0
     seen_pass = seen_fail = 0
     for model, X, expect in pairs:
-        rep = check_equivalences(
-            model, X,
+        (rep,) = check_equivalences(
+            model, [X],
             model.sample_e(5, seed=6), model.sample_phase(5, seed=6),
             model.sample_te(5, seed=6), model.sample_j2(5, seed=6),
         )

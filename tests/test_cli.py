@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galimech import cli
+from galimech import cli, duals
 from galimech.catalog import ModelError, load_model, model_from_config, named_charges
 from galimech.cli import ParseError, parse_vector_field
 from galimech.duals import value
@@ -239,6 +239,42 @@ def test_brackets_cli(tmp_path):
     rep = json.load(open(tmp_path / "brackets.json"))
     assert rep["verdict"] == "pass"
     assert all(c["closed"] for c in rep["checks"])
+
+
+def test_brackets_differentiates_each_lift_once_per_point(monkeypatch, capsys):
+    lifts = []
+    orig = duals.grad
+
+    def spy(fn, point):
+        if getattr(fn, "__qualname__", "") == "tau_lift.<locals>.lift":
+            lifts.append(1)
+        return orig(fn, point)
+
+    monkeypatch.setattr(duals, "grad", spy)
+    assert run_cli(["brackets", "--model", "free3d", "--points", "2"]) == 0
+    assert len(lifts) == 7 * 2  # each of the 7 charges at each point, not once per pair
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive"],
+    ["brackets", "--points", "1"],
+    ["simulate", "--T", "0.01"],
+])
+def test_out_naming_a_file_is_an_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    err = _input_error(argv + ["--out", str(path)], capsys)
+    assert err == f"error: {argv[0]}: cannot write --out {path}: File exists\n"
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize("T, h, why", [
+    ("1e300", "1e-300", "the step count T/h = inf is not finite"),
+    ("1e18", "1", "the arrays of 1000000000000000000 steps cannot be allocated"),
+])
+def test_unusable_step_count_is_an_input_error(T, h, why, capsys):
+    err = _input_error(["simulate", "--T", T, "--h", h], capsys)
+    assert err == f"error: simulate: --T {T} and --h {h}: {why}\n"
 
 
 def test_exit_code_input_error(capsys):

@@ -278,11 +278,27 @@ def test_rigidbody_two_form_is_never_seeded_along_t_or_phi(rigidbody, monkeypatc
     monkeypatch.setattr(duals, "partial_multi", spy)
     m = rigidbody
     X = m.actions["rotations"].generators[0]
-    check_equivalences(m, X, m.sample_e(1, 4), m.sample_phase(1, 4), m.sample_te(1, 4),
+    check_equivalences(m, [X], m.sample_e(1, 4), m.sample_phase(1, 4), m.sample_te(1, 4),
                        m.sample_j2(1, 4))
     lie_two_form(X.prolong1_values, m.omega.matrix, m.sample_phase(1, 5)[0])
     assert sorted(set(seeds)) == [2, 3, 4, 5, 6]  # theta, psi and the velocities
     assert len(seeds) == 10
+
+
+def test_the_two_form_is_seeded_once_per_point_for_every_generator(rigidbody, monkeypatch):
+    seeds = []
+    orig = duals.partial_multi
+
+    def spy(fn, xs, k):
+        if getattr(fn, "__func__", None) is PhaseTwoForm.matrix:
+            seeds.append(k)
+        return orig(fn, xs, k)
+
+    monkeypatch.setattr(duals, "partial_multi", spy)
+    m = rigidbody
+    check_equivalences(m, m.actions["rotations"].generators, m.sample_e(2, 4),
+                       m.sample_phase(2, 4), m.sample_te(2, 4), m.sample_j2(2, 4))
+    assert len(seeds) == 10  # 5 slots at each of 2 points, not again per generator
 
 
 def test_tau_lift_evaluates_a_translation_charge_once(free3d, monkeypatch):

@@ -263,11 +263,11 @@ def test_threads_allocate_slots_independently(rigidbody):
     m = rigidbody
     gens = m.actions["rotations"].generators
     pts = [m.sample_e(6, 4), m.sample_phase(6, 4), m.sample_te(6, 4), m.sample_j2(6, 4)]
-    serial = [check_equivalences(m, X, *pts).residuals for X in gens]
+    serial = [check_equivalences(m, [X], *pts)[0].residuals for X in gens]
     threaded = [None] * len(gens)
 
     def run(i):
-        threaded[i] = check_equivalences(m, gens[i], *pts).residuals
+        threaded[i] = check_equivalences(m, [gens[i]], *pts)[0].residuals
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(gens))]
     old = sys.getswitchinterval()

@@ -185,7 +185,7 @@ def test_programs_built_under_contention_match_serial():
         gens = m.actions["rotations"].generators
         pts = [m.sample_e(2, 4), m.sample_phase(2, 4), m.sample_te(2, 4), m.sample_j2(2, 4)]
         order = gens[first:] + gens[:first]
-        res = {X.label: check_equivalences(m, X, *pts).residuals for X in order}
+        res = {X.label: check_equivalences(m, [X], *pts)[0].residuals for X in order}
         return res, [m.dyn.gamma00_values(p) for p in pts[1]]
 
     serial = run(load_model("rigidbody"), 0)

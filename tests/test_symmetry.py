@@ -30,6 +30,7 @@ from galimech.symmetry import (
     lie_two_form,
     momentum_map,
     noether_charge,
+    noether_charges,
     pair_bracket,
     poisson_bracket,
     special_bracket,
@@ -348,7 +349,7 @@ def suite_points(model, count=6):
 def test_equivalence_symmetry_pass(free3d):
     pts = suite_points(free3d)
     X = vf(free3d.chart, 0.0, [constant(1.0), ZERO, ZERO], label="d1")
-    rep = check_equivalences(free3d, X, *pts)
+    (rep,) = check_equivalences(free3d, [X], *pts)
     assert all(v == "pass" for v in rep.verdicts().values())
     assert rep.consistent()
 
@@ -356,7 +357,7 @@ def test_equivalence_symmetry_pass(free3d):
 def test_equivalence_nonsymmetry_fail(free3d):
     pts = suite_points(free3d)
     X = vf(free3d.chart, 0.0, [coordinate(1) ** 2, ZERO, ZERO], label="x1^2 d1")
-    rep = check_equivalences(free3d, X, *pts)
+    (rep,) = check_equivalences(free3d, [X], *pts)
     assert all(v == "fail" for v in rep.verdicts().values())
     assert rep.consistent()
 
@@ -364,7 +365,7 @@ def test_equivalence_nonsymmetry_fail(free3d):
 def test_equivalence_rotation_pass(free3d):
     pts = suite_points(free3d)
     X = free3d.actions["rotations"].generators[2]
-    rep = check_equivalences(free3d, X, *pts)
+    (rep,) = check_equivalences(free3d, [X], *pts)
     assert all(v == "pass" for v in rep.verdicts().values())
     assert rep.consistent()
 
@@ -374,7 +375,7 @@ def test_equivalence_scaling_connection_only(free3d):
     # two-form and motion-form verdicts follow the metric side
     pts = suite_points(free3d)
     X = vf(free3d.chart, 0.0, [coordinate(1), ZERO, ZERO], label="x1 d1")
-    rep = check_equivalences(free3d, X, *pts)
+    (rep,) = check_equivalences(free3d, [X], *pts)
     v = rep.verdicts()
     assert v["spacetime_connection"] == v["phase_connection"] == v["dynamical_connection"] == "pass"
     assert v["metric"] == "fail"
@@ -382,11 +383,27 @@ def test_equivalence_scaling_connection_only(free3d):
     assert rep.consistent()
 
 
+@pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody"])
+def test_generators_checked_together_equal_each_checked_alone(name):
+    m = load_model(name)
+    pts = suite_points(m, count=2)
+    for action in m.actions.values():
+        gens = action.generators
+        together = check_equivalences(m, gens, *pts)
+        alone = [check_equivalences(m, [X], *pts)[0] for X in gens]
+        assert [r.generator for r in together] == [r.generator for r in alone]
+        assert [r.residuals for r in together] == [r.residuals for r in alone]
+        if m.theta is not None:
+            charges = noether_charges(gens, m.theta, pts[1])
+            one_by_one = [noether_charge(X, m.theta, pts[1]) for X in gens]
+            assert [c[1:] for c in charges] == [c[1:] for c in one_by_one]
+
+
 def test_equivalence_gauge_dependent_charge(cyclotron):
     # translations preserve the coupled two-form but not the chosen gauge
     pts = suite_points(cyclotron)
     X = vf(cyclotron.chart, 0.0, [constant(1.0), ZERO, ZERO], label="d1")
-    rep = check_equivalences(cyclotron, X, *pts)
+    (rep,) = check_equivalences(cyclotron, [X], *pts)
     v = rep.verdicts()
     assert v["two_form"] == "pass"
     assert v["cartan_form"] == "fail" and v["lagrangian"] == "fail"
@@ -869,6 +886,6 @@ def test_a_nan_entry_makes_its_residual_nan(free3d):
     big = constant(1e300) * coordinate(1) * constant(1e300)
     X = SpacetimeVectorField(free3d.chart, 0.0, [big, ZERO, ZERO])
     m = free3d
-    rep = check_equivalences(m, X, m.sample_e(2), m.sample_phase(2), m.sample_te(2),
-                             m.sample_j2(2))
+    (rep,) = check_equivalences(m, [X], m.sample_e(2), m.sample_phase(2), m.sample_te(2),
+                                m.sample_j2(2))
     assert math.isnan(rep.residuals["two_form"])

@@ -1,11 +1,15 @@
 """The benchmark's layer tracer patches galimech by name from outside the
-package; a rename in galimech must not leave one of its names dangling.
-This reads ``perfbench/layertrace.py`` and changes nothing there."""
+package, and its kernel table calls galimech's public API; a rename in
+galimech must not leave one of those names dangling.  This reads
+``perfbench/layertrace.py`` and ``perfbench/kernels.py`` and changes
+nothing there."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+from galimech.catalog import load_model
 from galimech.fields import Field
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
@@ -27,3 +31,13 @@ def test_every_name_the_tracer_patches_resolves():
         owner = getattr(importlib.import_module(f"galimech.{mod}"), cls)
         assert callable(vars(owner).get(attr)), (mod, cls, attr)
     assert callable(vars(Field).get("partial"))
+
+
+def test_the_kernel_table_measures_every_kernel():
+    # the benchmark's per-point table calls the public family API by name
+    spec = importlib.util.spec_from_file_location("kernels", LAYERTRACE.parent / "kernels.py")
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    table = kernels.kernel_table(load_model("free3d"), seed=0, points=1, budget_s=0.0)
+    assert sorted(table) == sorted(kernels.KERNEL_METRICS)
+    assert all(math.isfinite(v) and v > 0 for v in table.values()), table
