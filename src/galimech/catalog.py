@@ -428,22 +428,22 @@ def named_charges(model, names=None, check_points=None):
     Returns an ordered dict label -> SpecialQuadratic for every generator of
     every action whose potential-form invariance holds (skips the rest).
     With ``names``, only the named generators are verified, and the result
-    holds exactly those charges in that order.
+    holds exactly those charges in that order.  All of them are verified by
+    one :func:`~galimech.symmetry.noether_charges` call.
     """
-    from .symmetry import noether_charge
+    from .symmetry import noether_charges
 
     if model.theta is None:
         return {}
     pts = check_points if check_points is not None else model.sample_phase(12)
+    named = [(f"charge_{gen.label or action.name}", gen)
+             for action in model.actions.values() for gen in action.generators]
+    named = [(key, gen) for key, gen in named if names is None or key in names]
+    checked = noether_charges([gen for _, gen in named], model.theta, pts)
     out = {}
-    for action in model.actions.values():
-        for gen in action.generators:
-            key = f"charge_{gen.label or action.name}"
-            if names is not None and key not in names:
-                continue
-            charge, residual, conserved = noether_charge(gen, model.theta, pts)
-            if conserved:
-                out[key] = charge
+    for (key, _), (charge, _residual, conserved) in zip(named, checked):
+        if conserved:
+            out[key] = charge
     if names is not None:
         missing = [nm for nm in names if nm not in out]
         if missing:

@@ -27,18 +27,20 @@ from .fields import ZERO, constant, coordinate, sin_of, cos_of, exp_of, finite
 from .symmetry import (
     ClassifyError,
     NotASymmetryError,
+    at_time_scale,
+    bracket_jet,
     classify_special_quadratic,
     classify_spacetime,
     check_equivalences,
     commutator,
     gamma_dot,
     generator_match,
+    lift_of_differential,
     momentum_map,
     noether_charges,
-    pair_bracket,
     special_bracket,
     tau_lift,
-    tau_lift_values,
+    unit_lift,
 )
 from .units import UnitMismatchError
 
@@ -474,12 +476,18 @@ def cmd_brackets(args, model):
     checks = []
     sample = pts[: min(len(pts), 8)]
     om = model.omega
-    # each charge's time scale and the jet of its lift, once per sample point
-    lifts = {la: [] for la in labels}
-    for la, f in charges.items():
-        for xs in sample:
-            tau = value(f.f0(xs))
-            lifts[la].append((tau, jet(tau_lift(f, tau, om), xs)))
+    unit, zero_lifts = unit_lift(om), [tau_lift(f, 0.0, om) for f in charges.values()]
+    # at each sample point, once: the jets of the two-form, of the unit-scale
+    # lift and of each charge's zero-scale lift, and from those the jet of the
+    # charge's lift at its own time scale
+    at_points = []
+    for xs in sample:
+        ujet = jet(unit, xs)
+        lifts = {}
+        for la, f, lift in zip(labels, charges.values(), zero_lifts):
+            zjet = jet(lift, xs)
+            lifts[la] = zjet, at_time_scale(zjet, ujet, value(f.f0(xs)))
+        at_points.append((xs, jet(om.matrix, xs), lifts))
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
             f, g = charges[la], charges[lb]
@@ -488,13 +496,14 @@ def cmd_brackets(args, model):
                 closed = True
             except ClassifyError:
                 closed = False
-            # homomorphism of the pair bracket into vector fields; the lifts
-            # and the bracket declare their support, so only that is seeded
+            # homomorphism of the pair bracket into vector fields: the commutator
+            # of the two lifts against the lift of the bracket's differential,
+            # which the product rule builds from the zero-scale lift jets
             worst = 0.0
-            for xs, (tf, fjet), (tg, gjet) in zip(sample, lifts[la], lifts[lb]):
+            for xs, mjet, lifts in at_points:
+                (fz, fjet), (gz, gjet) = lifts[la], lifts[lb]
                 comm = commutator(fjet, gjet)
-                bracket, sigma = pair_bracket((f, tf), (g, tg), om)
-                lifted = tau_lift_values(bracket, sigma, om, xs)
+                lifted = lift_of_differential(bracket_jet(fz, gz, mjet)[1], 0.0, om, xs)
                 worst = max(worst, max(abs(value(a) - value(b)) for a, b in zip(comm, lifted)))
             checks.append(
                 {

@@ -5,16 +5,19 @@ Finite-flow oracles (a second-order Taylor flow and its Jacobian) give
 difference-quotient Lie derivatives of covariant tensors, (1,1) tensors,
 vector fields and the metric; the vertical projectors are the (1,1)
 tensors of the connections; ``tau_lift_solve`` solves the lift's
-constrained contraction system numerically; ``fd_oracle`` is a central
-finite difference.
+constrained contraction system numerically; ``pair_bracket`` is the
+Poisson bracket as a callable of a phase point, whose seeded grad
+cross-checks ``symmetry.bracket_jet``; ``fd_oracle`` is a central finite
+difference.
 """
 
 import numpy as np
 
 from . import duals
 from .duals import value
+from .fields import support
 from .geometry import SingularOmegaError, _sym_key
-from .symmetry import gamma_dot
+from .symmetry import gamma_dot, poisson_bracket, tau_lift
 
 
 def taylor_flow(vec_fn, xs, s):
@@ -189,6 +192,21 @@ def tau_lift_solve(fn, tau, omega, xs):
     for i in range(2 * n):
         out[1 + i] += sol[i]
     return out
+
+
+def pair_bracket(f_pair, g_pair, omega):
+    """Bracket of (function, time-scale) pairs: the Poisson bracket, which
+    does not depend on the time scales, with zero time scale.  It reads the
+    two zero-scale lifts and the two-form, so its ``deps`` is the union of
+    the lifts' (:func:`tau_lift`)."""
+    f_fn, _tau = f_pair
+    g_fn, _sigma = g_pair
+
+    def val(xs):
+        return poisson_bracket(f_fn, g_fn, omega, xs)
+
+    val.deps = support(tau_lift(f_fn, 0.0, omega), tau_lift(g_fn, 0.0, omega))
+    return val, 0.0
 
 
 def fd_oracle(f, alpha, xs, h):

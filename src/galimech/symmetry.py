@@ -597,12 +597,20 @@ def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
 
 
 def tau_lift_values(fn, tau, omega, xs):
-    """Components of the covariant lift of a phase function at a point.
+    """Components of the covariant lift of a phase function at a point:
+    :func:`lift_of_differential` of its differential, which honours the
+    ``deps`` of ``fn``."""
+    return lift_of_differential(duals.grad(fn, list(xs)), tau, omega, xs)
+
+
+def lift_of_differential(df, tau, omega, xs):
+    """Components at ``xs`` of the covariant lift of a phase function whose
+    differential there is ``df``.
 
     Closed-form path: the unique vector field with the given time
     component whose contraction into the two-form is df - (gamma.f) dt.
-    The connection is evaluated once, with the metric inverse it uses;
-    df honours the ``deps`` of ``fn``.
+    The connection is evaluated once, with the metric inverse it uses.  The
+    lift is linear in ``df`` and affine in ``tau`` (see :func:`unit_lift`).
     """
     chart = omega.chart
     n = chart.n
@@ -614,7 +622,6 @@ def tau_lift_values(fn, tau, omega, xs):
     gl = lift_of(kv, v)
     # the acceleration off the lift along the contact direction: gl[i][0] + gl[i][h] v^h
     g00 = [gl[i][0] + sum(gl[i][1 + h] * v[h] for h in range(n)) for i in range(n)]
-    df = duals.grad(fn, list(xs))
 
     y_sp = [
         -sum(ginv[h][k] * df[n + 1 + k] for k in range(n)) for h in range(n)
@@ -656,6 +663,28 @@ def tau_lift(fn, tau, omega):
     return lift
 
 
+def unit_lift(omega):
+    """[1, v, gamma00], the lift of the zero function at unit time scale, as
+    a callable of a phase point that reads what the two-form reads.  A lift
+    is affine in its time scale, so the jet of a tau-lift is the jet of the
+    zero-scale lift plus tau times this lift's (:func:`at_time_scale`)."""
+    zero = [0.0] * (2 * omega.chart.n + 1)
+
+    def lift(xs):
+        return lift_of_differential(zero, 1.0, omega, xs)
+
+    lift.deps = omega.matrix_deps
+    return lift
+
+
+def at_time_scale(zjet, ujet, tau):
+    """The jet of a tau-lift from the jets of its zero-scale lift and of
+    :func:`unit_lift`."""
+    (z, dz), (u, du) = zjet, ujet
+    return ([a + tau * b for a, b in zip(z, u)],
+            [[a + tau * b for a, b in zip(r, s)] for r, s in zip(dz, du)])
+
+
 def generator_match(entry, omega, points):
     """Defect between the lifted charge (at its own time scale) and the
     holonomic lift of the generator; two-sided per the uniqueness of the
@@ -683,6 +712,16 @@ def _velocity_nodes(n):
 def _quad_design_row(v, n):
     quad = [(0.5 if h == k else 1.0) * v[h] * v[k] for h in range(n) for k in range(h, n)]
     return quad + list(v) + [1.0]
+
+
+@functools.cache
+def _fit_design(n):
+    """The velocity nodes of a fit on an n-dimensional chart and the inverse
+    of their design matrix (read-only: every fit on the chart shares it)."""
+    nodes = _velocity_nodes(n)
+    dinv = np.linalg.inv(np.array([_quad_design_row(v, n) for v in nodes]))
+    dinv.flags.writeable = False
+    return nodes, dinv
 
 
 class _FittedQuadratic(SpecialQuadratic):
@@ -713,9 +752,7 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
     """
     chart = G.chart
     n = chart.n
-    nodes = _velocity_nodes(n)
-    design = np.array([_quad_design_row(v, n) for v in nodes])
-    dinv = np.linalg.inv(design)
+    nodes, dinv = _fit_design(n)
     probe = [[0.3 + 0.1 * i for i in range(n)], [1.0] * n, [-0.7, 0.4] + [0.2] * (n - 2)]
 
     def fit(xs):
@@ -807,25 +844,24 @@ def special_bracket(f, g, omega, classify=True, at=None):
     return classify_special_quadratic(val, omega.G)
 
 
-def pair_bracket(f_pair, g_pair, omega):
-    """Bracket of (function, time-scale) pairs: the Poisson bracket, which
-    does not depend on the time scales, with zero time scale.  It reads the
-    two zero-scale lifts and the two-form, so its ``deps`` is the union of
-    the lifts' (:func:`tau_lift`)."""
-    f_fn, _tau = f_pair
-    g_fn, _sigma = g_pair
-
-    def val(xs):
-        return poisson_bracket(f_fn, g_fn, omega, xs)
-
-    val.deps = support(tau_lift(f_fn, 0.0, omega), tau_lift(g_fn, 0.0, omega))
-    return val, 0.0
-
-
 def commutator(ujet, vjet):
     """Bracket of two vector fields from their jets (values, grad) at a point."""
     (u, du), (v, dv), dim = ujet, vjet, range(len(ujet[0]))
     return [sum(u[c] * dv[c][a] - v[c] * du[c][a] for c in dim) for a in dim]
+
+
+def bracket_jet(fjet, gjet, mjet):
+    """Jet of the Poisson bracket hg.M.hf from the jets of the zero-scale
+    lifts hf, hg of f and g and of the two-form M, by the product rule:
+    d_k{f,g} = (d_k hg).M.hf + hg.(d_k M).hf + hg.M.(d_k hf)."""
+    (hf, dhf), (hg, dhg), (m, dm) = fjet, gjet, mjet
+    dim = range(len(m))
+    m_hf = [_along(row, hf) for row in m]
+    hg_m = [_along(hg, [row[b] for row in m]) for b in dim]
+    val = _along(hg, m_hf)
+    grad = [_along(dg, m_hf) + _along(hg, [_along(row, hf) for row in dmk]) + _along(hg_m, df)
+            for dg, dmk, df in zip(dhg, dm, dhf)]
+    return val, grad
 
 
 def vector_commutator(u_fn, v_fn, xs):

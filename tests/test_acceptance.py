@@ -35,7 +35,6 @@ from galimech.symmetry import (
     lie_two_form,
     momentum_map,
     noether_charge,
-    pair_bracket,
     special_bracket,
     tau_lift,
     tau_lift_values,
@@ -45,6 +44,7 @@ from galimech.oracles import (
     lie_flow_metric,
     lie_flow_mixed,
     lie_flow_vector,
+    pair_bracket,
     vertical_projector_phase,
     vertical_projector_spacetime,
 )

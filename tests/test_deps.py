@@ -24,13 +24,13 @@ from galimech.fields import (
     sin_of,
 )
 from galimech.geometry import Metric, PhaseTwoForm
+from galimech.oracles import pair_bracket
 from galimech.symmetry import (
     SpacetimeVectorField,
     SpecialQuadratic,
     check_equivalences,
     lie_two_form,
     noether_charge,
-    pair_bracket,
     poisson_bracket,
     tau_lift,
     tau_lift_values,

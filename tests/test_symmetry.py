@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from galimech import duals
-from galimech.duals import value
+from galimech.duals import jet, value
 from galimech.catalog import load_model, named_charges
-from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial, sample_points
+from galimech.fields import Chart, Field, ONE, ZERO, constant, coordinate, polynomial, sample_points
 from galimech.geometry import lagrangian_and_momentum, poincare_cartan
 from galimech.symmetry import (
     ClassifyError,
     NotASymmetryError,
     SpacetimeVectorField,
     SpecialQuadratic,
+    at_time_scale,
+    bracket_jet,
     check_equivalences,
     classify_spacetime,
     classify_special_quadratic,
@@ -23,6 +25,7 @@ from galimech.symmetry import (
     lie_dynamical,
     lie_euler_lagrange,
     lie_lagrangian,
+    lift_of_differential,
     lie_metric,
     lie_one_form,
     lie_phase_connection,
@@ -31,11 +34,12 @@ from galimech.symmetry import (
     momentum_map,
     noether_charge,
     noether_charges,
-    pair_bracket,
     poisson_bracket,
     special_bracket,
     spacetime_commutator,
+    tau_lift,
     tau_lift_values,
+    unit_lift,
     vector_commutator,
 )
 from galimech.oracles import (
@@ -43,10 +47,12 @@ from galimech.oracles import (
     lie_flow_metric,
     lie_flow_mixed,
     lie_flow_vector,
+    pair_bracket,
     tau_lift_solve,
     vertical_projector_phase,
     vertical_projector_spacetime,
 )
+from tests_support import random_compatible_model
 
 
 def vf(chart, x0, comps, label=""):
@@ -770,6 +776,60 @@ def test_pair_bracket_self(free3d):
     fn, tau = pair_bracket((f, 0.5), (f, 0.5), free3d.omega)
     assert tau == 0.0
     assert abs(value(fn([0.1, 0.2, 0.3, 0.4, 1.0, -0.5, 0.25]))) < 1e-13
+
+
+def _bracket_charges(name):
+    """A model with its charges: the named ones on a catalog model, the
+    contraction charges of d0, d1 and x1 d2 - x2 d1 on a random one."""
+    if name in ("free2d", "free3d", "rigidbody", "cyclotron"):
+        model = load_model(name)
+        return model, list(named_charges(model).values())
+    model = random_compatible_model(int(name.split("-")[1]))
+    x1, x2 = coordinate(1), coordinate(2)
+    gens = [vf(model.chart, 1.0, [ZERO, ZERO, ZERO]), vf(model.chart, 0.0, [ONE, ZERO, ZERO]),
+            vf(model.chart, 0.0, [-x2, x1, ZERO])]
+    return model, [c for c, _, _ in noether_charges(gens, model.theta)]
+
+
+@pytest.mark.parametrize("name", ["free2d", "free3d", "rigidbody", "cyclotron",
+                                  "random-0", "random-1", "random-2", "random-3"])
+def test_bracket_jet_equals_the_seeded_pair_bracket(name):
+    model, charges = _bracket_charges(name)
+    assert len(charges) >= 3
+    om = model.omega
+    xs = model.sample_phase(1, seed=61)[0]
+    zero = [jet(tau_lift(f, 0.0, om), xs) for f in charges]
+    mjet = duals.jet(om.matrix, xs)
+    for i, f in enumerate(charges):
+        for j in range(i + 1, len(charges)):
+            got, dgot = bracket_jet(zero[i], zero[j], mjet)
+            for tau in (0.0, 1.0):
+                for sigma in (0.0, 1.0):
+                    want, dwant = duals.jet(pair_bracket((f, tau), (charges[j], sigma), om)[0], xs)
+                    scale = 1.0 + max(abs(want), *map(abs, dwant))
+                    assert abs(got - want) <= 1e-12 * scale, (name, i, j)
+                    assert max(abs(a - b) for a, b in zip(dgot, dwant)) <= 1e-12 * scale
+
+
+def test_lift_of_differential_is_the_tau_lift(free3d, rigidbody, cyclotron):
+    for model in (free3d, rigidbody, cyclotron):
+        for f in named_charges(model).values():
+            for xs in model.sample_phase(2, seed=62):
+                for tau in (0.0, 1.0, -0.5):
+                    assert lift_of_differential(duals.grad(f, xs), tau, model.omega, xs) == \
+                        tau_lift_values(f, tau, model.omega, xs)
+
+
+def test_tau_lift_jet_is_the_zero_scale_jet_plus_tau_unit_jets(free3d, rigidbody):
+    for model in (free3d, rigidbody):
+        om, xs = model.omega, model.sample_phase(1, seed=63)[0]
+        ujet = jet(unit_lift(om), xs)
+        for f in named_charges(model).values():
+            zjet = jet(tau_lift(f, 0.0, om), xs)
+            for tau in (1.0, -0.5):
+                (h, dh), (w, dw) = at_time_scale(zjet, ujet, tau), jet(tau_lift(f, tau, om), xs)
+                assert max(abs(a - b) for a, b in zip(h, w)) <= 1e-13
+                assert max(abs(a - b) for r, s in zip(dh, dw) for a, b in zip(r, s)) <= 1e-12
 
 
 # -- motion-form Lie derivative -----------------------------------------------------------
