@@ -311,8 +311,9 @@ def solve_generic(a, b):
 
     ``b`` is a vector, or a matrix whose columns share one elimination.
     Entries may be floats or MultiDuals; pivoting compares real parts.
-    Used where a matrix of derived quantities must be inverted inside a
-    differentiated computation (numpy cannot hold dual numbers).
+    The library inverts metrics with a straight-line program instead
+    (:meth:`galimech.geometry.Metric.inv`); this pivoted elimination is the
+    cross-check it is tested against.
     """
     vector = not isinstance(b[0], (list, tuple))
     n = len(a)

@@ -7,6 +7,7 @@ coefficient fields need no special casing.  The integrator is classical
 fixed-step RK4; drift measurements are deterministic for a given step.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +46,38 @@ def law_of_motion_rhs(dyn, xs):
 
 def integrate(dyn, p0, T, h):
     """Fixed-step RK4 for the first-order system (t, x, v) from the
-    coordinate list ``p0`` = (t, x..., v...)."""
+    coordinate list ``p0`` = (t, x..., v...).  The acceleration is evaluated
+    at Python floats; a stage or step state that is not finite ends the run
+    with :class:`IntegrationError`."""
     if h <= 0 or T <= 0:
         raise StepError("need positive horizon and step")
     n = dyn.chart.n
-    if not np.isfinite(steps := T / h):
-        raise StepError(f"the step count T/h = {steps} is not finite")
-    steps = int(round(steps))
-
-    def rhs(state):
-        t = state[0]
-        x = state[1 : n + 1]
-        v = state[n + 1 :]
-        acc = law_of_motion_rhs(dyn, [t, *x, *v])
-        return np.concatenate(([1.0], v, acc))
-
-    state = np.array(p0, dtype=float)
+    if not np.isfinite(ratio := T / h):
+        raise StepError(f"the step count T/h = {ratio:.3g} is not finite")
+    steps = int(round(ratio))
     try:
         ts, xs, vs = np.empty(steps + 1), np.empty((steps + 1, n)), np.empty((steps + 1, n))
     except (MemoryError, ValueError):
-        raise StepError(f"the arrays of {steps} steps cannot be allocated") from None
+        raise StepError(f"the arrays of {ratio:.3g} steps cannot be allocated") from None
+
+    def rhs(state, k):
+        s = state.tolist()
+        if not all(map(math.isfinite, s)):
+            raise IntegrationError(f"non-finite state at step {k}")
+        return np.array([1.0, *s[n + 1 :], *law_of_motion_rhs(dyn, s)])
+
+    state = np.array(p0, dtype=float)
     ts[0], xs[0], vs[0] = state[0], state[1 : n + 1], state[n + 1 :]
-    for k in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationError(f"non-finite state at step {k + 1}")
-        ts[k + 1] = state[0]
-        xs[k + 1] = state[1 : n + 1]
-        vs[k + 1] = state[n + 1 :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            k1 = rhs(state, k)
+            k2 = rhs(state + 0.5 * h * k1, k)
+            k3 = rhs(state + 0.5 * h * k2, k)
+            k4 = rhs(state + h * k3, k)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(state)):
+                raise IntegrationError(f"non-finite state at step {k}")
+            ts[k], xs[k], vs[k] = state[0], state[1 : n + 1], state[n + 1 :]
     return Trajectory(ts, xs, vs, h)
 
 

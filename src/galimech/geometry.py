@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from . import duals
-from .fields import Field, ZERO, as_field, constant, matvec, program, support
+from .fields import Field, ONE, ZERO, as_field, constant, coordinate, matvec, program, support
 from .units import ScaledScalar, DIMENSIONLESS
 
 
@@ -40,6 +40,8 @@ class Metric:
     Its matrix and its jet are each one :func:`~galimech.fields.program`.
     ``inverse`` is G^-1 as a callable of the point for programs
     (:func:`~galimech.fields.matvec`); it looks :meth:`inv` up at each call.
+    A non-constant metric is inverted by the straight-line program of its
+    chart dimension (:func:`_inverse_program`), on floats and on duals.
     """
 
     def __init__(self, chart, entries):
@@ -85,7 +87,7 @@ class Metric:
         if self._const_inv is not None:
             return [row[:] for row in self._const_inv]
         try:
-            return duals.invert_generic(self.mat(xs))
+            return _inverse_program(self.chart.n)([e for row in self.mat(xs) for e in row])
         except ZeroDivisionError:
             raise SingularMetricError(f"metric is singular at {list(map(duals.value, xs))}") from None
 
@@ -104,6 +106,32 @@ class Metric:
                 raise SingularMetricError(
                     f"metric not positive definite at {list(xs)}"
                 ) from None
+
+
+@functools.cache
+def _inverse_program(n):
+    """The inverse of a symmetric n x n matrix given by its n*n entries row
+    by row, as one :func:`~galimech.fields.program` of those slots: the
+    factors of A = L D L^T without pivoting, then A^-1 = L^-T D^-1 L^-1.
+    It reads the upper triangle, and divides only by the pivots, so a zero
+    pivot raises ZeroDivisionError.  Its text depends only on n, so it is
+    built once per chart dimension."""
+    a = [[coordinate(i * n + j) for j in range(n)] for i in range(n)]
+    # low[i][j] = L_ij and ld[i][j] = L_ij D_j for j < i; r[j] = 1 / D_j
+    low, ld, r = [[ZERO] * n for _ in range(n)], [[ZERO] * n for _ in range(n)], []
+    for j in range(n):
+        col = [a[j][i] - sum((low[i][k] * ld[j][k] for k in range(j)), ZERO) for i in range(j, n)]
+        r.append(ONE / col[0])  # col[0] is the pivot D_j
+        for i in range(j + 1, n):
+            ld[i][j], low[i][j] = col[i - j], col[i - j] * r[j]
+    # m = L^-1, unit lower triangular, column by column
+    m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            m[i][j] = -sum((low[i][k] * m[k][j] for k in range(j, i)), ZERO)
+    inv = {(i, j): sum((m[k][i] * m[k][j] * r[k] for k in range(j, n)), ZERO)
+           for i in range(n) for j in range(i, n)}
+    return program([inv[_sym_key(i, j)] for i in range(n) for j in range(n)], (n, n))
 
 
 def _quadratic(gm, v):
@@ -139,7 +167,8 @@ class _Coefficients:
     ``blocks`` evaluates the record as one program of the ``sym`` fields,
     compiled on first use: {(lam, mu): [n values]} at a point, for a metric
     record a :class:`RaisedBlocks`.  The correspondence maps hand the record
-    on unchanged (:meth:`read_as`); the classes differ only in reading it.
+    and its programs on unchanged (:meth:`read_as`); the classes differ
+    only in reading it.
     """
 
     def __init__(self, chart, sym, G=None, low=None):
@@ -260,16 +289,20 @@ def lift_of(kv, v):
 
 def gamma00_of(kv, v):
     """Acceleration K_(0,0) + 2 K_(0,h) v^h + K_(h,k) v^h v^k of the blocks
-    ``kv`` at velocity ``v``; linear in ``kv``, like :func:`lift_of`."""
+    ``kv`` at velocity ``v``; linear in ``kv``, like :func:`lift_of`.  The
+    velocity weights of the blocks are formed once, so ``kv`` and ``v`` may
+    be values or fields."""
     n = len(v)
+    weights = []
+    for h in range(1, n + 1):
+        weights.append(((0, h), 2.0 * v[h - 1]))
+        weights += [((h, k), (1.0 if h == k else 2.0) * (v[h - 1] * v[k - 1]))
+                    for k in range(h, n + 1)]
     out = []
     for i in range(n):
         s = kv[(0, 0)][i]
-        for h in range(1, n + 1):
-            s = s + 2.0 * kv[(0, h)][i] * v[h - 1]
-            for k in range(h, n + 1):
-                mult = 1.0 if h == k else 2.0
-                s = s + mult * kv[(h, k)][i] * v[h - 1] * v[k - 1]
+        for key, w in weights:
+            s = s + w * kv[key][i]
         out.append(s)
     return out
 
@@ -286,9 +319,19 @@ class DynamicalConnection(_Coefficients):
     """The record read as a second-order connection: the acceleration is
     K_(0,0) + 2 K_(0,h) v^h + K_(h,k) v^h v^k."""
 
-    def gamma00_values(self, xs):
+    @functools.cached_property
+    def _acceleration(self):
+        """The acceleration as one program over the phase chart, compiled
+        on first use.  A metric record contracts its lowered vectors with
+        the velocity slots and raises the sum once, by ``G.inverse``."""
         n = self.chart.n
-        return gamma00_of(self.blocks(xs), xs[n + 1 : 2 * n + 1])
+        v = [coordinate(n + h) for h in range(1, n + 1)]
+        if self.G is None:
+            return program(gamma00_of(self.sym, v))
+        return program(matvec(self.G.inverse, gamma00_of(self.low, v)))
+
+    def gamma00_values(self, xs):
+        return self._acceleration(xs)
 
     def vector_values(self, xs):
         """Components of the associated phase vector field (time part 1)."""

@@ -297,11 +297,36 @@ def test_out_naming_a_file_is_an_input_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("T, h, why", [
     ("1e300", "1e-300", "the step count T/h = inf is not finite"),
-    ("1e18", "1", "the arrays of 1000000000000000000 steps cannot be allocated"),
+    ("1e18", "1", "the arrays of 1e+18 steps cannot be allocated"),
+    ("1", "1e-300", "the arrays of 1e+300 steps cannot be allocated"),
 ])
 def test_unusable_step_count_is_an_input_error(T, h, why, capsys):
     err = _input_error(["simulate", "--T", T, "--h", h], capsys)
     assert err == f"error: simulate: --T {T} and --h {h}: {why}\n"
+    assert len(err) < 160
+
+
+def test_a_non_finite_stage_state_is_a_check_failure(capsys, recwarn):
+    # v^2 overflows the acceleration, so a later RK4 stage reads inf
+    code = run_cli(["simulate", "--model", "rigidbody", "--T", "0.002", "--v0", "1e200,0,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "check failed: non-finite state at step 1\n"
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--model", "rigidbody"],
+    ["simulate", "--model", "rigidbody", "--T", "0.01"],
+    ["check-symmetry", "--model", "rigidbody", "--field", "rotations", "--points", "1"],
+    ["brackets", "--model", "free3d", "--points", "1"],
+])
+def test_no_command_runs_a_generic_elimination(argv, monkeypatch, capsys):
+    # metric inverses are straight-line programs; elimination is a test oracle
+    calls = []
+    monkeypatch.setattr(duals, "solve_generic", lambda *a: calls.append(a))
+    assert run_cli(argv) in (0, 2)
+    assert calls == []
 
 
 def test_exit_code_input_error(capsys):

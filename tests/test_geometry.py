@@ -6,7 +6,7 @@ import pytest
 
 from galimech import duals
 from galimech.duals import value, partial_multi
-from galimech.catalog import load_model, model_from_config, nonclosed_field_model
+from galimech.catalog import catalog_names, load_model, model_from_config, nonclosed_field_model
 from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial, sample_points
 from galimech.geometry import (
     EMField,
@@ -19,6 +19,7 @@ from galimech.geometry import (
     dphi_residual,
     dynamical_from_phase,
     euler_lagrange_matrix,
+    gamma00_of,
     identity_metric,
     lagrangian_and_momentum,
     cartan_from_lagrangian,
@@ -33,6 +34,7 @@ from galimech.geometry import (
     reeb_residual,
     spacetime_from_phase,
     zero_connection,
+    _inverse_program,
 )
 from galimech.units import CHARGE, MASS, ScaledScalar
 from tests_support import explicit_connection, nonmetric_two_form, random_compatible_model
@@ -277,6 +279,82 @@ def test_one_metric_inverse_per_acceleration(monkeypatch):
         calls.clear()
         model.dyn.gamma00_values(p)
         assert len(calls) == 1
+
+
+def _random_spd(rng, n):
+    b = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+    return [[sum(b[i][k] * b[j][k] for k in range(n)) + (n if i == j else 0.0)
+             for j in range(n)] for i in range(n)]
+
+
+def _close(got, want, tol):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_inverse_program_matches_elimination(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        a = _random_spd(rng, n)
+        got, want = _inverse_program(n)([e for row in a for e in row]), duals.invert_generic(a)
+        assert all(_close(g, w, 1e-14) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+        # entries moving along two directions, as dual numbers: both first partials
+        da = [_random_spd(rng, n) for _ in range(2)]
+
+        def moved(t):
+            return [[a[i][j] + t[0] * da[0][i][j] + t[1] * da[1][i][j] for j in range(n)]
+                    for i in range(n)]
+
+        def by_program(t):
+            return _inverse_program(n)([e for row in moved(t) for e in row])
+
+        for gd, wd in zip(duals.grad(by_program, [0.0, 0.0]),
+                          duals.grad(lambda t: duals.invert_generic(moved(t)), [0.0, 0.0])):
+            assert all(_close(value(g), value(w), 1e-14) for gr, wr in zip(gd, wd) for g, w in zip(gr, wr))
+
+
+def test_a_zero_leading_pivot_is_a_singular_metric():
+    G = Metric(Chart(2), {(1, 1): coordinate(1), (2, 2): constant(1.0)})
+    with pytest.raises(SingularMetricError, match=r"metric is singular at \[0.0, 0.0, 0.0\]"):
+        G.inv([0.0, 0.0, 0.0])
+
+
+def test_the_inverse_program_is_built_once_per_chart_dimension():
+    G = random_compatible_model(0).G
+    G.inv([0.1, 0.2, -0.1, 0.3])
+    before = _inverse_program.cache_info()
+    for seed in (1, 2, 3):  # fresh models of the same chart dimension
+        model = random_compatible_model(seed)
+        for xs in model.sample_e(2, seed=seed):
+            model.G.inv(xs)
+    after = _inverse_program.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 6
+
+
+def _second_order(name):
+    """(dyn, phase points) of a catalog model, a random metric model, or a
+    bare record with no metric, whose acceleration is contracted, not raised."""
+    if name == "bare":
+        K = random_connection(Chart(3), random.Random(9))
+        return dynamical_from_phase(phase_from_spacetime(K)), sample_points(3, [(-1.0, 1.0)] * 7, 5)
+    model = random_compatible_model(int(name[-1])) if name.startswith("random") else load_model(name)
+    return model.dyn, model.sample_phase(3, seed=5)
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *(f"random{s}" for s in range(4)), "bare"])
+def test_acceleration_program_matches_the_contracted_blocks(name):
+    dyn, points = _second_order(name)
+    n = dyn.chart.n
+
+    def by_blocks(xs):
+        return gamma00_of(dyn.blocks(xs), xs[n + 1 : 2 * n + 1])
+
+    for p in points:
+        assert all(_close(value(g), value(w), 1e-13)
+                   for g, w in zip(dyn.gamma00_values(p), by_blocks(p)))
+        # under a whole-gradient pass, as the motion row is differentiated
+        for gd, wd in zip(duals.grad(dyn.gamma00_values, p), duals.grad(by_blocks, p)):
+            assert all(_close(value(g), value(w), 1e-13) for g, w in zip(gd, wd))
 
 
 def test_metric_jet_evaluates_each_trig_leaf_once(monkeypatch):
