@@ -47,14 +47,18 @@ def law_of_motion_rhs(dyn, xs):
 def integrate(dyn, p0, T, h):
     """Fixed-step RK4 for the first-order system (t, x, v) from the
     coordinate list ``p0`` = (t, x..., v...).  The acceleration is evaluated
-    at Python floats; a stage or step state that is not finite ends the run
-    with :class:`IntegrationError`."""
+    at Python floats; a stage or step state that is not finite, or an
+    acceleration that overflows, ends the run with :class:`IntegrationError`.
+    The run makes round(T/h) steps, so its last row is at t0 + round(T/h) h;
+    a count that rounds to 0 is a :class:`StepError`."""
     if h <= 0 or T <= 0:
         raise StepError("need positive horizon and step")
     n = dyn.chart.n
     if not np.isfinite(ratio := T / h):
         raise StepError(f"the step count T/h = {ratio:.3g} is not finite")
     steps = int(round(ratio))
+    if steps == 0:
+        raise StepError(f"the step count T/h = {ratio:.3g} rounds to 0")
     try:
         ts, xs, vs = np.empty(steps + 1), np.empty((steps + 1, n)), np.empty((steps + 1, n))
     except (MemoryError, ValueError):
@@ -64,7 +68,10 @@ def integrate(dyn, p0, T, h):
         s = state.tolist()
         if not all(map(math.isfinite, s)):
             raise IntegrationError(f"non-finite state at step {k}")
-        return np.array([1.0, *s[n + 1 :], *law_of_motion_rhs(dyn, s)])
+        try:
+            return np.array([1.0, *s[n + 1 :], *law_of_motion_rhs(dyn, s)])
+        except OverflowError:
+            raise IntegrationError(f"the acceleration overflows at step {k}") from None
 
     state = np.array(p0, dtype=float)
     ts[0], xs[0], vs[0] = state[0], state[1 : n + 1], state[n + 1 :]

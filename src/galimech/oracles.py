@@ -5,10 +5,11 @@ Finite-flow oracles (a second-order Taylor flow and its Jacobian) give
 difference-quotient Lie derivatives of covariant tensors, (1,1) tensors,
 vector fields and the metric; the vertical projectors are the (1,1)
 tensors of the connections; ``tau_lift_solve`` solves the lift's
-constrained contraction system numerically; ``pair_bracket`` is the
-Poisson bracket as a callable of a phase point, whose seeded grad
-cross-checks ``symmetry.bracket_jet``; ``fd_oracle`` is a central finite
-difference.
+constrained contraction system numerically; ``contraction_bracket`` is
+the Poisson bracket as the contraction hg.Omega.hf of two zero-scale
+lifts; ``pair_bracket`` is the Poisson bracket as a callable of a phase
+point, whose seeded grad cross-checks ``symmetry.bracket_jet``;
+``fd_oracle`` is a central finite difference.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import duals
 from .duals import value
 from .fields import support
 from .geometry import SingularOmegaError, _sym_key
-from .symmetry import gamma_dot, poisson_bracket, tau_lift
+from .symmetry import gamma_dot, poisson_bracket, tau_lift, tau_lift_values
 
 
 def taylor_flow(vec_fn, xs, s):
@@ -194,11 +195,17 @@ def tau_lift_solve(fn, tau, omega, xs):
     return out
 
 
+def contraction_bracket(f_fn, g_fn, omega, xs):
+    """Contraction hg.Omega.hf of the two zero-scale lifts into the two-form."""
+    hf, hg = (tau_lift_values(fn, 0.0, omega, xs) for fn in (f_fn, g_fn))
+    return sum(c * h for c, h in zip(omega.contraction(hg, xs), hf))
+
+
 def pair_bracket(f_pair, g_pair, omega):
     """Bracket of (function, time-scale) pairs: the Poisson bracket, which
     does not depend on the time scales, with zero time scale.  It reads the
-    two zero-scale lifts and the two-form, so its ``deps`` is the union of
-    the lifts' (:func:`tau_lift`)."""
+    lift operator and the two differentials, so its ``deps`` is the union
+    of the lifts' (:func:`tau_lift`)."""
     f_fn, _tau = f_pair
     g_fn, _sigma = g_pair
 

@@ -481,10 +481,7 @@ class SpecialQuadratic:
 def gamma_dot(fn, dyn, xs):
     """Derivative of a phase function (honouring its ``deps``) along the
     second-order connection."""
-    n = dyn.chart.n
-    vec = dyn.vector_values(xs)
-    g = duals.grad(fn, list(xs))
-    return sum(vec[a] * g[a] for a in range(2 * n + 1))
+    return _along(dyn.vector_values(xs), duals.grad(fn, list(xs)))
 
 
 def noether_charges(gens, theta, check_points=None, tol=TOL_PASS):
@@ -596,93 +593,77 @@ def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
 # -- covariant Hamiltonian lift ----------------------------------------------
 
 
+def lift_operator(omega):
+    """The lift as a linear map, as a callable of a phase point: (u, Lam)
+    with u = [1, v, gamma] the second-order connection and Lam the Poisson
+    tensor of (dt, Omega).  The lift of a phase function f at time scale
+    tau is tau u + Lam.df; its blocks are Lam[x^h][v^k] = -G^hk,
+    Lam[v^h][x^k] = G^hk and Lam[v^h][v^k] = B^hk - B^kh with
+    B = G^-1 gl_sp^T, and its time row and column are zero.  The connection
+    blocks are evaluated once, with the metric inverse that raised them."""
+    n, dim = omega.chart.n, 2 * omega.chart.n + 1
+
+    def op(xs):
+        kv = omega.conn.blocks(xs)
+        ginv = kv.ginv if omega.conn.G is omega.G else omega.G.inv(xs)
+        v = xs[n + 1 : 2 * n + 1]
+        gl = lift_of(kv, v)
+        b = [[_along(ginv[h], gl[k][1:]) for k in range(n)] for h in range(n)]
+        lam = [[0.0] * dim for _ in range(dim)]
+        for h in range(n):
+            for k in range(n):
+                # one entry of G^-1 fills both mirror entries: Lam is exactly antisymmetric
+                lam[1 + h][n + 1 + k], lam[n + 1 + k][1 + h] = -ginv[h][k], ginv[h][k]
+                lam[n + 1 + h][n + 1 + k] = b[h][k] - b[k][h]
+        return [1.0, *v, *(g[0] + _along(g[1:], v) for g in gl)], lam
+
+    op.deps = omega.matrix_deps
+    return op
+
+
+def apply_lift(op, df, tau):
+    """tau u + Lam.df: the lift of a differential ``df`` at time scale
+    ``tau``, from the value ``op`` = (u, Lam) of :func:`lift_operator`."""
+    u, lam = op
+    return [tau * a + _along(row, df) for a, row in zip(u, lam)]
+
+
+def differential(fn):
+    """df as a callable of a phase point; it reads what ``fn`` reads."""
+
+    def d(xs):
+        return duals.grad(fn, list(xs))
+
+    d.deps = duals.deps_of(fn)
+    return d
+
+
 def tau_lift_values(fn, tau, omega, xs):
     """Components of the covariant lift of a phase function at a point:
-    :func:`lift_of_differential` of its differential, which honours the
-    ``deps`` of ``fn``."""
-    return lift_of_differential(duals.grad(fn, list(xs)), tau, omega, xs)
-
-
-def lift_of_differential(df, tau, omega, xs):
-    """Components at ``xs`` of the covariant lift of a phase function whose
-    differential there is ``df``.
-
-    Closed-form path: the unique vector field with the given time
-    component whose contraction into the two-form is df - (gamma.f) dt.
-    The connection is evaluated once, with the metric inverse it uses.  The
-    lift is linear in ``df`` and affine in ``tau`` (see :func:`unit_lift`).
-    """
-    chart = omega.chart
-    n = chart.n
-    kv = omega.conn.blocks(xs)
-    # omega's own metric connection hands over the inverse that raised its blocks
-    ginv = kv.ginv if omega.conn.G is omega.G else omega.G.inv(xs)
-    gmat = omega.G.mat(xs)
-    v = xs[n + 1 : 2 * n + 1]
-    gl = lift_of(kv, v)
-    # the acceleration off the lift along the contact direction: gl[i][0] + gl[i][h] v^h
-    g00 = [gl[i][0] + sum(gl[i][1 + h] * v[h] for h in range(n)) for i in range(n)]
-
-    y_sp = [
-        -sum(ginv[h][k] * df[n + 1 + k] for k in range(n)) for h in range(n)
-    ]
-    # correction matrix corr[k][l] = gl[l][1+k] - sum_{r,t} gmat[k][r]
-    # ginv[l][t] gl[r][1+t], built once per point through the product
-    # gl_ginv[r][l] = sum_t gl[r][1+t] ginv[l][t]
-    gl_ginv = [
-        [sum(gl[r][1 + t] * ginv[l][t] for t in range(n)) for l in range(n)]
-        for r in range(n)
-    ]
-    inner = []
-    for k in range(n):
-        s = df[1 + k]
-        for l in range(n):
-            corr = gl[l][1 + k] - sum(gmat[k][r] * gl_ginv[r][l] for r in range(n))
-            s = s + corr * df[n + 1 + l]
-        inner.append(s)
-    y_vel = [sum(ginv[h][k] * inner[k] for k in range(n)) for h in range(n)]
-
-    out = [tau]
-    for a in range(n):
-        out.append(tau * v[a] + y_sp[a])
-    for a in range(n):
-        out.append(tau * g00[a] + y_vel[a])
-    return out
+    tau u + Lam.df, with df honouring the ``deps`` of ``fn``."""
+    return apply_lift(lift_operator(omega)(xs), duals.grad(fn, list(xs)), tau)
 
 
 def tau_lift(fn, tau, omega):
     """The lift of :func:`tau_lift_values` as a callable of a phase point.
-    It reads G, the connection blocks, the velocities and df, so its
-    ``deps`` is the union of ``fn``'s and the two-form's ``matrix_deps``."""
+    It reads the operator and df, so its ``deps`` is the union of theirs:
+    the two-form's ``matrix_deps`` and ``fn``'s."""
 
     def lift(xs):
         return tau_lift_values(fn, tau, omega, xs)
 
-    sets = (duals.deps_of(fn), omega.matrix_deps)
-    lift.deps = None if None in sets else sets[0] | sets[1]
+    lift.deps = support(differential(fn), lift_operator(omega))
     return lift
 
 
-def unit_lift(omega):
-    """[1, v, gamma00], the lift of the zero function at unit time scale, as
-    a callable of a phase point that reads what the two-form reads.  A lift
-    is affine in its time scale, so the jet of a tau-lift is the jet of the
-    zero-scale lift plus tau times this lift's (:func:`at_time_scale`)."""
-    zero = [0.0] * (2 * omega.chart.n + 1)
-
-    def lift(xs):
-        return lift_of_differential(zero, 1.0, omega, xs)
-
-    lift.deps = omega.matrix_deps
-    return lift
-
-
-def at_time_scale(zjet, ujet, tau):
-    """The jet of a tau-lift from the jets of its zero-scale lift and of
-    :func:`unit_lift`."""
-    (z, dz), (u, du) = zjet, ujet
-    return ([a + tau * b for a, b in zip(z, u)],
-            [[a + tau * b for a, b in zip(r, s)] for r, s in zip(dz, du)])
+def lift_jet(opjet, djet, tau):
+    """Jet of the lift tau u + Lam.df from the jets of :func:`lift_operator`
+    and of df, by the product rule:
+    d_k(tau u + Lam.df) = tau d_k u + (d_k Lam).df + Lam.(d_k df)."""
+    (op, dop), (df, ddf) = opjet, djet
+    return apply_lift(op, df, tau), [
+        [a + _along(row, dd) for a, row in zip(apply_lift(dk, df, tau), op[1])]
+        for dk, dd in zip(dop, ddf)]
 
 
 def generator_match(entry, omega, points):
@@ -808,36 +789,30 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
 
 
 def poisson_bracket(f_fn, g_fn, omega, xs):
-    """Contraction of the two zero-scale lifts into the two-form."""
-    hf = tau_lift_values(f_fn, 0.0, omega, xs)
-    hg = tau_lift_values(g_fn, 0.0, omega, xs)
-    m = omega.matrix(xs)
-    dim = len(m)
-    return sum(
-        hg[a] * hf[b] * m[a][b] for a in range(dim) for b in range(dim)
-        if not (isinstance(m[a][b], float) and m[a][b] == 0.0)
-    )
+    """The Poisson bracket {f, g} = dg.Lam.df at a point: dg along the
+    zero-scale lift of f."""
+    df = duals.grad(f_fn, xs)
+    return _along(duals.grad(g_fn, xs), apply_lift(lift_operator(omega)(xs), df, 0.0))
 
 
-def special_bracket(f, g, omega, classify=True, at=None):
+def special_bracket(f, g, omega, classify=True):
     """Bracket closing on the quadratic phase functions with constant time
     component: the Poisson bracket corrected by the time scales contracted
-    through the second-order connection.  ``at`` is the base point where
-    the constant time components are read (defaults to the chart origin)."""
+    through the second-order connection.  The time scales are constant, and
+    are read at the chart origin.  Its value reads one :func:`lift_operator`
+    evaluation and one grad per function."""
     for sq, nm in ((f, "f"), (g, "g")):
         if not isinstance(sq, SpecialQuadratic):
             raise ClassifyError("not-special-quadratic", f"{nm} is not in coefficient form")
-    at = at if at is not None else [0.0] * (omega.chart.n + 1)
-    f0 = value(f.f0(at))
-    g0 = value(g.f0(at))
+    origin = [0.0] * (omega.chart.n + 1)
+    f0 = value(f.f0(origin))
+    g0 = value(g.f0(origin))
+    lift = lift_operator(omega)
 
     def val(xs):
-        s = poisson_bracket(f, g, omega, xs)
-        if f0:
-            s = s + f0 * gamma_dot(g, omega.dyn, xs)
-        if g0:
-            s = s - g0 * gamma_dot(f, omega.dyn, xs)
-        return s
+        # dg.(f0 u + Lam.df) - g0 u.df = {f, g} + f0 gamma.g - g0 gamma.f
+        op, df = lift(xs), duals.grad(f, xs)
+        return _along(duals.grad(g, xs), apply_lift(op, df, f0)) - g0 * _along(op[0], df)
 
     if not classify:
         return val
@@ -850,18 +825,15 @@ def commutator(ujet, vjet):
     return [sum(u[c] * dv[c][a] - v[c] * du[c][a] for c in dim) for a in dim]
 
 
-def bracket_jet(fjet, gjet, mjet):
-    """Jet of the Poisson bracket hg.M.hf from the jets of the zero-scale
-    lifts hf, hg of f and g and of the two-form M, by the product rule:
-    d_k{f,g} = (d_k hg).M.hf + hg.(d_k M).hf + hg.M.(d_k hf)."""
-    (hf, dhf), (hg, dhg), (m, dm) = fjet, gjet, mjet
-    dim = range(len(m))
-    m_hf = [_along(row, hf) for row in m]
-    hg_m = [_along(hg, [row[b] for row in m]) for b in dim]
-    val = _along(hg, m_hf)
-    grad = [_along(dg, m_hf) + _along(hg, [_along(row, hf) for row in dmk]) + _along(hg_m, df)
-            for dg, dmk, df in zip(dhg, dm, dhf)]
-    return val, grad
+def bracket_jet(fjet, gjet, opjet):
+    """Jet of the Poisson bracket {f, g} = dg.Lam.df from the jets of df, dg
+    and :func:`lift_operator`, by the product rule:
+    d_k{f,g} = (d_k dg).Lam.df + dg.(d_k Lam).df + dg.Lam.(d_k df)."""
+    (df, ddf), (dg, ddg), (op, dop) = fjet, gjet, opjet
+    hf = apply_lift(op, df, 0.0)  # Lam.df, the zero-scale lift of f
+    dg_lam = [_along(dg, col) for col in zip(*op[1])]
+    return _along(dg, hf), [_along(a, hf) + _along(dg, apply_lift(dk, df, 0.0)) + _along(dg_lam, b)
+                            for a, dk, b in zip(ddg, dop, ddf)]
 
 
 def vector_commutator(u_fn, v_fn, xs):

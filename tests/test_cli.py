@@ -13,6 +13,7 @@ from galimech.catalog import ModelError, load_model, model_from_config, named_ch
 from galimech.cli import ParseError, parse_vector_field
 from galimech.duals import value
 from galimech.fields import Chart
+from galimech.geometry import Metric
 from galimech.units import UnitMismatchError
 from tests_support import COEFFICIENTS, field_specs
 
@@ -250,17 +251,28 @@ def test_brackets_lift_commutators_equal_the_lifted_brackets(name, tmp_path):
 
 
 def test_brackets_differentiates_each_lift_once_per_point(monkeypatch, capsys):
-    lifts = []
+    seeded = []
     orig = duals.grad
 
     def spy(fn, point):
-        if getattr(fn, "__qualname__", "") == "tau_lift.<locals>.lift":
-            lifts.append(1)
+        seeded.append(getattr(fn, "__qualname__", ""))
         return orig(fn, point)
 
     monkeypatch.setattr(duals, "grad", spy)
     assert run_cli(["brackets", "--model", "free3d", "--points", "2"]) == 0
-    assert len(lifts) == 7 * 2  # each of the 7 charges at each point, not once per pair
+    # each of the 7 charges' differentials and the lift operator at each point, not once per pair
+    assert seeded.count("differential.<locals>.d") == 7 * 2
+    assert seeded.count("lift_operator.<locals>.op") == 2
+
+
+def test_brackets_inverts_the_metric_once_per_operator_evaluation(monkeypatch, capsys):
+    calls = []
+    orig = Metric.inv
+    monkeypatch.setattr(Metric, "inv", lambda self, xs: calls.append(1) or orig(self, xs))
+    assert run_cli(["brackets", "--model", "rigidbody", "--points", "1", "--seed", "3"]) == 0
+    # the operator's jet at the one point: its value, and one seeded pass along
+    # each of the 5 slots the two-form reads (x2, x3 and the 3 velocities)
+    assert len(calls) == 1 + 5
 
 
 def test_brackets_seeds_no_pass_through_the_poisson_bracket(monkeypatch, capsys):
@@ -299,6 +311,7 @@ def test_out_naming_a_file_is_an_input_error(argv, tmp_path, capsys):
     ("1e300", "1e-300", "the step count T/h = inf is not finite"),
     ("1e18", "1", "the arrays of 1e+18 steps cannot be allocated"),
     ("1", "1e-300", "the arrays of 1e+300 steps cannot be allocated"),
+    ("0.4", "1", "the step count T/h = 0.4 rounds to 0"),
 ])
 def test_unusable_step_count_is_an_input_error(T, h, why, capsys):
     err = _input_error(["simulate", "--T", T, "--h", h], capsys)
@@ -312,6 +325,18 @@ def test_a_non_finite_stage_state_is_a_check_failure(capsys, recwarn):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "check failed: non-finite state at step 1\n"
+    assert not recwarn.list
+
+
+def test_an_acceleration_that_overflows_is_a_check_failure(tmp_path, capsys, recwarn):
+    # x1**4 overflows a float at an RK4 stage of the first step from v0 = 1e100
+    poly = {"kind": "polynomial", "coeffs": [[2.0, []], [1.0, [1, 4]]]}
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({"n": 2, "metric": {"entries": {"1,1": poly}}}))
+    code = run_cli(["simulate", "--model", str(path), "--v0", "1e100,0", "--T", "1",
+                    "--h", "0.1"])
+    assert code == 2
+    assert capsys.readouterr().err == "check failed: the acceleration overflows at step 1\n"
     assert not recwarn.list
 
 

@@ -14,23 +14,24 @@ from galimech.symmetry import (
     NotASymmetryError,
     SpacetimeVectorField,
     SpecialQuadratic,
-    at_time_scale,
     bracket_jet,
     check_equivalences,
     classify_spacetime,
     classify_special_quadratic,
+    differential,
     gamma_dot,
     generator_match,
     lie_dt,
     lie_dynamical,
     lie_euler_lagrange,
     lie_lagrangian,
-    lift_of_differential,
     lie_metric,
     lie_one_form,
     lie_phase_connection,
     lie_spacetime_connection,
     lie_two_form,
+    lift_jet,
+    lift_operator,
     momentum_map,
     noether_charge,
     noether_charges,
@@ -39,10 +40,10 @@ from galimech.symmetry import (
     spacetime_commutator,
     tau_lift,
     tau_lift_values,
-    unit_lift,
     vector_commutator,
 )
 from galimech.oracles import (
+    contraction_bracket,
     lie_flow_cov,
     lie_flow_metric,
     lie_flow_mixed,
@@ -791,18 +792,21 @@ def _bracket_charges(name):
     return model, [c for c, _, _ in noether_charges(gens, model.theta)]
 
 
-@pytest.mark.parametrize("name", ["free2d", "free3d", "rigidbody", "cyclotron",
-                                  "random-0", "random-1", "random-2", "random-3"])
+_BRACKET_MODELS = ["free2d", "free3d", "rigidbody", "cyclotron",
+                   "random-0", "random-1", "random-2", "random-3"]
+
+
+@pytest.mark.parametrize("name", _BRACKET_MODELS)
 def test_bracket_jet_equals_the_seeded_pair_bracket(name):
     model, charges = _bracket_charges(name)
     assert len(charges) >= 3
     om = model.omega
     xs = model.sample_phase(1, seed=61)[0]
-    zero = [jet(tau_lift(f, 0.0, om), xs) for f in charges]
-    mjet = duals.jet(om.matrix, xs)
+    djets = [jet(differential(f), xs) for f in charges]
+    opjet = jet(lift_operator(om), xs)
     for i, f in enumerate(charges):
         for j in range(i + 1, len(charges)):
-            got, dgot = bracket_jet(zero[i], zero[j], mjet)
+            got, dgot = bracket_jet(djets[i], djets[j], opjet)
             for tau in (0.0, 1.0):
                 for sigma in (0.0, 1.0):
                     want, dwant = duals.jet(pair_bracket((f, tau), (charges[j], sigma), om)[0], xs)
@@ -811,25 +815,56 @@ def test_bracket_jet_equals_the_seeded_pair_bracket(name):
                     assert max(abs(a - b) for a, b in zip(dgot, dwant)) <= 1e-12 * scale
 
 
-def test_lift_of_differential_is_the_tau_lift(free3d, rigidbody, cyclotron):
-    for model in (free3d, rigidbody, cyclotron):
-        for f in named_charges(model).values():
-            for xs in model.sample_phase(2, seed=62):
-                for tau in (0.0, 1.0, -0.5):
-                    assert lift_of_differential(duals.grad(f, xs), tau, model.omega, xs) == \
-                        tau_lift_values(f, tau, model.omega, xs)
-
-
-def test_tau_lift_jet_is_the_zero_scale_jet_plus_tau_unit_jets(free3d, rigidbody):
+def test_lift_jet_is_the_jet_of_the_tau_lift(free3d, rigidbody):
     for model in (free3d, rigidbody):
         om, xs = model.omega, model.sample_phase(1, seed=63)[0]
-        ujet = jet(unit_lift(om), xs)
+        opjet = jet(lift_operator(om), xs)
         for f in named_charges(model).values():
-            zjet = jet(tau_lift(f, 0.0, om), xs)
-            for tau in (1.0, -0.5):
-                (h, dh), (w, dw) = at_time_scale(zjet, ujet, tau), jet(tau_lift(f, tau, om), xs)
+            djet = jet(differential(f), xs)
+            for tau in (0.0, 1.0, -0.5):
+                (h, dh), (w, dw) = lift_jet(opjet, djet, tau), jet(tau_lift(f, tau, om), xs)
                 assert max(abs(a - b) for a, b in zip(h, w)) <= 1e-13
                 assert max(abs(a - b) for r, s in zip(dh, dw) for a, b in zip(r, s)) <= 1e-12
+
+
+def _mixed_functions(n):
+    """Two phase functions that are neither quadratic nor of one slot kind."""
+    return (lambda xs: xs[n + 1] * xs[1] + xs[2] ** 2 * xs[n + 2] + xs[0] * xs[n + 1] ** 3,
+            lambda xs: xs[n + 2] ** 2 + xs[1] * xs[n] + xs[0] * xs[2] * xs[2 * n])
+
+
+@pytest.mark.parametrize("name", _BRACKET_MODELS)
+def test_tau_lift_is_the_solved_contraction_lift(name):
+    model, charges = _bracket_charges(name)
+    funcs = [*_mixed_functions(model.chart.n), *charges]
+    for xs in model.sample_phase(2, seed=62):
+        for f in funcs:
+            for tau in (0.0, 1.0, -0.5):
+                got = [value(c) for c in tau_lift_values(f, tau, model.omega, xs)]
+                want = tau_lift_solve(f, tau, model.omega, xs)
+                scale = 1.0 + max(map(abs, want))
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale, (name, tau)
+
+
+@pytest.mark.parametrize("name", _BRACKET_MODELS)
+def test_poisson_tensor_is_antisymmetric_with_zero_time_row(name):
+    model, _ = _bracket_charges(name)
+    op, dim = lift_operator(model.omega), 2 * model.chart.n + 1
+    for xs in model.sample_phase(3, seed=65):
+        u, lam = op(xs)
+        assert u[0] == 1.0 and u[1 : model.chart.n + 1] == xs[model.chart.n + 1 :]
+        assert all(lam[0][a] == 0.0 and lam[a][0] == 0.0 for a in range(dim))
+        assert all(lam[a][b] == -lam[b][a] for a in range(dim) for b in range(dim))
+
+
+@pytest.mark.parametrize("name", _BRACKET_MODELS)
+def test_poisson_bracket_is_the_contraction_of_the_lifts(name):
+    model, _ = _bracket_charges(name)
+    f, g = _mixed_functions(model.chart.n)
+    for xs in model.sample_phase(3, seed=66):
+        got = value(poisson_bracket(f, g, model.omega, xs))
+        want = value(contraction_bracket(f, g, model.omega, xs))
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), name
 
 
 # -- motion-form Lie derivative -----------------------------------------------------------
