@@ -23,11 +23,10 @@ import time
 
 from . import catalog, dynamics, geometry
 from .duals import jet, value
-from .fields import ZERO, constant, coordinate, sin_of, cos_of, exp_of, finite
+from .fields import ZERO, constant, coordinate, sin_of, cos_of, exp_of, finite, program
 from .symmetry import (
     ClassifyError,
     NotASymmetryError,
-    SpecialQuadratic,
     apply_lift,
     bracket_jet,
     classify_special_quadratic,
@@ -322,11 +321,12 @@ def cmd_derive(args, model):
         "nondegeneracy_det": model.omega.nondegeneracy_det(xs),
     }
     if model.theta is not None:
-        lag, mom = geometry.lagrangian_and_momentum(model.theta)
         ham, _ = geometry.observed_split(model.theta, model.observer)
+        # one program for both: they share the lines of G and of the potential
+        lagrangian, hamiltonian = program([model.theta.value, ham])(xs)
         payload["cartan_form"] = [value(c) for c in model.theta.components(xs)]
-        payload["lagrangian"] = value(lag.value(xs))
-        payload["hamiltonian"] = value(ham(xs))
+        payload["lagrangian"] = value(lagrangian)
+        payload["hamiltonian"] = value(hamiltonian)
     _emit(args, payload, "derive.json")
     return 0
 
@@ -487,9 +487,9 @@ def cmd_brackets(args, model):
         at_points.append((opjet, djets, lifts))
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
-            # charges in coefficient form have a special bracket (criterion 14
-            # checks its algebra; it is not validated here)
-            closed = all(isinstance(charges[c], SpecialQuadratic) for c in (la, lb))
+            # charges with constant time scales have a special bracket
+            # (criterion 14 checks its algebra; it is not validated here)
+            closed = all(charges[c].f0.const_value is not None for c in (la, lb))
             # homomorphism of the pair bracket into vector fields: the commutator
             # of the two lifts against the lift of the bracket's differential,
             # which the product rule builds from the jets held
@@ -603,6 +603,8 @@ def main(argv=None):
             raise ParseError(f"--points must be at least 1, got {args.points}")
         args.tol_pass = _numbers("--tol-pass", args.tol_pass, 1)[0]
         args.tol_fail = _numbers("--tol-fail", args.tol_fail, 1)[0]
+        if args.tol_pass > args.tol_fail:
+            raise ParseError(f"--tol-pass {args.tol_pass} is above --tol-fail {args.tol_fail}")
         box = _numbers("--box", args.box, 2) if args.box else None
         model = catalog.load_model(args.config or args.model)
         if box:

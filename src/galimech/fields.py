@@ -73,7 +73,7 @@ class Field:
         self.args = (fn,) if args is None else args
         self.const_value = const_value
         self.deps = deps
-        self._d = {}
+        self._d = None  # allocated by the first d(): most nodes are never differentiated
         self._fn = None
 
     @property
@@ -93,6 +93,8 @@ class Field:
     def d(self, k):
         """The partial along slot k as a field, built once (a field never
         changes); ZERO for a slot outside ``deps``."""
+        if self._d is None:
+            self._d = {}
         f = self._d.get(k)
         if f is None:
             if self.deps is not None and k not in self.deps:
@@ -223,7 +225,8 @@ def program(fields, shape=None):
     same dict of lists of values.  Each structurally distinct subfield
     is one line, the operation the graph records on its operands' values,
     so it is evaluated once per point and every output is exactly its
-    field's value alone, on floats and on duals.
+    field's value alone, on floats and on duals.  Its ``deps`` is the
+    :func:`support` of the fields.
     """
     env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp,
            "matvec": lambda m, v: [sum(row[h] * v[h] for h in range(len(v))) for row in m]}
@@ -261,11 +264,13 @@ def program(fields, shape=None):
     if isinstance(fields, dict):
         out = ["{" + ", ".join(f"{k!r}: [{', '.join(map(emit, fs))}]"
                                for k, fs in fields.items()) + "}"]
+        fields = [f for fs in fields.values() for f in fs]
     else:
         out = [emit(f) for f in fields]
         for width in reversed((len(out),) if shape is None else shape):
             out = ["[" + ", ".join(out[i : i + width]) + "]" for i in range(0, len(out), width)]
     exec(_code("def run(xs):\n" + "".join(lines) + f"    return {out[0]}\n"), env)
+    env["run"].deps = support(*fields)
     return env["run"]
 
 

@@ -91,11 +91,6 @@ class Metric:
         except ZeroDivisionError:
             raise SingularMetricError(f"metric is singular at {list(map(duals.value, xs))}") from None
 
-    def norm_sq(self, xs):
-        """G(v, v) for the velocity slots v of a phase point."""
-        n = self.chart.n
-        return _quadratic(self.mat(xs), xs[n + 1 : 2 * n + 1])
-
     def check_spd(self, points):
         """Cholesky probe at sample points; raises on failure."""
         for xs in points:
@@ -134,12 +129,21 @@ def _inverse_program(n):
     return program([inv[_sym_key(i, j)] for i in range(n) for j in range(n)], (n, n))
 
 
-def _quadratic(gm, v):
-    """G(v, v) of a matrix ``gm``."""
-    out = 0.0
-    for a in range(len(v)):
-        for b in range(len(v)):
-            out = out + gm[a][b] * v[a] * v[b]
+def quadratic_field(G, f0, flin, fconst):
+    """The special quadratic phase function (1/2) f0 G(v, v) + flin.v + fconst
+    of spacetime coefficient fields, as one field over the phase chart whose
+    velocity slots n+1..2n are v.  It is summed as (1/2) f0 G(v, v) + fconst,
+    then each flin_a v^a in turn, with G(v, v) summed over the entries row
+    by row and built only for a non-zero f0."""
+    n = G.chart.n
+    f0, out = as_field(f0), as_field(fconst)
+    v = [coordinate(G.chart.vel(a)) for a in range(1, n + 1)]
+    if not f0.is_zero:
+        norm = sum((G.entry(a, b) * v[a - 1] * v[b - 1]
+                    for a in range(1, n + 1) for b in range(1, n + 1)), ZERO)
+        out = constant(0.5) * f0 * norm + out
+    for f, va in zip(flin, v):
+        out = out + as_field(f) * va
     return out
 
 
@@ -148,11 +152,6 @@ def identity_metric(chart):
         chart,
         {(a, b): constant(1.0 if a == b else 0.0) for a in range(1, chart.n + 1) for b in range(a, chart.n + 1)},
     )
-
-
-def _with_velocities(deps, n):
-    """A slot set plus the velocity slots n+1..2n (unknown stays unknown)."""
-    return None if deps is None else deps | frozenset(range(n + 1, 2 * n + 1))
 
 
 class _Coefficients:
@@ -193,14 +192,13 @@ class _Coefficients:
     def blocks(self):
         """The record's program, compiled on first use."""
         if self.G is None:
-            run = program(self.sym)
-        else:
-            raw = program({**self.sym, "ginv": [Field(self.G.inverse, self.G.deps)]})
+            return program(self.sym)
+        raw = program({**self.sym, "ginv": [Field(self.G.inverse, self.G.deps)]})
 
-            def run(xs):
-                out = RaisedBlocks(raw(xs))
-                out.ginv = out.pop("ginv")[0]
-                return out
+        def run(xs):
+            out = RaisedBlocks(raw(xs))
+            out.ginv = out.pop("ginv")[0]
+            return out
 
         run.deps = self.deps
         return run
@@ -399,7 +397,8 @@ class PhaseTwoForm:
         self.G = G
         self.conn = gamma_conn
         self.dyn = dynamical_from_phase(gamma_conn)
-        self.matrix_deps = _with_velocities(support(G, gamma_conn), G.chart.n)
+        vel = (coordinate(G.chart.vel(a)) for a in range(1, G.chart.n + 1))
+        self.matrix_deps = support(G, gamma_conn, *vel)
 
     def matrix(self, xs):
         n = self.chart.n
@@ -487,46 +486,39 @@ def euler_lagrange_matrix(G, dyn, p, accel):
 
 
 class PoincareCartan:
-    """Horizontal potential one-form, stored by its metric and gauge data;
-    its components read the slots of both, and the velocities.
+    """Horizontal potential one-form of metric and gauge data.  Its 2n+1
+    components are ``fields``, each a :func:`quadratic_field` over the
+    phase chart (-G(v, v)/2 + A_0, then G_ab v^b + A_a, then zeros), and
+    ``components`` is their program, compiled on first use.
 
     The form is also its own contact splitting: ``value`` is the Lagrangian
-    (the time-horizontal d0 coefficient) and ``component`` the momentum (the
-    velocity derivative of the Lagrangian: the spatial components)."""
+    field G(v, v)/2 + A_a v^a + A_0 (the time-horizontal d0 coefficient) and
+    ``component`` the momentum (the velocity derivative of the Lagrangian:
+    the spatial components)."""
 
     def __init__(self, G, A):
         self.chart = G.chart
         self.G = G
         self.A = [as_field(a) for a in A]
-        self.components_deps = self.value_deps = _with_velocities(support(G, *self.A), G.chart.n)
+        n, zeros = self.chart.n, [ZERO] * self.chart.n
+        self.fields = [quadratic_field(G, -1.0, zeros, self.A[0])]
+        self.fields += [quadratic_field(G, ZERO, [G.entry(a, b) for b in range(1, n + 1)],
+                                        self.A[a]) for a in range(1, n + 1)]
+        self.fields += zeros
+        self.value = quadratic_field(G, ONE, self.A[1:], self.A[0])
+
+    @functools.cached_property
+    def components(self):
+        return program(self.fields)
 
     def theta0(self, xs):
-        return -0.5 * self.G.norm_sq(xs) + self.A[0](xs)
+        return self.fields[0](xs)
 
     def theta_spatial(self, a, xs):
         """Component along d^a, a = 1..n."""
-        return self._spatial(a, xs, self.G.mat(xs))
-
-    def _spatial(self, a, xs, gm):
-        n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        return sum(gm[a - 1][b] * v[b] for b in range(n)) + self.A[a](xs)
+        return self.fields[a](xs)
 
     component = theta_spatial
-
-    def components(self, xs):
-        n = self.chart.n
-        gm = self.G.mat(xs)
-        out = [-0.5 * _quadratic(gm, xs[n + 1 : 2 * n + 1]) + self.A[0](xs)]
-        out += [self._spatial(a, xs, gm) for a in range(1, n + 1)]
-        out += [0.0] * n
-        return out
-
-    def value(self, xs):
-        n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        lin = sum(self.A[a](xs) * v[a - 1] for a in range(1, n + 1))
-        return 0.5 * self.G.norm_sq(xs) + lin + self.A[0](xs)
 
 
 def poincare_cartan(G, A):
@@ -550,24 +542,14 @@ def cartan_from_lagrangian(lag, mom):
 def observed_split(theta, observer):
     """Observer decomposition of a potential form.
 
-    Returns the observed Hamiltonian as a phase function and the observed
-    momentum components (the spatial components of the form, expressed in
-    the observer's coframe d^a - o^a d^0).
+    Returns the observed Hamiltonian -(theta_0 + o^a theta_a) and the
+    observed momentum components (the spatial components of the form,
+    expressed in the observer's coframe d^a - o^a d^0), as phase fields.
     """
-    n = theta.chart.n
-
-    def ham(xs):
-        s = theta.theta0(xs)
-        for a in range(1, n + 1):
-            c = observer.comps[a - 1]
-            if not c.is_zero:
-                s = s + c(xs) * theta.theta_spatial(a, xs)
-        return -s
-
-    moms = [
-        (lambda xs, a=a: theta.theta_spatial(a, xs)) for a in range(1, n + 1)
-    ]
-    return ham, moms
+    ham, moms = theta.fields[0], theta.fields[1 : theta.chart.n + 1]
+    for c, f in zip(observer.comps, moms):
+        ham = ham + c * f
+    return -ham, moms
 
 
 def observed_two_form(omega, observer, xs_e):

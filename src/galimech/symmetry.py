@@ -20,8 +20,8 @@ import numpy as np
 
 from . import duals
 from .duals import value
-from .fields import Field, ZERO, as_field, constant, coordinate, program, support
-from .geometry import _sym_key, gamma00_of, lift_of, motion_row
+from .fields import Field, ONE, ZERO, as_field, constant, coordinate, program, support
+from .geometry import _sym_key, gamma00_of, lift_of, motion_row, quadratic_field
 
 
 TOL_PASS = 1e-9
@@ -54,9 +54,9 @@ class SpacetimeVectorField:
     """Projectable vector field with constant time component.
 
     ``d1`` and ``d2`` evaluate the first and second partials of the
-    components once per point; the lifts contract them with a direction.
-    The holonomic lift reads the components' slots and v^k for each x^k
-    they read (``prolong1_values_deps``).
+    components once per point; the tangent lift contracts them with a
+    direction.  The holonomic lift is a program of fields, so its ``deps``
+    come from the graph.
     """
 
     def __init__(self, chart, x0, comps, label=""):
@@ -64,9 +64,6 @@ class SpacetimeVectorField:
         self.x0 = float(x0)
         self.comps = [as_field(c) for c in comps]
         self.label = label
-        s = support(*self.comps)
-        self.prolong1_values_deps = None if s is None else s | {
-            chart.n + k for k in s if 1 <= k <= chart.n}
 
     @functools.cached_property
     def values_e(self):
@@ -87,15 +84,15 @@ class SpacetimeVectorField:
         return program([c.d(min(lam, mu)).d(max(lam, mu)) for c in self.comps for lam in e
                         for mu in e], (self.chart.n, len(e), len(e)))
 
-    def prolong1_values(self, xs):
-        """Components of the holonomic lift on phase space."""
-        return self._prolong1(xs, self.d1(xs))
-
-    def _prolong1(self, xs, d1):
-        # velocity part: d/dt X^i along the contact direction (1, v)
+    @functools.cached_property
+    def prolong1_values(self):
+        """Components of the holonomic lift on phase space, as one program:
+        x0, X^i and d/dt X^i = d_lam X^i u^lam along the contact direction
+        u = (1, v)."""
         n = self.chart.n
-        u = [1.0, *xs[n + 1 : 2 * n + 1]]
-        return self.values_e(xs) + [_along(r, u) for r in d1]
+        u = [ONE] + [coordinate(self.chart.vel(k)) for k in range(1, n + 1)]
+        return program([constant(self.x0), *self.comps,
+                        *(_along([c.d(lam) for lam in range(n + 1)], u) for c in self.comps)])
 
     def prolongT_values(self, te_xs):
         """Components of the tangent lift on TE, coordinates (x, xdot)."""
@@ -163,8 +160,7 @@ def lie_metric(X, G):
 
 def _prolong_jet(X, xs):
     """X's first and second partials and its holonomic lift at ``xs``."""
-    d1 = X.d1(xs)
-    return d1, X.d2(xs), X._prolong1(xs, d1)
+    return X.d1(xs), X.d2(xs), X.prolong1_values(xs)
 
 
 def _lie_phase_connection(kjet, xs, d1, d2, lift):
@@ -308,8 +304,7 @@ def _motion_row(G, dyn):
     def e_row(j2):
         return motion_row(G, dyn, j2[: 2 * n + 1], j2[2 * n + 1 : 3 * n + 1])
 
-    s = support(G, dyn)
-    e_row.deps = None if s is None else s | frozenset(range(n + 1, 3 * n + 1))
+    e_row.deps = support(G, dyn, *(coordinate(k) for k in range(n + 1, 3 * n + 1)))
     return e_row
 
 
@@ -441,9 +436,9 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
 
 class SpecialQuadratic:
     """Phase function whose velocity dependence is (1/2) f0 * G(v, v) +
-    linear + scalar, with coefficient fields on spacetime.  Its ``deps``
-    (phase slots read) follow from theirs and the non-zero coefficients;
-    the bound ``value`` declares the same (``value_deps``)."""
+    linear + scalar, with coefficient fields on spacetime.  ``value`` is
+    that function as one :func:`~galimech.geometry.quadratic_field`, and
+    ``deps`` (the phase slots it reads) is the field's."""
 
     def __init__(self, G, f0, flin, fconst):
         self.G = G
@@ -451,31 +446,11 @@ class SpecialQuadratic:
         self.f0 = as_field(f0)
         self.flin = [as_field(f) for f in flin]
         self.fconst = as_field(fconst)
-        vel = [coordinate(self.chart.vel(a)) for a in range(1, self.chart.n + 1)]
-        quad = [] if self.f0.is_zero else [self.f0, G, *vel]
-        self.deps = self.value_deps = support(self.fconst, *quad,
-                                              *(f * v for f, v in zip(self.flin, vel)))
+        self.value = quadratic_field(G, self.f0, self.flin, self.fconst)
+        self.deps = self.value.deps
 
-    @functools.cached_property
-    def _coefficients(self):
-        return program([self.f0, *self.flin, self.fconst])
-
-    def coefficients(self, xs):
-        """(f0, [linear coefficients], constant) at the base point of ``xs``."""
-        c = self._coefficients(xs)
-        return c[0], c[1:-1], c[-1]
-
-    def value(self, xs):
-        n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        f0, lin, const = self.coefficients(xs)
-        quad = 0.0 if self.f0.is_zero else 0.5 * f0 * self.G.norm_sq(xs)
-        s = quad + const
-        for a in range(n):
-            s = s + lin[a] * v[a]
-        return s
-
-    __call__ = value
+    def __call__(self, xs):
+        return self.value(xs)
 
 
 def gamma_dot(fn, dyn, xs):
@@ -707,7 +682,9 @@ def _fit_design(n):
 
 class _FittedQuadratic(SpecialQuadratic):
     """A classified phase function: ``fit`` gives (f0, lin, const, quad) at
-    a base point, and the coefficient fields are views of it."""
+    a base point, and the coefficient fields are views of it.  Its value is
+    a bare field making one fit per evaluation, as a program of the views
+    would fit once for each of them; so its ``deps`` is unknown."""
 
     def __init__(self, G, fit, validate):
         n = G.chart.n
@@ -716,9 +693,13 @@ class _FittedQuadratic(SpecialQuadratic):
                          Field(lambda xs: fit(xs)[2]))
         self.fit = fit
         self.validate = validate
+        half_norm = quadratic_field(G, ONE, [ZERO] * n, ZERO)
 
-    def coefficients(self, xs):
-        return self.fit(xs)[:3]
+        def value(xs):
+            f0, lin, const = fit(xs)[:3]
+            return f0 * half_norm(xs) + const + _along(lin, xs[n + 1 : 2 * n + 1])
+
+        self.value = Field(value)
 
 
 def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galimech import cli, duals
+from galimech import catalog, cli, duals
 from galimech.catalog import ModelError, load_model, model_from_config, named_charges
 from galimech.cli import ParseError, parse_vector_field
 from galimech.duals import value
-from galimech.fields import Chart
+from galimech.fields import ZERO, Chart, coordinate
 from galimech.geometry import Metric
+from galimech.symmetry import SpecialQuadratic
 from galimech.units import UnitMismatchError
 from tests_support import COEFFICIENTS, field_specs
 
@@ -250,6 +251,21 @@ def test_brackets_lift_commutators_equal_the_lifted_brackets(name, tmp_path):
     assert checks and max(c["residual"] for c in checks) < 1e-12
 
 
+def test_brackets_reports_a_varying_time_scale_as_not_closed(monkeypatch, capsys):
+    named = catalog.named_charges
+
+    def with_varying(model, *args, **kwargs):
+        zeros = [ZERO] * model.chart.n
+        varying = SpecialQuadratic(model.G, coordinate(1), zeros, ZERO)
+        return {**named(model, *args, **kwargs), "charge_x1": varying}
+
+    monkeypatch.setattr(catalog, "named_charges", with_varying)
+    assert run_cli(["brackets", "--model", "free3d", "--points", "2"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 8 * 7 // 2
+    assert all(c["closed"] == ("charge_x1" not in c["pair"]) for c in checks)
+
+
 def test_brackets_differentiates_each_lift_once_per_point(monkeypatch, capsys):
     seeded = []
     orig = duals.grad
@@ -477,6 +493,14 @@ def test_config_fractional_dimension_is_input_error(tmp_path, capsys):
 def test_config_field_outside_the_chart_is_input_error(tmp_path, capsys):
     spec = {"kind": "coord", "index": 5}
     assert "outside 0..2" in _config_error(tmp_path, capsys, {"n": 2, "potential": [spec, 0, 0]})
+
+
+def test_tol_pass_above_tol_fail_is_input_error(capsys):
+    # every command shares the two flags
+    args = ["check-symmetry", "--model", "free3d", "--field", "x1^2 d1", "--points", "3"]
+    err = _input_error(args + ["--tol-pass", "1", "--tol-fail", "0.1"], capsys)
+    assert "--tol-pass" in err and "--tol-fail" in err
+    assert run_cli(args + ["--tol-pass", "0.1", "--tol-fail", "0.1"]) == 2
 
 
 def test_zero_points_is_input_error(capsys):

@@ -19,6 +19,7 @@ from galimech.fields import (
     exp_of,
     from_config,
     polynomial,
+    program,
     sample_points,
     sin_of,
 )
@@ -176,6 +177,17 @@ def test_operations_on_constants_fold():
     # a value that is not finite stays an operation, to fail where it is evaluated
     assert (constant(1e300) * constant(1e300)).op == "mul"
     assert (constant(0.0) ** -1).op == "pow"
+
+
+def test_program_deps_are_the_union_of_its_fields_supports():
+    x1, x3 = coordinate(1), coordinate(3)
+    assert program([x1, sin_of(x3)]).deps == {1, 3}
+    assert program([x1, ZERO], (2,)).deps == {1}
+    assert program({"a": [x1], "b": [ZERO, x3 * x1]}).deps == {1, 3}
+    assert program([constant(2.0)], ()).deps == frozenset()
+    # a field whose support is unknown makes the program's unknown
+    assert program([x1, Field(lambda xs: xs[2])]).deps is None
+    assert program({"a": [x1], "b": [Field(lambda xs: xs[2]) * x3]}).deps is None
 
 
 def test_programs_built_under_contention_match_serial():

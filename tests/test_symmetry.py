@@ -483,6 +483,49 @@ def test_noether_charge_d_equals_contraction(free3d):
         assert max(abs(value(a) - value(b)) for a, b in zip(dj, contr)) < 1e-13
 
 
+def _assert_all_close(got, want, what):
+    assert len(got) == len(want), what
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (what, got, want)
+
+
+@pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody",
+                                  "random-0", "random-1", "random-2", "random-3"])
+def test_phase_fields_match_their_formulas(name):
+    # theta's components, the Lagrangian, the charges and the holonomic lifts,
+    # each a field program, against formulas over G.mat and the coefficient fields
+    if name.startswith("random"):
+        model = random_compatible_model(int(name[len("random-"):]))
+    else:
+        model = load_model(name)
+    n, G, theta = model.chart.n, model.G, model.theta
+    gens = [X for action in model.actions.values() for X in action.generators]
+    x1, x2, rest = coordinate(1), coordinate(2), [ZERO] * (n - 2)
+    if not gens:  # a model without actions: d0 and x1 d2 - x2 d1, conserved or not
+        gens = [vf(model.chart, 1.0, [ZERO] * n), vf(model.chart, 0.0, [-x2, x1, *rest])]
+    charges = list(named_charges(model).values()) or [noether_charge(X, theta)[0] for X in gens]
+    gens.append(vf(model.chart, 0.0, [coordinate(0), ZERO, *rest], "t d1"))  # reads the time
+    for xs in model.sample_phase(4, seed=11):
+        v, gm, u = xs[n + 1 :], G.mat(xs), [1.0, *xs[n + 1 :]]
+        A = [a(xs) for a in theta.A]
+        gv = [sum(gm[a][b] * v[b] for b in range(n)) for a in range(n)]
+        norm = sum(gv[a] * v[a] for a in range(n))
+        _assert_all_close(theta.components(xs),
+                          [-0.5 * norm + A[0]] + [gv[a] + A[1 + a] for a in range(n)] + [0.0] * n,
+                          (name, "theta"))
+        _assert_all_close([theta.value(xs)],
+                          [0.5 * norm + sum(A[1 + a] * v[a] for a in range(n)) + A[0]],
+                          (name, "lagrangian"))
+        for q in charges:
+            lin = sum(f(xs) * va for f, va in zip(q.flin, v))
+            _assert_all_close([q.value(xs)], [0.5 * q.f0(xs) * norm + lin + q.fconst(xs)],
+                              (name, "charge"))
+        for X in gens:
+            velocity = [sum(r[lam] * u[lam] for lam in range(n + 1)) for r in X.d1(xs)]
+            _assert_all_close(X.prolong1_values(xs), X.values_e(xs) + velocity,
+                              (name, X.label, "lift"))
+
+
 # -- momentum maps --------------------------------------------------------------------
 
 
