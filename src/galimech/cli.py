@@ -187,6 +187,8 @@ def parse_vector_field(text, chart):
             cur.append(t)
     if cur:
         terms.append((sign, cur))
+    if not terms:
+        raise ParseError("empty field expression")
     comps = [ZERO for _ in range(chart.n + 1)]
     for sign, toks in terms:
         if not toks:
@@ -341,7 +343,10 @@ def cmd_simulate(args, model):
         wanted = []
         for nm in args.charges.split(","):
             nm = nm.strip()
-            wanted.append(nm if nm.startswith("charge_") else f"charge_{nm}")
+            nm = nm if nm.startswith("charge_") else f"charge_{nm}"
+            if nm in wanted:
+                raise ParseError(f"--charges names {nm} more than once")
+            wanted.append(nm)
         charges = catalog.named_charges(model, wanted)
     try:
         traj = dynamics.integrate(model.dyn, [t0, *x0, *v0], T, h)
@@ -410,7 +415,13 @@ def cmd_noether(args, model):
     return _exit_code(report)
 
 
+def _require_actions(model):
+    if not model.actions:
+        raise catalog.ModelError(f"model {model.name} defines no actions")
+
+
 def cmd_momentum_map(args, model):
+    _require_actions(model)
     if model.theta is None:
         raise NotASymmetryError(
             f"model {model.name} has no global potential form; momentum map undefined"
@@ -431,12 +442,8 @@ def cmd_momentum_map(args, model):
         quantisable = True
         f0_err = 0.0
         try:
-            sq = classify_special_quadratic(
-                entry.charge.value, model.G, validate_at=pts_e
-            )
-            f0_err = max(
-                abs(value(sq.f0(p)) - entry.tau) for p in pts_e
-            )
+            validate = classify_special_quadratic(entry.charge.value, model.G).validate
+            f0_err = max(abs(validate(p) - entry.tau) for p in pts_e)
         except ClassifyError:
             quantisable = False
         ok = match < args.tol_pass and quantisable and f0_err < 1e-10
@@ -468,6 +475,7 @@ def cmd_momentum_map(args, model):
 
 
 def cmd_brackets(args, model):
+    _require_actions(model)
     if model.theta is None:
         raise NotASymmetryError(f"model {model.name} has no potential form")
     pts = model.sample_phase(args.points, args.seed)

@@ -16,8 +16,6 @@ the tests against a finite-flow pullback oracle (:mod:`galimech.oracles`).
 import functools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import duals
 from .duals import value
 from .fields import Field, ONE, ZERO, as_field, constant, coordinate, program, support
@@ -658,83 +656,51 @@ def generator_match(entry, omega, points):
 # -- classification of quadratic phase functions ------------------------------
 
 
-def _velocity_nodes(n):
-    """The velocities of a fit: 0, e_h and 2 e_h, then e_h + e_k for h < k."""
-    e = [[float(h == k) for k in range(n)] for h in range(n)]
-    pairs = [[a + b for a, b in zip(e[h], e[k])] for h in range(n) for k in range(h + 1, n)]
-    return [[0.0] * n] + [row for eh in e for row in (eh, [2.0 * x for x in eh])] + pairs
+class _ClassifiedQuadratic(SpecialQuadratic):
+    """A classified phase function: ``read`` gives (f0, lin, const, quad) at
+    a base point, and the coefficient fields are views of it.  Its value and
+    ``deps`` are the classified function's own."""
 
-
-def _quad_design_row(v, n):
-    quad = [(0.5 if h == k else 1.0) * v[h] * v[k] for h in range(n) for k in range(h, n)]
-    return quad + list(v) + [1.0]
-
-
-@functools.cache
-def _fit_design(n):
-    """The velocity nodes of a fit on an n-dimensional chart and the inverse
-    of their design matrix (read-only: every fit on the chart shares it)."""
-    nodes = _velocity_nodes(n)
-    dinv = np.linalg.inv(np.array([_quad_design_row(v, n) for v in nodes]))
-    dinv.flags.writeable = False
-    return nodes, dinv
-
-
-class _FittedQuadratic(SpecialQuadratic):
-    """A classified phase function: ``fit`` gives (f0, lin, const, quad) at
-    a base point, and the coefficient fields are views of it.  Its value is
-    a bare field making one fit per evaluation, as a program of the views
-    would fit once for each of them; so its ``deps`` is unknown."""
-
-    def __init__(self, G, fit, validate):
-        n = G.chart.n
-        super().__init__(G, Field(lambda xs: fit(xs)[0]),
-                         [Field(lambda xs, a=a: fit(xs)[1][a]) for a in range(n)],
-                         Field(lambda xs: fit(xs)[2]))
-        self.fit = fit
+    def __init__(self, G, fn, read, validate):
+        self.G, self.chart = G, G.chart
+        self.f0 = Field(lambda xs: read(xs)[0])
+        self.flin = [Field(lambda xs, a=a: read(xs)[1][a]) for a in range(G.chart.n)]
+        self.fconst = Field(lambda xs: read(xs)[2])
+        self.value, self.deps = fn, duals.deps_of(fn)
         self.validate = validate
-        half_norm = quadratic_field(G, ONE, [ZERO] * n, ZERO)
-
-        def value(xs):
-            f0, lin, const = fit(xs)[:3]
-            return f0 * half_norm(xs) + const + _along(lin, xs[n + 1 : 2 * n + 1])
-
-        self.value = Field(value)
 
 
 def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
-    """Fit a phase function as quadratic in the velocities with quadratic
+    """Read a phase function as quadratic in the velocities with quadratic
     part proportional to the metric.
 
-    Returns a :class:`SpecialQuadratic` whose coefficients come from one
-    fit per base point (so they compose with the derivative engine).  With
-    ``validate_at`` base points the fit is checked eagerly:
-    :class:`ClassifyError` is raised when the residual at probe velocities
-    is too large or the quadratic part is not metric proportional.
+    Its coefficients at a base point are its jet along the velocity slots
+    at v = 0 (exact, and honouring the ``deps`` of ``fn``): fconst = fn(x, 0),
+    flin_h = d_{v_h} fn and quad_hk = d_{v_h} d_{v_k} fn; f0 is the metric
+    trace of quad over n.  Returns a :class:`SpecialQuadratic` whose value
+    is ``fn`` itself.  With ``validate_at`` base points the reading is
+    checked eagerly: :class:`ClassifyError` is raised when the residual at
+    probe velocities is too large or the quadratic part is not metric
+    proportional.
     """
-    chart = G.chart
-    n = chart.n
-    nodes, dinv = _fit_design(n)
+    n = G.chart.n
     probe = [[0.3 + 0.1 * i for i in range(n)], [1.0] * n, [-0.7, 0.4] + [0.2] * (n - 2)]
 
-    def fit(xs):
-        """(f0, lin, const, quad) at the base point of ``xs``, from one
-        evaluation per node; f0 is the metric trace of the quadratic part."""
+    def read(xs):
+        """(f0, lin, const, quad) at the base point of ``xs``."""
         base = list(xs[: n + 1])
-        vals = [fn(base + list(v)) for v in nodes]
-        coeffs = [sum(dinv[r][c] * vals[c] for c in range(len(vals))) for r in range(len(vals))]
-        keys = [(h, k) for h in range(n) for k in range(h, n)]
-        quad = dict(zip(keys, coeffs))
-        lin, const = coeffs[len(keys) : len(keys) + n], coeffs[len(keys) + n]
+        at = base + [0.0] * n
+        quad = {(h, k): duals.partial2(fn, at, n + 1 + h, n + 1 + k)
+                for h in range(n) for k in range(h, n)}
         ginv = G.inv(base)
         tr = 0.0
         for h in range(n):
             for k in range(n):
                 tr = tr + ginv[h][k] * quad[_sym_key(k, h)]
-        return tr / n, lin, const, quad
+        return tr / n, [duals.partial(fn, at, n + 1 + h) for h in range(n)], fn(at), quad
 
     def check(xs_e):
-        f0, lin, const, quad = fit(xs_e)
+        f0, lin, const, quad = read(xs_e)
         base = list(xs_e[: n + 1])
         scale = 1.0 + max(abs(value(c)) for c in list(lin) + [const] + list(quad.values()))
         for v in probe:
@@ -763,7 +729,7 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
     if validate_at is not None:
         for xs_e in validate_at:
             check(xs_e)
-    return _FittedQuadratic(G, fit, check)
+    return _ClassifiedQuadratic(G, fn, read, check)
 
 
 # -- brackets ----------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_parse_simple_fields():
 
 def test_parse_errors():
     chart = Chart(3)
-    for bad in ("x1^2", "d9", "x9 d1", "foo d1", "x1 +", "(x1 d1"):
+    for bad in ("x1^2", "d9", "x9 d1", "foo d1", "x1 +", "(x1 d1", "", "   "):
         with pytest.raises(ParseError):
             parse_vector_field(bad, chart)
 
@@ -167,6 +167,13 @@ def test_unknown_charge_is_rejected_before_integrating(monkeypatch, capsys):
     code = run_cli(["simulate", "--model", "rigidbody", "--charges", "d0,bogus"])
     assert code == 3 and calls == []
     assert "charge_bogus" in capsys.readouterr().err
+
+
+def test_a_repeated_charge_is_an_input_error(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.dynamics, "integrate", lambda *a: calls.append(a))
+    err = _input_error(["simulate", "--model", "free3d", "--charges", "R1,charge_R1"], capsys)
+    assert calls == [] and "charge_R1 more than once" in err
 
 
 def test_simulate_csv(tmp_path, capsys):
@@ -493,6 +500,13 @@ def test_config_fractional_dimension_is_input_error(tmp_path, capsys):
 def test_config_field_outside_the_chart_is_input_error(tmp_path, capsys):
     spec = {"kind": "coord", "index": 5}
     assert "outside 0..2" in _config_error(tmp_path, capsys, {"n": 2, "potential": [spec, 0, 0]})
+
+
+@pytest.mark.parametrize("command", ["momentum-map", "brackets"])
+def test_a_config_without_actions_is_an_input_error(command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2}))
+    assert "defines no actions" in _input_error([command, "--model", str(path)], capsys)
 
 
 def test_tol_pass_above_tol_fail_is_input_error(capsys):

@@ -16,28 +16,32 @@ from galimech.geometry import (
     SingularMetricError,
     SpacetimeConnection,
     closure_residual,
-    dphi_residual,
     dynamical_from_phase,
-    euler_lagrange_matrix,
     gamma00_of,
     identity_metric,
     lagrangian_and_momentum,
     cartan_from_lagrangian,
-    metric_compat_residual,
     metric_connection,
     minimal_coupling,
     observed_split,
-    observed_two_form,
     phase_from_dynamical,
     phase_from_spacetime,
     poincare_cartan,
     reeb_residual,
     spacetime_from_phase,
-    zero_connection,
     _inverse_program,
 )
 from galimech.units import CHARGE, MASS, ScaledScalar
-from tests_support import explicit_connection, nonmetric_two_form, random_compatible_model
+from tests_support import (
+    dphi_residual,
+    euler_lagrange_matrix,
+    explicit_connection,
+    metric_compat_residual,
+    nonmetric_two_form,
+    observed_two_form,
+    random_compatible_model,
+    zero_connection,
+)
 
 
 def random_connection(chart, rng):

@@ -994,7 +994,7 @@ def test_forms_by_product_rule_match_the_cartan_formula(rigidbody):
             assert abs(got[b] - want) < 1e-12
 
 
-def test_classified_value_fits_once_per_point(free3d):
+def test_classified_value_calls_the_function_once(free3d):
     calls = []
     charge = noether_charge(vf(free3d.chart, 1.0, [ZERO] * 3), free3d.theta)[0]
 
@@ -1005,7 +1005,34 @@ def test_classified_value_fits_once_per_point(free3d):
     sq = classify_special_quadratic(fn, free3d.G)
     p = [0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7]
     assert abs(value(sq.value(p)) - value(charge(p))) < 1e-12
-    assert len(calls) == 10  # the velocity nodes of one fit, n = 3
+    assert len(calls) == 1  # the value is the function itself
+    calls.clear()
+    assert abs(value(sq.f0(p)) - 1.0) < 1e-12
+    n = 3
+    assert len(calls) <= 1 + n + n * (n + 1) // 2  # one reading: the velocity jet at v = 0
+
+
+@pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody",
+                                  "random-0", "random-1", "random-2", "random-3"])
+def test_classification_reads_the_charge_coefficients(name):
+    if name.startswith("random"):
+        model = random_compatible_model(int(name[len("random-"):]))
+        n, x1, x2 = model.chart.n, coordinate(1), coordinate(2)
+        rest = [ZERO] * (n - 2)
+        gens = [vf(model.chart, 1.0, [ZERO] * n), vf(model.chart, 0.0, [ONE, ZERO, *rest]),
+                vf(model.chart, 0.0, [-x2, x1, *rest])]
+    else:
+        model = load_model(name)
+        gens = [X for action in model.actions.values() for X in action.generators]
+    pts_e = model.sample_e(4, seed=17)
+    for X in gens:
+        charge = noether_charge(X, model.theta)[0]
+        sq = classify_special_quadratic(charge.value, model.G, validate_at=pts_e)
+        for x in pts_e:
+            got = [sq.f0(x), *(f(x) for f in sq.flin), sq.fconst(x)]
+            want = [charge.f0(x), *(f(x) for f in charge.flin), charge.fconst(x)]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (name, X.label, got, want)
 
 
 def test_validating_a_fitted_bracket_inverts_no_metric(free3d, monkeypatch):

@@ -1,18 +1,23 @@
 """Shared helpers for the test suite: random connections and models, a
 metric connection given by explicit coefficient fields, a deliberately
-non-metric two-form, and a strategy for config field specs."""
+non-metric two-form, a strategy for config field specs, and the structure
+checks only the tests read (metric compatibility, the observed two-form and
+its closure, the Euler-Lagrange matrix, the zero connection)."""
 
 import random
 
 from hypothesis import strategies as st
 
+from galimech import duals
 from galimech.catalog import Model
 from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial
 from galimech.geometry import (
     Metric,
     PhaseTwoForm,
     SpacetimeConnection,
+    _sym_key,
     identity_metric,
+    motion_row,
     phase_from_spacetime,
 )
 
@@ -131,3 +136,86 @@ def field_specs(slots):
         )
 
     return st.recursive(bounded_leaf, extend, max_leaves=6)
+
+
+# -- structure checks only the tests read --------------------------------------
+
+
+def zero_connection(chart):
+    return SpacetimeConnection(chart, {})
+
+
+def euler_lagrange_matrix(G, dyn, p, accel):
+    """Horizontal two-form of the motion residual at second-order data."""
+    n = G.chart.n
+    m = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for b, s in enumerate(motion_row(G, dyn, list(p), accel)):
+        m[0][1 + b] = s
+        m[1 + b][0] = -s
+    return m
+
+
+def observed_two_form(omega, observer, xs_e):
+    """Component matrix of the observed spacetime 2-form (twice the observer
+    pullback of the phase 2-form; the doubling cancels against the
+    antisymmetric-pair count, so for a flat model with a pure field the
+    matrix reproduces the coupled field entries)."""
+    chart = omega.chart
+    n = chart.n
+    phase_pt = observer.phase_point(xs_e)
+    m = omega.matrix(phase_pt)
+    # tangent map of the section: d(o^i)/dx^lam fills the velocity rows
+    do = [
+        [observer.comps[i].partial((lam,), xs_e) for lam in range(0, n + 1)]
+        for i in range(n)
+    ]
+    out = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for lam in range(0, n + 1):
+        for mu in range(0, n + 1):
+            s = m[lam][mu]
+            for i in range(n):
+                s = s + do[i][mu] * m[lam][n + 1 + i]
+                s = s + do[i][lam] * m[n + 1 + i][mu]
+                for j in range(n):
+                    s = s + do[i][lam] * do[j][mu] * m[n + 1 + i][n + 1 + j]
+            out[lam][mu] = s
+    return out
+
+
+def metric_compat_residual(K, G, xs):
+    """Covariant-constancy defect of the metric under the vertical
+    restriction of a spacetime connection."""
+    n = G.chart.n
+    kv = K.values(xs)
+    gm, dg = G.jet(xs)
+
+    def kval(lam, i, mu):
+        return kv[_sym_key(lam, mu)][i - 1]
+
+    worst = 0.0
+    for lam in range(0, n + 1):
+        for a in range(1, n + 1):
+            for b in range(a, n + 1):
+                r = dg[lam][a - 1][b - 1]
+                for k in range(1, n + 1):
+                    r = r + kval(lam, k, a) * gm[k - 1][b - 1]
+                    r = r + kval(lam, k, b) * gm[a - 1][k - 1]
+                worst = max(worst, abs(duals.value(r)))
+    return worst
+
+
+def dphi_residual(omega, observer, xs_e):
+    """Closure defect of the observed 2-form at a spacetime point."""
+    n = omega.chart.n
+
+    def comp(xs):
+        return observed_two_form(omega, observer, xs)
+
+    dm = duals.grad(comp, list(xs_e))
+    worst = 0.0
+    for a in range(n + 1):
+        for b in range(a + 1, n + 1):
+            for c in range(b + 1, n + 1):
+                r = dm[a][b][c] + dm[b][c][a] + dm[c][a][b]
+                worst = max(worst, abs(duals.value(r)))
+    return worst
