@@ -167,32 +167,24 @@ def parse_vector_field(text, chart):
     its residual.
     """
     tokens = _tokenize(text)
-    # split into top-level terms at +/-
-    terms = []
-    depth = 0
-    cur = []
-    sign = 1.0
+    if not tokens:
+        raise ParseError("empty field expression")
+    # split into top-level terms at +/-; the last one is empty after a dangling sign
+    terms, depth, cur, sign = [], 0, [], 1.0
     for t in tokens:
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-        if depth == 0 and t in ("+", "-") and cur:
-            terms.append((sign, cur))
-            sign = 1.0 if t == "+" else -1.0
-            cur = []
-        elif depth == 0 and t in ("+", "-") and not cur:
+        depth += (t == "(") - (t == ")")
+        if depth == 0 and t in ("+", "-"):
+            if cur:
+                terms.append((sign, cur))
+                sign, cur = 1.0, []
             sign *= 1.0 if t == "+" else -1.0
         else:
             cur.append(t)
-    if cur:
-        terms.append((sign, cur))
-    if not terms:
-        raise ParseError("empty field expression")
-    comps = [ZERO for _ in range(chart.n + 1)]
+    terms.append((sign, cur))
+    comps = [ZERO] * (chart.n + 1)
     for sign, toks in terms:
         if not toks:
-            raise ParseError("empty term")
+            raise ParseError("dangling sign: no term after the last + or -")
         last = toks[-1]
         if not (isinstance(last, tuple) and last[0] == "name" and
                 last[1].startswith("d") and last[1][1:].isdigit()):

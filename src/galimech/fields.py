@@ -58,12 +58,13 @@ class Field:
     "sin", "cos", "exp" of fields, "pow" of a field and an integer and
     "matvec" (:func:`matvec`); the leaves are "const", "coord", "poly" and
     "call", the bare callable of ``Field(fn)`` in generic scalar arithmetic.
-    A field evaluates as its one-field :func:`program` ``fn``.
-    ``const_value`` marks constants; an operation on constants is folded
-    into one when it is built.  ``deps`` is the set of slots the field may
-    read (None: unknown, so all).  Each operation has a derivative rule
-    (:meth:`d`); a bare callable and a matvec node are differentiated by a
-    seeded dual pass.
+    An "inverse" node (:func:`inverse`) is matrix valued: only a matvec
+    node reads it.  A field evaluates as its one-field :func:`program`
+    ``fn``.  ``const_value`` marks constants; an operation on constants is
+    folded into one when it is built.  ``deps`` is the set of slots the
+    field may read (None: unknown, so all).  Each operation has a
+    derivative rule (:meth:`d`); only a bare callable is differentiated by
+    a seeded dual pass.
     """
 
     __slots__ = ("op", "args", "const_value", "deps", "_d", "_fn")
@@ -99,7 +100,7 @@ class Field:
         if f is None:
             if self.deps is not None and k not in self.deps:
                 f = ZERO
-            elif self.op in ("call", "matvec"):
+            elif self.op == "call":
                 f = Field(lambda xs: duals.partial(self, xs, k), self.deps)
             else:
                 f = self._rule(k)
@@ -122,6 +123,11 @@ class Field:
             return constant(args[1]) * f ** (args[1] - 1) * f.d(k)
         if op in _CHAIN:
             return _CHAIN[op](f) * f.d(k)
+        if op == "matvec":  # d_k(A^-1 w) = A^-1 (d_k w - (d_k A) A^-1 w)
+            vec, i, a = args[1], args[2], f.args[1]  # a: the inverted matrix's entries
+            n, raised = len(vec), matvec(f, vec)
+            return matvec(f, [w.d(k) - sum((a[h * n + j].d(k) * raised[j] for j in range(n)), ZERO)
+                              for h, w in enumerate(vec)])[i]
         if op == "poly":
             return polynomial([(c * p, {**dict(expo), k: p - 1})
                                for c, expo in args[0] for slot, p in expo if slot == k])
@@ -206,16 +212,25 @@ def _node(op, *fields):
     return folded or Field(None, support(*fields), op, fields)
 
 
+def inverse(entries, fn):
+    """The inverse of the n x n matrix whose entries, row by row, are the
+    fields ``entries``, as one matrix-valued node that :func:`matvec` reads.
+    A program evaluates it in one line per point, ``fn(values, xs)`` of
+    the entries' values and the point, after the entries' own lines; ``fn``
+    gives the inverse as nested lists, or raises at a singular matrix."""
+    entries = tuple(map(as_field, entries))
+    return Field(None, support(*entries), "inverse", (fn, entries))
+
+
 def matvec(m, vec):
-    """The fields sum_h M[i][h] vec[h] of a matrix-valued callable ``m`` of
-    the point, which declares its ``deps``.  A program calls ``m`` once per
-    point, on the line a bare ``Field(m)`` output would use, and multiplies
-    each distinct vector by it in one line.  A zero vector gives zeros."""
+    """The fields sum_h M[i][h] vec[h] of the :func:`inverse` node ``m``.  A
+    program evaluates ``m`` once per point and multiplies each distinct
+    vector by it in one line.  A zero vector gives zeros.  The partials
+    follow from those of the inverted matrix and of ``vec`` (:meth:`Field.d`)."""
     vec = tuple(map(as_field, vec))
     if all(f.is_zero for f in vec):
         return [ZERO] * len(vec)
-    mat = Field(m, m.deps)
-    return [Field(None, support(mat, *vec), "matvec", (mat, vec, i)) for i in range(len(vec))]
+    return [Field(None, support(m, *vec), "matvec", (m, vec, i)) for i in range(len(vec))]
 
 
 def program(fields, shape=None):
@@ -230,7 +245,8 @@ def program(fields, shape=None):
     """
     env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp,
            "matvec": lambda m, v: [sum(row[h] * v[h] for h in range(len(v))) for row in m]}
-    lines, named, text = [], {}, {}  # text: id(field) -> expression of its value
+    lines, named, fns = [], {}, {}  # fns: id(callable) -> its name
+    text = {}  # id(field) -> expression of its value
 
     def emit(f):
         """The expression of ``f``'s value, after its operands' lines."""
@@ -247,15 +263,16 @@ def program(fields, shape=None):
             key = expr = " + ".join(["0.0"] + ["".join(
                 [f"({c!r})"] + [f" * xs[{s}]" + (f" ** {p}" if p != 1 else "") for s, p in expo])
                 for c, expo in args[0]])
-        elif op == "call":  # one line per callable, named by its order
-            key, expr = (op, id(args[0])), f"c{len(env)}(xs)"
+        elif op in ("call", "inverse"):  # one line per callable, or per matrix over its entries
+            name = fns.setdefault(id(args[0]), f"c{len(fns)}")
+            env[name] = args[0]
+            key = expr = (f"{name}(xs)" if op == "call"
+                          else f"{name}([{', '.join(map(emit, args[1]))}], xs)")
         elif op == "matvec":  # one line per matrix and vector, read entry by entry
             key = expr = f"matvec({emit(args[0])}, [{', '.join(map(emit, args[1]))}])"
         else:
             key = expr = _SYNTAX.get(op, op + "({})").format(*map(emit, args))
         if key not in named:
-            if op == "call":
-                env[expr[:-4]] = args[0]
             named[key] = f"v{len(lines)}"
             lines.append(f"    {named[key]} = {expr}\n")
         text[id(f)] = named[key] + (f"[{args[2]}]" if op == "matvec" else "")

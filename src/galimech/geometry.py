@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from . import duals
-from .fields import Field, ONE, ZERO, as_field, constant, coordinate, matvec, program, support
+from .fields import ONE, ZERO, as_field, constant, coordinate, inverse, matvec, program, support
 from .units import ScaledScalar, DIMENSIONLESS
 
 
@@ -38,10 +38,11 @@ def _sym_key(a, b):
 class Metric:
     """Spacelike metric: symmetric positive-definite matrix of fields on E.
     Its matrix and its jet are each one :func:`~galimech.fields.program`.
-    ``inverse`` is G^-1 as a callable of the point for programs
-    (:func:`~galimech.fields.matvec`); it looks :meth:`inv` up at each call.
-    A non-constant metric is inverted by the straight-line program of its
-    chart dimension (:func:`_inverse_program`), on floats and on duals.
+    ``inv_node`` is G^-1 as one :func:`~galimech.fields.inverse` node over
+    the entry fields, which :func:`~galimech.fields.matvec` raises by: a
+    program passes the values of the entry lines it already has to
+    :meth:`inv`, the one place a metric is inverted.  A constant metric is
+    checked once, when it is built.
     """
 
     def __init__(self, chart, entries):
@@ -58,14 +59,12 @@ class Metric:
         self.deps = support(*self._e.values())
         self._g = [self.entry(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
         self.mat = program(self._g, (n, n))
-        self.inverse = lambda xs: self.inv(xs)
-        self.inverse.deps = self.deps
-        self._const_inv = None
+        self.inv_node = inverse(self._g, lambda g, xs: self.inv(xs, g))
         if all(f.const_value is not None for f in self._e.values()):
             m = self.mat(None)  # constant entries read no slot
             try:
-                self._const_inv = np.linalg.inv(np.array(m)).tolist()
-            except np.linalg.LinAlgError:
+                _inverse_program(n)([e for row in m for e in row])
+            except ZeroDivisionError:
                 raise SingularMetricError(f"constant metric {m} is singular") from None
 
     def entry(self, a, b):
@@ -83,11 +82,14 @@ class Metric:
         m = self._jet(xs)
         return m[0], m[1:]
 
-    def inv(self, xs):
-        if self._const_inv is not None:
-            return [row[:] for row in self._const_inv]
+    def inv(self, xs, g=None):
+        """G^-1 at a point, by the straight-line program of the chart
+        dimension (:func:`_inverse_program`), on floats and on duals; ``g``
+        is G there, its n*n entries row by row, when a program has them.  A
+        zero pivot is a :class:`SingularMetricError` naming the point."""
+        g = [e for row in self.mat(xs) for e in row] if g is None else g
         try:
-            return _inverse_program(self.chart.n)([e for row in self.mat(xs) for e in row])
+            return _inverse_program(self.chart.n)(g)
         except ZeroDivisionError:
             raise SingularMetricError(f"metric is singular at {list(map(duals.value, xs))}") from None
 
@@ -162,12 +164,11 @@ class _Coefficients:
     i = 1..n), the K[lam][i][mu] of a dt-preserving torsion-free connection
     with its (lam, mu) symmetry shared structurally.  A metric record keeps
     its metric ``G`` and lowered vectors ``low`` too: ``sym`` is ``low``
-    raised by one :func:`~galimech.fields.matvec` by ``G.inverse`` each.
+    raised by one :func:`~galimech.fields.matvec` by ``G.inv_node`` each.
     ``blocks`` evaluates the record as one program of the ``sym`` fields,
-    compiled on first use: {(lam, mu): [n values]} at a point, for a metric
-    record a :class:`RaisedBlocks`.  The correspondence maps hand the record
-    and its programs on unchanged (:meth:`read_as`); the classes differ
-    only in reading it.
+    compiled on first use: {(lam, mu): [n values]} at a point.  The
+    correspondence maps hand the record and its programs on unchanged
+    (:meth:`read_as`); the classes differ only in reading it.
     """
 
     def __init__(self, chart, sym, G=None, low=None):
@@ -191,17 +192,7 @@ class _Coefficients:
     @functools.cached_property
     def blocks(self):
         """The record's program, compiled on first use."""
-        if self.G is None:
-            return program(self.sym)
-        raw = program({**self.sym, "ginv": [Field(self.G.inverse, self.G.deps)]})
-
-        def run(xs):
-            out = RaisedBlocks(raw(xs))
-            out.ginv = out.pop("ginv")[0]
-            return out
-
-        run.deps = self.deps
-        return run
+        return program(self.sym)
 
 
 class SpacetimeConnection(_Coefficients):
@@ -216,16 +207,9 @@ class SpacetimeConnection(_Coefficients):
         return self.blocks(xs)
 
 
-class RaisedBlocks(dict):
-    """Connection blocks {(lam, mu): [n values]} at a point, with the metric
-    inverse ``ginv`` that raised them, for callers needing G^-1 there too."""
-
-    __slots__ = ("ginv",)
-
-
 def _raised(G, low):
     """The metric record of G with lowered vectors ``low``."""
-    return SpacetimeConnection(G.chart, {k: matvec(G.inverse, v) for k, v in low.items()}, G, low)
+    return SpacetimeConnection(G.chart, {k: matvec(G.inv_node, v) for k, v in low.items()}, G, low)
 
 
 def metric_connection(chart, G, A=None):
@@ -317,12 +301,12 @@ class DynamicalConnection(_Coefficients):
     def _acceleration(self):
         """The acceleration as one program over the phase chart, compiled
         on first use.  A metric record contracts its lowered vectors with
-        the velocity slots and raises the sum once, by ``G.inverse``."""
+        the velocity slots and raises the sum once, by ``G.inv_node``."""
         n = self.chart.n
         v = [coordinate(n + h) for h in range(1, n + 1)]
         if self.G is None:
             return program(gamma00_of(self.sym, v))
-        return program(matvec(self.G.inverse, gamma00_of(self.low, v)))
+        return program(matvec(self.G.inv_node, gamma00_of(self.low, v)))
 
     def gamma00_values(self, xs):
         return self._acceleration(xs)
@@ -475,7 +459,7 @@ class PoincareCartan:
     """Horizontal potential one-form of metric and gauge data.  Its 2n+1
     components are ``fields``, each a :func:`quadratic_field` over the
     phase chart (-G(v, v)/2 + A_0, then G_ab v^b + A_a, then zeros), and
-    ``components`` is their program, compiled on first use.
+    ``components`` is their program.  Each is built on first use.
 
     The form is also its own contact splitting: ``value`` is the Lagrangian
     field G(v, v)/2 + A_a v^a + A_0 (the time-horizontal d0 coefficient) and
@@ -486,12 +470,17 @@ class PoincareCartan:
         self.chart = G.chart
         self.G = G
         self.A = [as_field(a) for a in A]
-        n, zeros = self.chart.n, [ZERO] * self.chart.n
-        self.fields = [quadratic_field(G, -1.0, zeros, self.A[0])]
-        self.fields += [quadratic_field(G, ZERO, [G.entry(a, b) for b in range(1, n + 1)],
-                                        self.A[a]) for a in range(1, n + 1)]
-        self.fields += zeros
-        self.value = quadratic_field(G, ONE, self.A[1:], self.A[0])
+
+    @functools.cached_property
+    def fields(self):
+        G, n, zeros = self.G, self.chart.n, [ZERO] * self.chart.n
+        return [quadratic_field(G, -1.0, zeros, self.A[0]),
+                *(quadratic_field(G, ZERO, [G.entry(a, b) for b in range(1, n + 1)], self.A[a])
+                  for a in range(1, n + 1)), *zeros]
+
+    @functools.cached_property
+    def value(self):
+        return quadratic_field(self.G, ONE, self.A[1:], self.A[0])
 
     @functools.cached_property
     def components(self):

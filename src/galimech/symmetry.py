@@ -566,6 +566,7 @@ def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
 # -- covariant Hamiltonian lift ----------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def lift_operator(omega):
     """The lift as a linear map, as a callable of a phase point: (u, Lam)
     with u = [1, v, gamma] the second-order connection and Lam the Poisson
@@ -573,12 +574,14 @@ def lift_operator(omega):
     tau is tau u + Lam.df; its blocks are Lam[x^h][v^k] = -G^hk,
     Lam[v^h][x^k] = G^hk and Lam[v^h][v^k] = B^hk - B^kh with
     B = G^-1 gl_sp^T, and its time row and column are zero.  The connection
-    blocks are evaluated once, with the metric inverse that raised them."""
+    blocks and G^-1 are one program, so a connection raised by G shares
+    its one inverse line; it is built again only for another two-form."""
     n, dim = omega.chart.n, 2 * omega.chart.n + 1
+    blocks = program({**omega.conn.sym, "G^-1": [omega.G.inv_node]})
 
     def op(xs):
-        kv = omega.conn.blocks(xs)
-        ginv = kv.ginv if omega.conn.G is omega.G else omega.G.inv(xs)
+        kv = blocks(xs)
+        ginv = kv["G^-1"][0]
         v = xs[n + 1 : 2 * n + 1]
         gl = lift_of(kv, v)
         b = [[_along(ginv[h], gl[k][1:]) for k in range(n)] for h in range(n)]
@@ -657,17 +660,13 @@ def generator_match(entry, omega, points):
 
 
 class _ClassifiedQuadratic(SpecialQuadratic):
-    """A classified phase function: ``read`` gives (f0, lin, const, quad) at
-    a base point, and the coefficient fields are views of it.  Its value and
-    ``deps`` are the classified function's own."""
+    """A classified phase function: its value and ``deps`` are the function's
+    own, and each coefficient field is a bare callable of a base point that
+    reads only its own part of the function's velocity jet."""
 
-    def __init__(self, G, fn, read, validate):
-        self.G, self.chart = G, G.chart
-        self.f0 = Field(lambda xs: read(xs)[0])
-        self.flin = [Field(lambda xs, a=a: read(xs)[1][a]) for a in range(G.chart.n)]
-        self.fconst = Field(lambda xs: read(xs)[2])
-        self.value, self.deps = fn, duals.deps_of(fn)
-        self.validate = validate
+    def __init__(self, G, fn, f0, flin, fconst, validate):
+        self.G, self.chart, self.f0, self.flin, self.fconst = G, G.chart, f0, flin, fconst
+        self.value, self.deps, self.validate = fn, duals.deps_of(fn), validate
 
 
 def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
@@ -678,7 +677,8 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
     at v = 0 (exact, and honouring the ``deps`` of ``fn``): fconst = fn(x, 0),
     flin_h = d_{v_h} fn and quad_hk = d_{v_h} d_{v_k} fn; f0 is the metric
     trace of quad over n.  Returns a :class:`SpecialQuadratic` whose value
-    is ``fn`` itself.  With ``validate_at`` base points the reading is
+    is ``fn`` itself, and whose coefficient fields each read only their own
+    part of the jet.  With ``validate_at`` base points the reading is
     checked eagerly: :class:`ClassifyError` is raised when the residual at
     probe velocities is too large or the quadratic part is not metric
     proportional.
@@ -686,22 +686,22 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
     n = G.chart.n
     probe = [[0.3 + 0.1 * i for i in range(n)], [1.0] * n, [-0.7, 0.4] + [0.2] * (n - 2)]
 
-    def read(xs):
-        """(f0, lin, const, quad) at the base point of ``xs``."""
-        base = list(xs[: n + 1])
-        at = base + [0.0] * n
-        quad = {(h, k): duals.partial2(fn, at, n + 1 + h, n + 1 + k)
+    def at(xs):  # the base point of xs, at zero velocity
+        return list(xs[: n + 1]) + [0.0] * n
+
+    def read_f0(xs):
+        """(f0, quad) at the base point of ``xs``."""
+        quad = {(h, k): duals.partial2(fn, at(xs), n + 1 + h, n + 1 + k)
                 for h in range(n) for k in range(h, n)}
-        ginv = G.inv(base)
-        tr = 0.0
-        for h in range(n):
-            for k in range(n):
-                tr = tr + ginv[h][k] * quad[_sym_key(k, h)]
-        return tr / n, [duals.partial(fn, at, n + 1 + h) for h in range(n)], fn(at), quad
+        ginv = G.inv(xs[: n + 1])
+        return sum(ginv[h][k] * quad[_sym_key(k, h)] for h in range(n) for k in range(n)) / n, quad
+
+    flin = [Field(lambda xs, s=n + 1 + h: duals.partial(fn, at(xs), s)) for h in range(n)]
+    fconst = Field(lambda xs: fn(at(xs)))
 
     def check(xs_e):
-        f0, lin, const, quad = read(xs_e)
-        base = list(xs_e[: n + 1])
+        (f0, quad), base = read_f0(xs_e), list(xs_e[: n + 1])
+        lin, const = [f(xs_e) for f in flin], fconst(xs_e)
         scale = 1.0 + max(abs(value(c)) for c in list(lin) + [const] + list(quad.values()))
         for v in probe:
             pred = const
@@ -729,7 +729,7 @@ def classify_special_quadratic(fn, G, fit_tol=1e-10, validate_at=None):
     if validate_at is not None:
         for xs_e in validate_at:
             check(xs_e)
-    return _ClassifiedQuadratic(G, fn, read, check)
+    return _ClassifiedQuadratic(G, fn, Field(lambda xs: read_f0(xs)[0]), flin, fconst, check)
 
 
 # -- brackets ----------------------------------------------------------------

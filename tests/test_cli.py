@@ -138,7 +138,7 @@ def test_parse_simple_fields():
 
 def test_parse_errors():
     chart = Chart(3)
-    for bad in ("x1^2", "d9", "x9 d1", "foo d1", "x1 +", "(x1 d1", "", "   "):
+    for bad in ("x1^2", "d9", "x9 d1", "foo d1", "x1 +", "(x1 d1", "", "   ", "d1 +", "d1 -"):
         with pytest.raises(ParseError):
             parse_vector_field(bad, chart)
 
@@ -291,7 +291,7 @@ def test_brackets_differentiates_each_lift_once_per_point(monkeypatch, capsys):
 def test_brackets_inverts_the_metric_once_per_operator_evaluation(monkeypatch, capsys):
     calls = []
     orig = Metric.inv
-    monkeypatch.setattr(Metric, "inv", lambda self, xs: calls.append(1) or orig(self, xs))
+    monkeypatch.setattr(Metric, "inv", lambda self, *a: calls.append(1) or orig(self, *a))
     assert run_cli(["brackets", "--model", "rigidbody", "--points", "1", "--seed", "3"]) == 0
     # the operator's jet at the one point: its value, and one seeded pass along
     # each of the 5 slots the two-form reads (x2, x3 and the 3 velocities)
@@ -543,6 +543,19 @@ def test_singular_metric_at_explicit_point_is_check_failure(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("check failed: metric is singular at [0.0, 0.0, 0.0, 0.0")
+
+
+@pytest.mark.parametrize("argv", [["derive", "--point", "0,0,0,0,0"],
+                                  ["simulate", "--x0=0,0", "--v0=0.1,0.1", "--T", "0.01"]])
+def test_a_metric_entry_dividing_by_zero_is_a_field_error(tmp_path, capsys, argv):
+    # G_11 = 2 + x1^-2 has no value at x1 = 0: a field error, not a zero pivot
+    x1 = {"kind": "coord", "index": 1}
+    cfg = {"n": 2, "metric": {"entries": {"1,1": {"kind": "sum", "terms": [
+        2, {"kind": "pow", "of": x1, "exp": -2}]}}}, "box": [[-1, 1], [0.5, 1]] + [[-1, 1]] * 3}
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([*argv, "--model", str(path)]) == 3
+    assert "a field is singular or overflows at a sample point" in capsys.readouterr().err
 
 
 def test_metric_dimension_is_checked_with_an_em_section(tmp_path, capsys):

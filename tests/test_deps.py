@@ -9,7 +9,7 @@ float 0.0, at float points and at points that already carry a dual slot.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galimech import duals
+from galimech import duals, symmetry
 from galimech.catalog import load_model, named_charges, nonclosed_field_model
 from galimech.fields import (
     ZERO,
@@ -19,17 +19,19 @@ from galimech.fields import (
     cos_of,
     exp_of,
     from_config,
+    matvec,
     polynomial,
     program,
     sin_of,
 )
-from galimech.geometry import Metric, PhaseTwoForm
+from galimech.geometry import Metric, PhaseTwoForm, gamma00_of
 from galimech.oracles import pair_bracket
 from galimech.symmetry import (
     SpacetimeVectorField,
     SpecialQuadratic,
     check_equivalences,
     lie_two_form,
+    lift_operator,
     noether_charge,
     poisson_bracket,
     tau_lift,
@@ -326,10 +328,11 @@ def test_bound_charge_value_declares_the_charge_support(free3d, monkeypatch):
 
 
 def test_tau_lift_evaluates_the_connection_once(rigidbody, monkeypatch):
+    # the connection blocks are one program with G^-1: the lift operator's
     calls = []
-    conn = rigidbody.omega.conn
-    orig = conn.blocks
-    monkeypatch.setattr(conn, "blocks", lambda xs: calls.append(1) or orig(xs))
+    op = lift_operator(rigidbody.omega)
+    monkeypatch.setattr(symmetry, "lift_operator",
+                        lambda omega: lambda xs: calls.append(1) or op(xs))
     charge = named_charges(rigidbody)["charge_Rz"]
     tau_lift_values(charge, 0.0, rigidbody.omega, rigidbody.sample_phase(1, seed=2)[0])
     assert len(calls) == 1
@@ -368,6 +371,26 @@ def test_config_field_rules_match_seeded_partials(spec):
     _assert_rules_match_seeded(from_config(spec), POINT, PHASE_DIM, what=spec)
 
 
+@pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody",
+                                  "random-0", "random-1", "random-2", "random-3"])
+def test_raised_field_rules_match_seeded_partials(name):
+    # the raise rule d_k(G^-1 w) = G^-1 (d_k w - (d_k G) G^-1 w), against seeded
+    # passes through the inverse line of each field's own program
+    model = (random_compatible_model(int(name[-1])) if name.startswith("random")
+             else load_model(name))
+    v = [coordinate(model.chart.vel(h)) for h in range(1, model.chart.n + 1)]
+    accel = matvec(model.G.inv_node, gamma00_of(model.dyn.low, v))
+    fields = [f for fs in model.K.sym.values() for f in fs] + accel
+    assert any(f.op == "matvec" for f in fields) or name.startswith("free"), name  # flat: zeros
+    xs, dim = model.sample_phase(1, seed=3)[0], model.chart.dim_phase
+    alphas = [(i,) for i in range(dim)] + [(i, j) for i in range(dim) for j in range(i, dim)]
+    for k, f in enumerate(fields):
+        by_rule = program([f.d(a[0]) if len(a) == 1 else f.d(a[0]).d(a[1]) for a in alphas])(xs)
+        for alpha, got in zip(alphas, by_rule):
+            seeded = duals.partial if len(alpha) == 1 else duals.partial2
+            _assert_close(got, seeded(f.fn, xs, *alpha), (name, k, alpha))
+
+
 @pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody", "random-0",
                                   "broken-field"])
 def test_catalog_field_rules_match_seeded_partials(name):
@@ -392,7 +415,7 @@ def test_field_derivatives_are_built_once():
 def test_tau_lift_inverts_the_metric_once(rigidbody, monkeypatch):
     calls = []
     orig = Metric.inv
-    monkeypatch.setattr(Metric, "inv", lambda self, xs: calls.append(1) or orig(self, xs))
+    monkeypatch.setattr(Metric, "inv", lambda self, *a: calls.append(1) or orig(self, *a))
     charge = named_charges(rigidbody)["charge_Rz"]
     for xs in rigidbody.sample_phase(3, seed=2):
         tau_lift_values(charge, 0.0, rigidbody.omega, xs)

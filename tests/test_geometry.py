@@ -275,14 +275,21 @@ def test_potential_connection_matches_explicit_gauge_fields(seed):
 
 
 def test_one_metric_inverse_per_acceleration(monkeypatch):
-    model = random_compatible_model(2)
-    calls = []
-    inv = Metric.inv
-    monkeypatch.setattr(Metric, "inv", lambda self, xs: calls.append(1) or inv(self, xs))
-    for p in model.sample_phase(3, seed=1):
-        calls.clear()
-        model.dyn.gamma00_values(p)
-        assert len(calls) == 1
+    # the inverse line of a program calls Metric.inv with G's entries there;
+    # the trig functions are wrapped before the programs are built
+    calls, trig = [], []
+    inv, sin, cos = Metric.inv, duals.sin, duals.cos
+    monkeypatch.setattr(Metric, "inv", lambda self, *a: calls.append(1) or inv(self, *a))
+    monkeypatch.setattr(duals, "sin", lambda x: trig.append(1) or sin(x))
+    monkeypatch.setattr(duals, "cos", lambda x: trig.append(1) or cos(x))
+    for model in (random_compatible_model(2), load_model("rigidbody")):
+        for p in model.sample_phase(3, seed=1):
+            calls.clear()
+            trig.clear()
+            model.dyn.gamma00_values(p)
+            assert len(calls) == 1
+            # rigidbody: sin and cos of theta and psi, each once
+            assert len(trig) <= 4 or model.name != "rigidbody"
 
 
 def _random_spd(rng, n):

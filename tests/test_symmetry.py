@@ -1012,6 +1012,29 @@ def test_classified_value_calls_the_function_once(free3d):
     assert len(calls) <= 1 + n + n * (n + 1) // 2  # one reading: the velocity jet at v = 0
 
 
+def test_classified_coefficients_read_only_their_own_part(free3d):
+    calls = []
+    charge = named_charges(free3d)["charge_R1"]
+
+    def fn(xs):
+        calls.append(1)
+        return charge(xs)
+
+    sq, n = classify_special_quadratic(fn, free3d.G), 3
+    p = [0.1, 0.2, -0.3, 0.4, 0.5, -0.6, 0.7]
+    assert value(sq.fconst(p)) == value(charge.fconst(p)) and len(calls) == 1
+    for a in range(n):
+        calls.clear()
+        assert abs(value(sq.flin[a](p)) - value(charge.flin[a](p))) < 1e-12
+        assert len(calls) <= 1  # one first partial (none off the charge's support)
+    calls.clear()
+    assert abs(value(sq.f0(p)) - value(charge.f0(p))) < 1e-12
+    assert len(calls) <= n * (n + 1) // 2  # the second partials
+    calls.clear()
+    sq.fconst(p), [f(p) for f in sq.flin], sq.f0(p)
+    assert len(calls) <= 1 + n + n * (n + 1) // 2  # together, one reading
+
+
 @pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody",
                                   "random-0", "random-1", "random-2", "random-3"])
 def test_classification_reads_the_charge_coefficients(name):

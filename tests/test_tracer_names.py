@@ -38,6 +38,8 @@ def test_the_kernel_table_measures_every_kernel():
     spec = importlib.util.spec_from_file_location("kernels", LAYERTRACE.parent / "kernels.py")
     kernels = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(kernels)
-    table = kernels.kernel_table(load_model("free3d"), seed=0, points=1, budget_s=0.0)
-    assert sorted(table) == sorted(kernels.KERNEL_METRICS)
-    assert all(math.isfinite(v) and v > 0 for v in table.values()), table
+    # free3d, a constant metric, and rigidbody, the kernel model whose metric varies
+    for name in ("free3d", "rigidbody"):
+        table = kernels.kernel_table(load_model(name), seed=0, points=1, budget_s=0.0)
+        assert sorted(table) == sorted(kernels.KERNEL_METRICS), name
+        assert all(math.isfinite(v) and v > 0 for v in table.values()), (name, table)
