@@ -247,6 +247,16 @@ def _require_finite(command, checks):
                 raise ValueError(f"{command}: {key} of {c['condition']}{who} is {v}")
 
 
+def _non_finite(v):
+    """The first non-finite number in a payload value, reading lists in
+    order and dicts by sorted key; None when every number is finite."""
+    if isinstance(v, dict):
+        v = [v[k] for k in sorted(v)]
+    if isinstance(v, list):
+        return next((bad for bad in map(_non_finite, v) if bad is not None), None)
+    return v if isinstance(v, float) and not math.isfinite(v) else None
+
+
 def _mk_report(args, command, model, checks, extra=None):
     _require_finite(command, checks)
     verdicts = [c.get("verdict") for c in checks if "verdict" in c]
@@ -321,6 +331,9 @@ def cmd_derive(args, model):
         payload["cartan_form"] = [value(c) for c in model.theta.components(xs)]
         payload["lagrangian"] = value(lagrangian)
         payload["hamiltonian"] = value(hamiltonian)
+    for key in sorted(payload):
+        if (bad := _non_finite(payload[key])) is not None:
+            raise ValueError(f"derive: {key} is {bad} at the point")
     _emit(args, payload, "derive.json")
     return 0
 
@@ -344,17 +357,14 @@ def cmd_simulate(args, model):
         traj = dynamics.integrate(model.dyn, [t0, *x0, *v0], T, h)
     except dynamics.StepError as exc:
         raise ValueError(f"simulate: --T {args.T} and --h {args.h}: {exc}") from None
-    lines = []
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)]
-    header += list(charges)
-    lines.append(",".join(header))
-    for k in range(len(traj)):
-        row = [repr(float(traj.t[k]))]
-        row += [repr(float(c)) for c in traj.x[k]]
-        row += [repr(float(c)) for c in traj.v[k]]
-        p = [float(c) for c in traj.phase_coords(k)]
-        row += [repr(float(value(fn.value(p)))) for fn in charges.values()]
-        lines.append(",".join(row))
+    lines = [",".join(header + list(charges))]
+    for k, row in enumerate(traj.rows.tolist()):
+        cells = [float(value(fn.value(row))) for fn in charges.values()]
+        for name, c in zip(charges, cells):
+            if not math.isfinite(c):
+                raise ValueError(f"simulate: {name} is {c} at step {k}")
+        lines.append(",".join(map(repr, row + cells)))
     _emit(args, "\n".join(lines) + "\n", "trajectory.csv")
     return 0
 

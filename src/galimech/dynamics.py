@@ -25,18 +25,21 @@ class StepError(ValueError):
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled solution (t_k, x_k, v_k)."""
+    """Uniformly sampled solution: row k of ``rows`` is the phase point
+    (t_k, x_k, v_k), and ``t``, ``x`` and ``v`` are column views of it."""
 
-    t: np.ndarray
-    x: np.ndarray  # shape (steps+1, n)
-    v: np.ndarray
+    rows: np.ndarray  # shape (steps+1, 2n+1)
     h: float
 
+    def __post_init__(self):
+        n = self.rows.shape[1] // 2
+        self.t, self.x, self.v = self.rows[:, 0], self.rows[:, 1 : n + 1], self.rows[:, n + 1 :]
+
     def phase_coords(self, k):
-        return [self.t[k], *self.x[k], *self.v[k]]
+        return self.rows[k].tolist()
 
     def __len__(self):
-        return len(self.t)
+        return len(self.rows)
 
 
 def law_of_motion_rhs(dyn, xs):
@@ -46,46 +49,51 @@ def law_of_motion_rhs(dyn, xs):
 
 def integrate(dyn, p0, T, h):
     """Fixed-step RK4 for the first-order system (t, x, v) from the
-    coordinate list ``p0`` = (t, x..., v...).  The acceleration is evaluated
-    at Python floats; a stage or step state that is not finite, or an
-    acceleration that overflows, ends the run with :class:`IntegrationError`.
-    The run makes round(T/h) steps, so its last row is at t0 + round(T/h) h;
-    a count that rounds to 0 is a :class:`StepError`."""
+    coordinate list ``p0`` = (t, x..., v...).  The states and slopes are
+    lists of Python floats, so the acceleration is evaluated at floats; each
+    step writes one row of the trajectory array.  A stage or step state that
+    is not finite, or an acceleration that overflows, ends the run with
+    :class:`IntegrationError`.  The run makes round(T/h) steps, so its last
+    row is at t0 + round(T/h) h; a count that rounds to 0 is a
+    :class:`StepError`."""
     if h <= 0 or T <= 0:
         raise StepError("need positive horizon and step")
     n = dyn.chart.n
-    if not np.isfinite(ratio := T / h):
+    if not math.isfinite(ratio := T / h):
         raise StepError(f"the step count T/h = {ratio:.3g} is not finite")
     steps = int(round(ratio))
     if steps == 0:
         raise StepError(f"the step count T/h = {ratio:.3g} rounds to 0")
     try:
-        ts, xs, vs = np.empty(steps + 1), np.empty((steps + 1, n)), np.empty((steps + 1, n))
+        rows = np.empty((steps + 1, 2 * n + 1))
     except (MemoryError, ValueError):
         raise StepError(f"the arrays of {ratio:.3g} steps cannot be allocated") from None
 
-    def rhs(state, k):
-        s = state.tolist()
+    def rhs(s, k):
         if not all(map(math.isfinite, s)):
             raise IntegrationError(f"non-finite state at step {k}")
         try:
-            return np.array([1.0, *s[n + 1 :], *law_of_motion_rhs(dyn, s)])
+            return [1.0, *s[n + 1 :], *law_of_motion_rhs(dyn, s)]
         except OverflowError:
             raise IntegrationError(f"the acceleration overflows at step {k}") from None
 
-    state = np.array(p0, dtype=float)
-    ts[0], xs[0], vs[0] = state[0], state[1 : n + 1], state[n + 1 :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            k1 = rhs(state, k)
-            k2 = rhs(state + 0.5 * h * k1, k)
-            k3 = rhs(state + 0.5 * h * k2, k)
-            k4 = rhs(state + h * k3, k)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(state)):
-                raise IntegrationError(f"non-finite state at step {k}")
-            ts[k], xs[k], vs[k] = state[0], state[1 : n + 1], state[n + 1 :]
-    return Trajectory(ts, xs, vs, h)
+    # element by element, the float operations of the array form in its order,
+    # so the states are bit for bit those of numpy arithmetic on arrays:
+    # stage s + (h/2) k, step s + (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+    half, sixth = 0.5 * h, h / 6.0
+    state = [float(c) for c in p0]
+    rows[0] = state
+    for k in range(1, steps + 1):
+        k1 = rhs(state, k)
+        k2 = rhs([s + half * d for s, d in zip(state, k1)], k)
+        k3 = rhs([s + half * d for s, d in zip(state, k2)], k)
+        k4 = rhs([s + h * d for s, d in zip(state, k3)], k)
+        state = [s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, state)):
+            raise IntegrationError(f"non-finite state at step {k}")
+        rows[k] = state
+    return Trajectory(rows, h)
 
 
 def conserved_drift(fn, traj, dyn=None):

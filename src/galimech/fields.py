@@ -243,8 +243,7 @@ def program(fields, shape=None):
     field's value alone, on floats and on duals.  Its ``deps`` is the
     :func:`support` of the fields.
     """
-    env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp,
-           "matvec": lambda m, v: [sum(row[h] * v[h] for h in range(len(v))) for row in m]}
+    env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp}
     lines, named, fns = [], {}, {}  # fns: id(callable) -> its name
     text = {}  # id(field) -> expression of its value
 
@@ -269,7 +268,9 @@ def program(fields, shape=None):
             key = expr = (f"{name}(xs)" if op == "call"
                           else f"{name}([{', '.join(map(emit, args[1]))}], xs)")
         elif op == "matvec":  # one line per matrix and vector, read entry by entry
-            key = expr = f"matvec({emit(args[0])}, [{', '.join(map(emit, args[1]))}])"
+            name = f"matvec{len(args[1])}"
+            env[name] = _matvec(len(args[1]))
+            key = expr = f"{name}({emit(args[0])}, [{', '.join(map(emit, args[1]))}])"
         else:
             key = expr = _SYNTAX.get(op, op + "({})").format(*map(emit, args))
         if key not in named:
@@ -295,6 +296,18 @@ def program(fields, shape=None):
 def _code(source):
     """Compiled program text, shared by equal programs (it never changes)."""
     return compile(source, "<fields.program>", "exec")
+
+
+@functools.cache
+def _matvec(n):
+    """M v of an n x n matrix M given as nested lists and a vector of n
+    entries, as one straight-line function built once per dimension: row i
+    is 0 + M[i][0] v[0] + ... + M[i][n-1] v[n-1], the multiplications and
+    additions of a ``sum`` over the row in its order, on floats and duals."""
+    rows = ", ".join("0" + "".join(f" + m[{i}][{h}] * v[{h}]" for h in range(n)) for i in range(n))
+    env = {}
+    exec(f"def matvec(m, v):\n    return [{rows}]\n", env)
+    return env["matvec"]
 
 
 def finite(x, what="a coefficient"):

@@ -351,6 +351,20 @@ def test_a_non_finite_stage_state_is_a_check_failure(capsys, recwarn):
     assert not recwarn.list
 
 
+def test_a_non_finite_charge_is_an_input_error(capsys):
+    # the state stays finite on free3d, but the energy 1/2 v^2 overflows
+    err = _input_error(["simulate", "--model", "free3d", "--v0", "1e200,0,0", "--T", "0.002",
+                        "--charges", "d0"], capsys)
+    assert err == "error: simulate: charge_d0 is inf at step 0\n"
+
+
+def test_a_non_finite_derived_value_is_an_input_error(capsys):
+    # the Cartan form, the Lagrangian and the Hamiltonian overflow; the first
+    # key in sorted order is named
+    err = _input_error(["derive", "--model", "free3d", "--point", "0,0,0,0,1e200,0,0"], capsys)
+    assert err == "error: derive: cartan_form is -inf at the point\n"
+
+
 def test_an_acceleration_that_overflows_is_a_check_failure(tmp_path, capsys, recwarn):
     # x1**4 overflows a float at an RK4 stage of the first step from v0 = 1e100
     poly = {"kind": "polynomial", "coeffs": [[2.0, []], [1.0, [1, 4]]]}

@@ -6,6 +6,11 @@ is differentiated in every slot): outside ``deps`` it must give exactly the
 float 0.0, at float points and at points that already carry a dual slot.
 """
 
+import functools
+import operator
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +23,7 @@ from galimech.fields import (
     coordinate,
     cos_of,
     exp_of,
+    _matvec,
     from_config,
     matvec,
     polynomial,
@@ -178,6 +184,28 @@ def _exact(x):
     """A scalar as comparable text: a float or the sorted terms of a dual,
     so that -0.0, nan and every term must agree."""
     return repr(sorted(x.terms.items()) if isinstance(x, duals.MultiDual) else x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matvec_helper_is_a_sum_per_row(n):
+    # signed zeros, floats and duals in the matrix and in the vector; a row of
+    # -0.0 products starts from the int 0 of ``sum`` and so is 0.0
+    rng = random.Random(n)
+
+    def entry():
+        x = rng.choice([-0.0, 0.0, rng.uniform(-2, 2), rng.uniform(-2, 2)])
+        if rng.random() < 0.3:
+            return duals.MultiDual({0: x, 1: rng.choice([-0.0, rng.uniform(-1, 1)]),
+                                    2: rng.uniform(-1, 1)})
+        return x
+
+    for _ in range(300):
+        m, v = [[entry() for _ in range(n)] for _ in range(n)], [entry() for _ in range(n)]
+        got = list(map(_exact, _matvec(n)(m, v)))
+        products = [[r[h] * v[h] for h in range(n)] for r in m]
+        assert got == [_exact(functools.reduce(operator.add, p, 0)) for p in products]
+        if sys.version_info < (3, 12):  # from 3.12 on, sum adds floats with compensation
+            assert got == [_exact(sum(r[h] * v[h] for h in range(n))) for r in m]
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from galimech.catalog import load_model
 from galimech.duals import value
 from galimech.dynamics import (
     IntegrationError,
@@ -12,8 +13,10 @@ from galimech.dynamics import (
     integrate,
     law_of_motion_rhs,
 )
-from galimech.fields import ZERO, constant, coordinate
+from galimech.fields import Chart, ZERO, constant, coordinate
+from galimech.geometry import DynamicalConnection
 from galimech.symmetry import noether_charge
+from tests_support import numpy_rk4, random_compatible_model
 
 
 def test_rhs_flat(free3d):
@@ -84,8 +87,6 @@ def test_integrate_cyclotron_circle(cyclotron):
     assert np.max(np.abs(traj.x[-1] - want)) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:invalid value")
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_integrate_nonfinite_abort():
     from galimech.catalog import Model, _free_model
     from galimech.fields import Chart
@@ -97,6 +98,35 @@ def test_integrate_nonfinite_abort():
         chart, {(0, 0): [coordinate(1) * constant(1e8) * coordinate(1) * coordinate(1), ZERO]})
     with pytest.raises(IntegrationError):
         integrate(blow, [0.0, 1.0, 0.0, 1.0, 0.0], 10.0, 0.5)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody",
+                                  "random-0", "random-1", "random-2", "random-3"])
+def test_integrate_equals_the_numpy_loop_bit_for_bit(name):
+    model = random_compatible_model(int(name[-1])) if name.startswith("random") else load_model(name)
+    p0 = model.sample_phase(1, seed=5)[0]
+    traj = integrate(model.dyn, p0, 0.5, 0.01)
+    ts, xs, vs = numpy_rk4(model.dyn, p0, 0.5, 0.01)
+    assert len(traj) == 51
+    assert (_bits(traj.t), _bits(traj.x), _bits(traj.v)) == (_bits(ts), _bits(xs), _bits(vs))
+
+
+@pytest.mark.parametrize("accel, h, why", [
+    (lambda: coordinate(1) * constant(1e8) * coordinate(1) * coordinate(1), 0.5,
+     "non-finite state at step 3"),
+    (lambda: constant(1e306), 1.0, "non-finite state at step 19"),
+    (lambda: coordinate(1) ** 20, 0.1, "the acceleration overflows at step 4"),
+])
+def test_integrate_fails_at_the_step_of_the_numpy_loop(accel, h, why):
+    dyn = DynamicalConnection(Chart(2), {(0, 0): [accel(), ZERO]})
+    for run in (integrate, numpy_rk4):
+        with pytest.raises(IntegrationError) as exc:
+            run(dyn, [0.0, 1.0, 0.0, 1.0, 0.0], 100.0, h)
+        assert str(exc.value) == why
 
 
 def test_conserved_drift_momentum_free(free3d):

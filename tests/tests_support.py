@@ -2,15 +2,20 @@
 metric connection given by explicit coefficient fields, a deliberately
 non-metric two-form, a strategy for config field specs, and the structure
 checks only the tests read (metric compatibility, the observed two-form and
-its closure, the Euler-Lagrange matrix, the zero connection)."""
+its closure, the Euler-Lagrange matrix, the zero connection), and the
+numpy form of the RK4 loop that ``dynamics.integrate`` must reproduce."""
 
+import math
 import random
+
+import numpy as np
 
 from hypothesis import strategies as st
 
 from galimech import duals
 from galimech.catalog import Model
 from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial
+from galimech.dynamics import IntegrationError, StepError, law_of_motion_rhs
 from galimech.geometry import (
     Metric,
     PhaseTwoForm,
@@ -219,3 +224,44 @@ def dphi_residual(omega, observer, xs_e):
                 r = dm[a][b][c] + dm[b][c][a] + dm[c][a][b]
                 worst = max(worst, abs(duals.value(r)))
     return worst
+
+
+def numpy_rk4(dyn, p0, T, h):
+    """The RK4 loop of ``dynamics.integrate`` on numpy arrays, as it was
+    before the states became lists of floats: the (t, x, v) arrays of the
+    run, with the same checks and messages."""
+    if h <= 0 or T <= 0:
+        raise StepError("need positive horizon and step")
+    n = dyn.chart.n
+    if not np.isfinite(ratio := T / h):
+        raise StepError(f"the step count T/h = {ratio:.3g} is not finite")
+    steps = int(round(ratio))
+    if steps == 0:
+        raise StepError(f"the step count T/h = {ratio:.3g} rounds to 0")
+    try:
+        ts, xs, vs = np.empty(steps + 1), np.empty((steps + 1, n)), np.empty((steps + 1, n))
+    except (MemoryError, ValueError):
+        raise StepError(f"the arrays of {ratio:.3g} steps cannot be allocated") from None
+
+    def rhs(state, k):
+        s = state.tolist()
+        if not all(map(math.isfinite, s)):
+            raise IntegrationError(f"non-finite state at step {k}")
+        try:
+            return np.array([1.0, *s[n + 1 :], *law_of_motion_rhs(dyn, s)])
+        except OverflowError:
+            raise IntegrationError(f"the acceleration overflows at step {k}") from None
+
+    state = np.array(p0, dtype=float)
+    ts[0], xs[0], vs[0] = state[0], state[1 : n + 1], state[n + 1 :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            k1 = rhs(state, k)
+            k2 = rhs(state + 0.5 * h * k1, k)
+            k3 = rhs(state + 0.5 * h * k2, k)
+            k4 = rhs(state + h * k3, k)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(state)):
+                raise IntegrationError(f"non-finite state at step {k}")
+            ts[k], xs[k], vs[k] = state[0], state[1 : n + 1], state[n + 1 :]
+    return ts, xs, vs
