@@ -57,9 +57,8 @@ class Model:
                  observer=None, box=None, actions=None):
         self.name = name
         self.chart = chart
-        n = chart.n
         self.G = G
-        self.A = [as_field(a) for a in (A or [ZERO] * (n + 1))]
+        self.A = [as_field(a) for a in (A or [ZERO] * (chart.n + 1))]
         self.em = em
         self.em_potential = em_potential
         self.observer = observer or Observer(chart)
@@ -72,25 +71,19 @@ class Model:
         G.check_spd(probe)
 
         k_nat = metric_connection(chart, G, A=self.A)
-        omega_nat = PhaseTwoForm(G, phase_from_spacetime(k_nat))
-        self.omega = minimal_coupling(omega_nat, em)
+        self.omega = minimal_coupling(PhaseTwoForm(phase_from_spacetime(k_nat)), em)
         self.pconn = self.omega.conn
         self.dyn = self.omega.dyn
         self.K = spacetime_from_phase(self.pconn)
 
-        self.theta = None
         self.a_total = None
         if em is None or not em._e:
             self.a_total = self.A
         elif em_potential is not None:
-            qm = em.coupling
-            self.a_total = [
-                self.A[lam] + constant(qm) * as_field(em_potential[lam])
-                for lam in range(n + 1)
-            ]
+            self.a_total = [a + constant(em.coupling) * as_field(p)
+                            for a, p in zip(self.A, em_potential, strict=True)]
             self._check_em_potential(probe)
-        if self.a_total is not None:
-            self.theta = poincare_cartan(G, self.a_total)
+        self.theta = None if self.a_total is None else poincare_cartan(G, self.a_total)
 
     def _check_em_potential(self, points):
         n = self.chart.n
@@ -350,6 +343,36 @@ def _parse_scaled(spec, what):
     return ScaledScalar(finite(spec["value"], what), dim)
 
 
+def _index_entries(section, cfg, lo, n, field, ordered=False):
+    """{(i, j): field}, i <= j, of the "i,j" keys of a section's entries: two
+    integers in lo..n (i < j when ``ordered``), each pair once."""
+    out = {}
+    for key, spec in _section(cfg, "entries", dict, {}).items():
+        try:
+            i, j = (int(s) for s in key.split(","))
+        except ValueError:  # not two integers
+            i = j = lo - 1
+        pair = (min(i, j), max(i, j))
+        if pair[0] < lo or pair[1] > n or (ordered and i >= j):
+            order = ", the first below the second" if ordered else ""
+            raise ModelError(f"{section} entry {key!r}: need two indices in {lo}..{n}{order}")
+        if pair in out:
+            raise ModelError(f"{section} entry {key!r} repeats the entry {pair}")
+        out[pair] = field(spec)
+    return out
+
+
+def _components(cfg, key, count, field, what=None):
+    """The fields of the array ``cfg[key]`` of ``count`` specs, or None
+    when it is absent; another length is a ModelError."""
+    if cfg.get(key) is None:
+        return None
+    specs = _section(cfg, key, list)
+    if len(specs) != count:
+        raise ModelError(f"{what or key} needs {count} components, got {len(specs)}")
+    return [field(s) for s in specs]
+
+
 def model_from_config(cfg):
     if not isinstance(cfg, dict):
         raise ModelError(f"config must be a JSON object, got {type(cfg).__name__}")
@@ -367,46 +390,23 @@ def model_from_config(cfg):
     g_dim = UnitDim.from_triple(metric_cfg["dim"]) if "dim" in metric_cfg else u.METRIC
     if g_dim != u.METRIC:
         raise UnitMismatchError(f"metric entries: expected dimension {u.METRIC}, got {g_dim}")
-    entries = {}
-    for key, spec in _section(metric_cfg, "entries", dict, {}).items():
-        a, b = (int(s) for s in key.split(","))
-        entries[(min(a, b), max(a, b))] = field(spec)
+    entries = _index_entries("metric", metric_cfg, 1, n, field)
     for a in range(1, n + 1):
         entries.setdefault((a, a), constant(1.0))
     G = Metric(chart, entries)
+    A = _components(cfg, "potential", n + 1, field)
 
-    A = None
-    if cfg.get("potential") is not None:
-        A = [field(s) for s in _section(cfg, "potential", list)]
-        if len(A) != n + 1:
-            raise ModelError(f"potential needs {n + 1} components")
-
-    em = None
-    em_potential = None
+    em = em_potential = None
     if cfg.get("em") is not None:
         em_cfg = _section(cfg, "em", dict)
         q = _parse_scaled(em_cfg.get("q", 0.0), "charge q")
         m = _parse_scaled(em_cfg.get("m", 1.0), "mass m")
-        em_dim = None
-        if "dim" in em_cfg:
-            em_dim = UnitDim.from_triple(em_cfg["dim"])
+        em_dim = UnitDim.from_triple(em_cfg["dim"]) if "dim" in em_cfg else None
         if q.dim != u.DIMENSIONLESS or m.dim != u.DIMENSIONLESS:
             _check_units(q, m, em_dim=em_dim)
-        f_entries = {}
-        for key, spec in _section(em_cfg, "entries", dict, {}).items():
-            lam, mu = (int(s) for s in key.split(","))
-            if lam >= mu:
-                raise ModelError("field entries must use indices lam < mu")
-            f_entries[(lam, mu)] = field(spec)
-        em = EMField(chart, f_entries, q, m)
-        if em_cfg.get("potential") is not None:
-            em_potential = [field(s) for s in _section(em_cfg, "potential", list)]
-            if len(em_potential) != n + 1:
-                raise ModelError(f"em potential needs {n + 1} components")
-
-    observer = None
-    if cfg.get("observer") is not None:
-        observer = Observer(chart, [field(s) for s in _section(cfg, "observer", list)])
+        em = EMField(chart, _index_entries("em", em_cfg, 0, n, field, ordered=True), q, m)
+        em_potential = _components(em_cfg, "potential", n + 1, field, "em potential")
+    observer = Observer(chart, _components(cfg, "observer", n, field))
 
     box = None
     if cfg.get("box") is not None:

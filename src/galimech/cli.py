@@ -606,9 +606,11 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         command = args.command
         args._t0 = time.perf_counter()
-        env_seed = os.environ.get("GALIMECH_SEED")
-        if env_seed is not None:
-            args.seed = int(env_seed)
+        if (env_seed := os.environ.get("GALIMECH_SEED")) is not None:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise ParseError(f"GALIMECH_SEED must be an integer, got {env_seed!r}") from None
         if args.points < 1:
             raise ParseError(f"--points must be at least 1, got {args.points}")
         args.tol_pass = _numbers("--tol-pass", args.tol_pass, 1)[0]

@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from . import duals
-from .fields import ONE, ZERO, as_field, constant, coordinate, inverse, matvec, program, support
+from .fields import ONE, ZERO, _matvec, as_field, constant, coordinate, inverse, matvec, program, support
 from .units import ScaledScalar, DIMENSIONLESS
 
 
@@ -150,10 +150,7 @@ def quadratic_field(G, f0, flin, fconst):
 
 
 def identity_metric(chart):
-    return Metric(
-        chart,
-        {(a, b): constant(1.0 if a == b else 0.0) for a in range(1, chart.n + 1) for b in range(a, chart.n + 1)},
-    )
+    return Metric(chart, {(a, a): ONE for a in range(1, chart.n + 1)})
 
 
 class _Coefficients:
@@ -165,21 +162,17 @@ class _Coefficients:
     with its (lam, mu) symmetry shared structurally.  A metric record keeps
     its metric ``G`` and lowered vectors ``low`` too: ``sym`` is ``low``
     raised by one :func:`~galimech.fields.matvec` by ``G.inv_node`` each.
-    ``blocks`` evaluates the record as one program of the ``sym`` fields,
-    compiled on first use: {(lam, mu): [n values]} at a point.  The
-    correspondence maps hand the record and its programs on unchanged
+    The record has one program, ``lowered``: ``low`` and under "G" G's n*n
+    entries row by row (a record without a metric: ``sym``).  The
+    correspondence maps hand the record and its program on unchanged
     (:meth:`read_as`); the classes differ only in reading it.
     """
 
     def __init__(self, chart, sym, G=None, low=None):
-        self.chart = chart
-        n = chart.n
-        self.sym = {
-            (lam, mu): sym.get((lam, mu), [ZERO] * n)
-            for lam in range(0, n + 1)
-            for mu in range(lam, n + 1)
-        }
-        self.G, self.low = G, low
+        keys = [(lam, mu) for lam in range(chart.n + 1) for mu in range(lam, chart.n + 1)]
+        self.chart, self.G = chart, G
+        self.sym = {k: sym.get(k, [ZERO] * chart.n) for k in keys}
+        self.low = None if low is None else {k: low.get(k, [ZERO] * chart.n) for k in keys}
         self.deps = support(*(f for fs in self.sym.values() for f in fs))
 
     def read_as(self, cls):
@@ -190,9 +183,28 @@ class _Coefficients:
         return other
 
     @functools.cached_property
-    def blocks(self):
+    def lowered(self):
         """The record's program, compiled on first use."""
-        return program(self.sym)
+        return program(self.sym if self.G is None else {**self.low, "G": self.G._g})
+
+    def raised(self, xs):
+        """(blocks, G^-1) at a point from one run of :attr:`lowered`: each
+        lowered block times G^-1 by the lines that evaluate ``sym``, a zero
+        block as it is.  A record without a metric gives its blocks, None."""
+        kv = self.lowered(xs)
+        if self.G is None:
+            return kv, None
+        ginv, mv = self.G.inv(xs, kv.pop("G")), _matvec(self.chart.n)
+        return {k: v if self.sym[k][0].is_zero else mv(ginv, v) for k, v in kv.items()}, ginv
+
+    @functools.cached_property
+    def blocks(self):
+        """The raised blocks {(lam, mu): [n values]} as a callable of a point."""
+        def blocks(xs):
+            return self.raised(xs)[0]
+
+        blocks.deps = self.deps
+        return blocks
 
 
 class SpacetimeConnection(_Coefficients):
@@ -207,7 +219,7 @@ class SpacetimeConnection(_Coefficients):
         return self.blocks(xs)
 
 
-def _raised(G, low):
+def metric_record(G, low):
     """The metric record of G with lowered vectors ``low``."""
     return SpacetimeConnection(G.chart, {k: matvec(G.inv_node, v) for k, v in low.items()}, G, low)
 
@@ -234,7 +246,7 @@ def metric_connection(chart, G, A=None):
         low[(0, b)] = [constant(-0.5) * g(h, b).d(0) + (
             half * curl(h, b) if h < b else -half * curl(b, h) if h > b else ZERO) for h in sp]
     low[(0, 0)] = [A[0].d(h) - A[h].d(0) for h in sp]
-    return _raised(G, low)
+    return metric_record(G, low)
 
 
 class PhaseConnection(_Coefficients):
@@ -365,44 +377,39 @@ class Observer:
 
 
 class PhaseTwoForm:
-    """Cosymplectic two-form of a metric and a phase connection.
+    """Cosymplectic two-form of a phase connection's metric record.
 
-    Carries back-references to (G, Gamma); the associated second-order
-    connection is the unique one annihilated by the form.  The matrix reads
-    the slots of G and of the connection, and the velocities.
+    Carries back-references to the record and its metric G; the associated
+    second-order connection is the unique one annihilated by the form.  The
+    matrix reads the slots of G and of the connection, and the velocities.
     """
 
-    def __init__(self, G, gamma_conn):
-        self.chart = G.chart
-        self.G = G
-        self.conn = gamma_conn
+    def __init__(self, gamma_conn):
+        self.chart, self.G, self.conn = gamma_conn.chart, gamma_conn.G, gamma_conn
         self.dyn = dynamical_from_phase(gamma_conn)
-        vel = (coordinate(G.chart.vel(a)) for a in range(1, G.chart.n + 1))
-        self.matrix_deps = support(G, gamma_conn, *vel)
+        vel = (coordinate(self.chart.vel(a)) for a in range(1, self.chart.n + 1))
+        self.matrix_deps = support(self.G, gamma_conn, *vel)
 
     def matrix(self, xs):
+        """Omega = G_ab (dv^a - gl^a) ^ (dx^b - v^b dt) from the record's
+        lowered program: G, G.v and the lowered lift lg = G.gl, each
+        antisymmetric pair computed once."""
         n = self.chart.n
         v = xs[n + 1 : 2 * n + 1]
-        gm = self.G.mat(xs)
-        gl = self.conn.lift_values(xs)
+        kv = self.conn.lowered(xs)
+        g, lg = kv["G"], lift_of(kv, v)
         dim = 2 * n + 1
         m = [[0.0] * dim for _ in range(dim)]
-        gv = [sum(gm[a][b] * v[b] for b in range(n)) for a in range(n)]
         for a in range(n):
+            gv = sum(g[a * n + b] * v[b] for b in range(n))
+            m[n + 1 + a][0], m[0][n + 1 + a] = -gv, gv
             for b in range(n):
-                m[n + 1 + a][1 + b] = gm[a][b]
-                m[1 + b][n + 1 + a] = -gm[a][b]
-            m[n + 1 + a][0] = -gv[a]
-            m[0][n + 1 + a] = gv[a]
-        for a in range(n):
-            for b in range(n):
-                s = sum(gm[a][k] * gl[k][1 + b] - gm[b][k] * gl[k][1 + a] for k in range(n))
-                m[1 + a][1 + b] = s
-        for b in range(n):
-            s = -sum(gm[k][b] * gl[k][0] for k in range(n))
-            s = s - sum(gv[k] * gl[k][1 + b] for k in range(n))
-            m[0][1 + b] = s
-            m[1 + b][0] = -s
+                m[n + 1 + a][1 + b], m[1 + b][n + 1 + a] = g[a * n + b], -g[a * n + b]
+            for b in range(a + 1, n):
+                s = lg[a][1 + b] - lg[b][1 + a]
+                m[1 + a][1 + b], m[1 + b][1 + a] = s, -s
+            s = -lg[a][0] - sum(v[c] * lg[c][1 + a] for c in range(n))
+            m[0][1 + a], m[1 + a][0] = s, -s
         return m
 
     def contraction(self, vec_vals, xs):
@@ -430,29 +437,24 @@ def minimal_coupling(omega, em):
 
     Returns the two-form of the total connection, whose lowered time-space
     and time-time vectors pick up the field entries scaled by q/(2m) and
-    q/m respectively before they are raised.  Entrywise the evaluation
-    matrix equals the matrix of ``omega`` plus the (q/m)-scaled field
-    embedded in the spacetime block.  ``omega`` must come from a metric
-    connection.
+    q/m respectively.  Entrywise the evaluation matrix equals the matrix of
+    ``omega`` plus the (q/m)-scaled field embedded in the spacetime block.
     """
     if em is None or em.coupling == 0.0 or not em._e:
         return omega
-    low, c = omega.conn.low, em.coupling
-    if low is None:
-        raise TypeError("minimal coupling needs the two-form of a metric connection")
-    sp = range(1, omega.chart.n + 1)
+    low, c, sp = omega.conn.low, em.coupling, range(1, omega.chart.n + 1)
     low = {**low, (0, 0): [v + constant(c) * em.entry(h, 0) for h, v in zip(sp, low[(0, 0)])]}
     for b in sp:
         low[(0, b)] = [v + constant(0.5 * c) * em.entry(h, b) for h, v in zip(sp, low[(0, b)])]
-    return PhaseTwoForm(omega.G, phase_from_spacetime(_raised(omega.conn.G, low)))
+    return PhaseTwoForm(phase_from_spacetime(metric_record(omega.G, low)))
 
 
-def motion_row(G, dyn, xs, accel):
-    """The motion residual lowered by the metric: G_ab (accel^a - gamma^a)."""
-    n = G.chart.n
-    gm = G.mat(xs)
-    g00 = dyn.gamma00_values(xs)
-    return [sum(gm[a][b] * (accel[a] - g00[a]) for a in range(n)) for b in range(n)]
+def motion_row(dyn, xs, accel):
+    """The motion residual G_ab accel^a - (G gamma)_b from the lowered
+    program of ``dyn``'s record: G and the lowered blocks' acceleration."""
+    n, kv = dyn.chart.n, dyn.lowered(xs)
+    g, lowered = kv["G"], gamma00_of(kv, xs[n + 1 : 2 * n + 1])
+    return [sum(g[b * n + a] * accel[a] for a in range(n)) - e for b, e in enumerate(lowered)]
 
 
 class PoincareCartan:

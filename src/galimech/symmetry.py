@@ -295,14 +295,14 @@ def lie_two_form(vec_fn, mat_fn, xs):
     return _lie_two_form(duals.jet(mat_fn, xs), duals.jet(vec_fn, xs))
 
 
-def _motion_row(G, dyn):
+def _motion_row(dyn):
     """The motion row G_ab (a^a - gamma^a) of a point (x, v, a), with its deps."""
-    n = G.chart.n
+    n = dyn.chart.n
 
     def e_row(j2):
-        return motion_row(G, dyn, j2[: 2 * n + 1], j2[2 * n + 1 : 3 * n + 1])
+        return motion_row(dyn, j2[: 2 * n + 1], j2[2 * n + 1 : 3 * n + 1])
 
-    e_row.deps = support(G, dyn, *(coordinate(k) for k in range(n + 1, 3 * n + 1)))
+    e_row.deps = support(dyn.G, dyn, *(coordinate(k) for k in range(n + 1, 3 * n + 1)))
     return e_row
 
 
@@ -323,9 +323,9 @@ def _lie_euler_lagrange(ejet, j2, d1, d2, lift):
 
 
 def lie_euler_lagrange(X, G, dyn, j2_xs):
-    """Lie derivative of the motion two-form along the second holonomic
-    lift, evaluated at second-order data (x, v, a)."""
-    return _lie_euler_lagrange(duals.jet(_motion_row(G, dyn), j2_xs), j2_xs,
+    """Lie derivative of the motion two-form (its row reads the metric ``G``
+    of ``dyn``'s record) along the second holonomic lift, at (x, v, a)."""
+    return _lie_euler_lagrange(duals.jet(_motion_row(dyn), j2_xs), j2_xs,
                                *_prolong_jet(X, j2_xs))
 
 
@@ -396,7 +396,7 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
     point the jets that do not depend on the generator (G, the connection
     record the model's connections share, Omega, theta, dL, the motion row)
     are evaluated once, and every generator's families read them."""
-    n, theta, e_row = model.chart.n, model.theta, _motion_row(model.G, model.dyn)
+    n, theta, e_row = model.chart.n, model.theta, _motion_row(model.dyn)
     worst = [{} for _ in gens]
     for te in points_te:
         kjet = duals.jet(model.K.blocks, te[: n + 1])
@@ -566,22 +566,18 @@ def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
 # -- covariant Hamiltonian lift ----------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
 def lift_operator(omega):
     """The lift as a linear map, as a callable of a phase point: (u, Lam)
     with u = [1, v, gamma] the second-order connection and Lam the Poisson
     tensor of (dt, Omega).  The lift of a phase function f at time scale
     tau is tau u + Lam.df; its blocks are Lam[x^h][v^k] = -G^hk,
     Lam[v^h][x^k] = G^hk and Lam[v^h][v^k] = B^hk - B^kh with
-    B = G^-1 gl_sp^T, and its time row and column are zero.  The connection
-    blocks and G^-1 are one program, so a connection raised by G shares
-    its one inverse line; it is built again only for another two-form."""
-    n, dim = omega.chart.n, 2 * omega.chart.n + 1
-    blocks = program({**omega.conn.sym, "G^-1": [omega.G.inv_node]})
+    B = G^-1 gl_sp^T, and its time row and column are zero.  The blocks
+    and G^-1 are the record's :meth:`~galimech.geometry.PhaseConnection.raised`."""
+    n, dim, conn = omega.chart.n, 2 * omega.chart.n + 1, omega.conn
 
     def op(xs):
-        kv = blocks(xs)
-        ginv = kv["G^-1"][0]
+        kv, ginv = conn.raised(xs)
         v = xs[n + 1 : 2 * n + 1]
         gl = lift_of(kv, v)
         b = [[_along(ginv[h], gl[k][1:]) for k in range(n)] for h in range(n)]

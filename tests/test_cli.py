@@ -405,6 +405,12 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert rep["seed"] == 99
 
 
+def test_a_seed_variable_that_is_not_an_integer_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("GALIMECH_SEED", "abc")
+    assert "GALIMECH_SEED must be an integer, got 'abc'" in _input_error(
+        ["derive", "--model", "free2d"], capsys)
+
+
 def test_reports_byte_identical(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     args = ["check-symmetry", "--model", "cyclotron", "--field", "rotation",
@@ -495,6 +501,22 @@ def _config_error(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return _input_error(["derive", "--model", str(path)], capsys)
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"metric": {"entries": {"1,5": 2.0}}}, "metric entry '1,5': need two indices in 1..3"),
+    ({"metric": {"entries": {"0,1": 0.1}}}, "metric entry '0,1': need two indices in 1..3"),
+    ({"metric": {"entries": {"1,2,3": 0.1}}}, "metric entry '1,2,3'"),
+    ({"metric": {"entries": {"x,1": 0.1}}}, "metric entry 'x,1'"),
+    ({"metric": {"entries": {"1,2": 0.1, "2,1": 0.2}}}, "metric entry '2,1' repeats"),
+    ({"em": {"q": 1.0, "entries": {"1,7": 0.5}}}, "em entry '1,7': need two indices in 0..3"),
+    ({"em": {"q": 1.0, "entries": {"2,1": 0.5}}}, "em entry '2,1'"),
+    ({"observer": [0.0, 0.0]}, "observer needs 3 components, got 2"),
+    ({"observer": [0.0] * 5}, "observer needs 3 components, got 5"),
+])
+def test_config_entries_that_do_not_fit_the_chart_are_input_errors(tmp_path, capsys, section,
+                                                                   message):
+    assert message in _config_error(tmp_path, capsys, {"n": 3, **section})
 
 
 def test_config_metric_section_of_wrong_type_is_input_error(tmp_path, capsys):

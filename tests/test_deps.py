@@ -33,6 +33,7 @@ from galimech.fields import (
 from galimech.geometry import Metric, PhaseTwoForm, gamma00_of
 from galimech.oracles import pair_bracket
 from galimech.symmetry import (
+    _motion_row,
     SpacetimeVectorField,
     SpecialQuadratic,
     check_equivalences,
@@ -44,7 +45,7 @@ from galimech.symmetry import (
     tau_lift_values,
     vector_commutator,
 )
-from tests_support import field_specs, random_compatible_model
+from tests_support import field_specs, program_lift_operator, random_compatible_model
 
 PHASE_DIM = 7  # n = 3: (t, x1..x3, v1..v3)
 POINT = [0.31, -0.42, 1.17, 0.23, 0.61, -0.35, 0.48]
@@ -245,6 +246,34 @@ def test_catalog_deps_are_sound(name):
         _assert_sound_nested(undeclared, deps, xs, dim, what=(name, label))
 
 
+@pytest.mark.parametrize("name", ["free3d", "cyclotron", "rigidbody", "random-0"])
+def test_raised_values_are_the_sym_program_bit_for_bit(name):
+    # the blocks raise the record's lowered program by G^-1, and the lift
+    # operator reads the same run: both exactly as one program of the fields
+    model = _BUILDERS.get(name, lambda: load_model(name))()
+    n, omega = model.chart.n, model.omega
+    xs = model.sample_phase(1, seed=8)[0]
+    at_points = [lambda f, ys: f(ys)] + [lambda f, ys, j=j: _outer(f, ys, j) for j in (0, 2)]
+    for at in at_points:  # a float point, and a dual point seeded on t and on x2
+        got, want = at(model.K.blocks, xs[: n + 1]), at(program(model.K.sym), xs[: n + 1])
+        assert {k: [_exact(x) for x in v] for k, v in got.items()} == (
+            {k: [_exact(x) for x in v] for k, v in want.items()}), name
+        (u, lam), (u0, lam0) = at(lift_operator(omega), xs), at(program_lift_operator(omega), xs)
+        assert [_exact(x) for x in u] == [_exact(x) for x in u0], name
+        assert [[_exact(x) for x in r] for r in lam] == [[_exact(x) for x in r] for r in lam0]
+
+
+@pytest.mark.parametrize("name", ["cyclotron", "rigidbody", "random-0"])
+def test_two_form_and_motion_row_jets_invert_no_metric(name, monkeypatch):
+    model = _BUILDERS.get(name, lambda: load_model(name))()
+    calls = []
+    orig = Metric.inv
+    monkeypatch.setattr(Metric, "inv", lambda self, *a: calls.append(1) or orig(self, *a))
+    duals.jet(model.omega.matrix, model.sample_phase(1, seed=9)[0])
+    duals.jet(_motion_row(model.dyn), model.sample_j2(1, seed=9)[0])
+    assert calls == []
+
+
 def test_charge_dependency_sets(free3d, rigidbody):
     charges = named_charges(free3d)
     assert charges["charge_d1"].deps == {4}  # v1
@@ -356,7 +385,8 @@ def test_bound_charge_value_declares_the_charge_support(free3d, monkeypatch):
 
 
 def test_tau_lift_evaluates_the_connection_once(rigidbody, monkeypatch):
-    # the connection blocks are one program with G^-1: the lift operator's
+    # the lift operator reads the connection blocks and G^-1 from one run of
+    # the record's program, and a lift reads the operator once
     calls = []
     op = lift_operator(rigidbody.omega)
     monkeypatch.setattr(symmetry, "lift_operator",

@@ -23,6 +23,7 @@ from galimech.geometry import (
     cartan_from_lagrangian,
     metric_connection,
     minimal_coupling,
+    motion_row,
     observed_split,
     phase_from_dynamical,
     phase_from_spacetime,
@@ -39,6 +40,8 @@ from tests_support import (
     metric_compat_residual,
     nonmetric_two_form,
     observed_two_form,
+    raised_motion_row,
+    raised_two_form,
     random_compatible_model,
     zero_connection,
 )
@@ -292,6 +295,23 @@ def test_one_metric_inverse_per_acceleration(monkeypatch):
             assert len(trig) <= 4 or model.name != "rigidbody"
 
 
+def test_two_form_and_motion_row_evaluate_each_trig_leaf_once(monkeypatch):
+    # both read G's entries in the record's one program, not G.mat as well
+    trig = []
+    sin, cos = duals.sin, duals.cos
+    monkeypatch.setattr(duals, "sin", lambda x: trig.append(1) or sin(x))
+    monkeypatch.setattr(duals, "cos", lambda x: trig.append(1) or cos(x))
+    model = load_model("rigidbody")
+    dim = model.chart.dim_phase
+    for j2 in model.sample_j2(2, seed=4):
+        trig.clear()
+        model.omega.matrix(j2[:dim])
+        assert len(trig) == 4
+        trig.clear()
+        motion_row(model.dyn, j2[:dim], j2[dim:])
+        assert len(trig) == 4
+
+
 def _random_spd(rng, n):
     b = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
     return [[sum(b[i][k] * b[j][k] for k in range(n)) + (n if i == j else 0.0)
@@ -487,6 +507,37 @@ def test_reeb_of_coupled_form(cyclotron):
 
 
 # -- motion form --------------------------------------------------------------
+
+
+_LOWERED_MODELS = ["free2d", "free3d", "cyclotron", "rigidbody"] + [
+    f"random-{seed}-n{n}" for n in (2, 3, 4) for seed in range(4)]
+
+
+def _near(got, want, tol, what):
+    """Entrywise within ``tol`` relative to the largest entry of ``want``."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want))), what
+
+
+@pytest.mark.parametrize("name", _LOWERED_MODELS)
+def test_lowered_forms_match_the_raised_route(name):
+    # Omega and the motion row read the lowered program; the raised route
+    # assembles them from G.mat, the raised lift and the acceleration program
+    if name.startswith("random"):
+        seed, n = name[len("random-"):].split("-n")
+        model = random_compatible_model(int(seed), int(n))
+    else:
+        model = load_model(name)
+    n, omega, dim = model.chart.n, model.omega, model.chart.dim_phase
+    for xs, j2 in zip(model.sample_phase(3, seed=21), model.sample_j2(3, seed=22)):
+        m = omega.matrix(xs)
+        _near(m, raised_two_form(omega, xs), 1e-14, (name, "two_form"))
+        assert all(m[a][b] == -m[b][a] for a in range(dim) for b in range(dim)), name
+        row = motion_row(model.dyn, j2[:dim], j2[dim:])
+        _near(row, raised_motion_row(model.dyn, j2[:dim], j2[dim:]), 1e-14, (name, "motion"))
+        # and their first partials, which the Lie derivative families read
+        _near(duals.grad(omega.matrix, xs), duals.grad(lambda ys: raised_two_form(omega, ys), xs),
+               1e-12, (name, "d two_form"))
 
 
 def test_euler_lagrange_on_shell(cyclotron):

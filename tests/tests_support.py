@@ -2,8 +2,10 @@
 metric connection given by explicit coefficient fields, a deliberately
 non-metric two-form, a strategy for config field specs, and the structure
 checks only the tests read (metric compatibility, the observed two-form and
-its closure, the Euler-Lagrange matrix, the zero connection), and the
-numpy form of the RK4 loop that ``dynamics.integrate`` must reproduce."""
+its closure, the Euler-Lagrange matrix, the zero connection), the raised
+forms of the two-form, the motion row and the lift operator that the
+lowered forms must reproduce, and the numpy form of the RK4 loop that
+``dynamics.integrate`` must reproduce."""
 
 import math
 import random
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from galimech import duals
 from galimech.catalog import Model
-from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial
+from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial, program
 from galimech.dynamics import IntegrationError, StepError, law_of_motion_rhs
 from galimech.geometry import (
     Metric,
@@ -22,9 +24,12 @@ from galimech.geometry import (
     SpacetimeConnection,
     _sym_key,
     identity_metric,
+    lift_of,
+    metric_record,
     motion_row,
     phase_from_spacetime,
 )
+from galimech.symmetry import _along
 
 
 def random_connection(chart, rng):
@@ -102,8 +107,8 @@ def nonmetric_two_form():
     """Deliberately broken: the two-form of the Euclidean metric and a
     connection that is not compatible with it."""
     chart = Chart(3)
-    K = SpacetimeConnection(chart, {(1, 1): [coordinate(1), ZERO, ZERO]})
-    return PhaseTwoForm(identity_metric(chart), phase_from_spacetime(K))
+    K = metric_record(identity_metric(chart), {(1, 1): [coordinate(1), ZERO, ZERO]})
+    return PhaseTwoForm(phase_from_spacetime(K))
 
 
 # -- field specs as a config writes them ---------------------------------------------
@@ -154,7 +159,7 @@ def euler_lagrange_matrix(G, dyn, p, accel):
     """Horizontal two-form of the motion residual at second-order data."""
     n = G.chart.n
     m = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for b, s in enumerate(motion_row(G, dyn, list(p), accel)):
+    for b, s in enumerate(motion_row(dyn, list(p), accel)):
         m[0][1 + b] = s
         m[1 + b][0] = -s
     return m
@@ -224,6 +229,66 @@ def dphi_residual(omega, observer, xs_e):
                 r = dm[a][b][c] + dm[b][c][a] + dm[c][a][b]
                 worst = max(worst, abs(duals.value(r)))
     return worst
+
+
+# -- the raised forms --------------------------------------------------------------
+
+
+def raised_two_form(omega, xs):
+    """Omega assembled from ``G.mat`` and the raised lift coefficients gl,
+    lowering each product by G: G_ak gl^k for the spatial and time rows."""
+    n = omega.chart.n
+    v = xs[n + 1 : 2 * n + 1]
+    gm = omega.G.mat(xs)
+    gl = omega.conn.lift_values(xs)
+    dim = 2 * n + 1
+    m = [[0.0] * dim for _ in range(dim)]
+    gv = [sum(gm[a][b] * v[b] for b in range(n)) for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            m[n + 1 + a][1 + b] = gm[a][b]
+            m[1 + b][n + 1 + a] = -gm[a][b]
+        m[n + 1 + a][0] = -gv[a]
+        m[0][n + 1 + a] = gv[a]
+    for a in range(n):
+        for b in range(n):
+            m[1 + a][1 + b] = sum(gm[a][k] * gl[k][1 + b] - gm[b][k] * gl[k][1 + a]
+                                  for k in range(n))
+    for b in range(n):
+        s = -sum(gm[k][b] * gl[k][0] for k in range(n))
+        s = s - sum(gv[k] * gl[k][1 + b] for k in range(n))
+        m[0][1 + b] = s
+        m[1 + b][0] = -s
+    return m
+
+
+def raised_motion_row(dyn, xs, accel):
+    """G_ab (accel^a - gamma^a) from ``G.mat`` and the acceleration program."""
+    n = dyn.chart.n
+    gm, g00 = dyn.G.mat(xs), dyn.gamma00_values(xs)
+    return [sum(gm[a][b] * (accel[a] - g00[a]) for a in range(n)) for b in range(n)]
+
+
+def program_lift_operator(omega):
+    """The lift operator (u, Lam) with the ``sym`` blocks and G^-1 evaluated
+    by one program of the connection's fields and the metric's inverse node."""
+    n, dim = omega.chart.n, 2 * omega.chart.n + 1
+    blocks = program({**omega.conn.sym, "G^-1": [omega.G.inv_node]})
+
+    def op(xs):
+        kv = blocks(xs)
+        ginv = kv["G^-1"][0]
+        v = xs[n + 1 : 2 * n + 1]
+        gl = lift_of(kv, v)
+        b = [[_along(ginv[h], gl[k][1:]) for k in range(n)] for h in range(n)]
+        lam = [[0.0] * dim for _ in range(dim)]
+        for h in range(n):
+            for k in range(n):
+                lam[1 + h][n + 1 + k], lam[n + 1 + k][1 + h] = -ginv[h][k], ginv[h][k]
+                lam[n + 1 + h][n + 1 + k] = b[h][k] - b[k][h]
+        return [1.0, *v, *(g[0] + _along(g[1:], v) for g in gl)], lam
+
+    return op
 
 
 def numpy_rk4(dyn, p0, T, h):
