@@ -422,15 +422,12 @@ def model_from_config(cfg):
 # -- named charges -------------------------------------------------------------
 
 
-def named_charges(model, names=None, check_points=None):
-    """Charges by action for tracking along trajectories.
-
-    Returns an ordered dict label -> SpecialQuadratic for every generator of
-    every action whose potential-form invariance holds (skips the rest).
-    With ``names``, only the named generators are verified, and the result
-    holds exactly those charges in that order.  All of them are verified by
-    one :func:`~galimech.symmetry.noether_charges` call.
-    """
+def checked_charges(model, names=None, check_points=None):
+    """The charge of every generator of every action (with ``names``, of
+    the named ones) by label ``charge_<generator>``, with its
+    potential-form-invariance check: an ordered dict label ->
+    (SpecialQuadratic, residual, conserved) from one
+    :func:`~galimech.symmetry.noether_charges` call."""
     from .symmetry import noether_charges
 
     if model.theta is None:
@@ -440,10 +437,16 @@ def named_charges(model, names=None, check_points=None):
              for action in model.actions.values() for gen in action.generators]
     named = [(key, gen) for key, gen in named if names is None or key in names]
     checked = noether_charges([gen for _, gen in named], model.theta, pts)
-    out = {}
-    for (key, _), (charge, _residual, conserved) in zip(named, checked):
-        if conserved:
-            out[key] = charge
+    return {key: c for (key, _), c in zip(named, checked)}
+
+
+def named_charges(model, names=None, check_points=None):
+    """Charges by action for tracking along trajectories: the
+    :func:`checked_charges` whose invariance holds, label -> SpecialQuadratic
+    (skips the rest).  With ``names``, the result holds exactly the named
+    charges in that order."""
+    checked = checked_charges(model, names, check_points)
+    out = {key: charge for key, (charge, _, conserved) in checked.items() if conserved}
     if names is not None:
         missing = [nm for nm in names if nm not in out]
         if missing:

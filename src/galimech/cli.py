@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import catalog, dynamics, geometry
-from .duals import jet, value
+from .duals import jet, value, worst
 from .fields import ZERO, constant, coordinate, sin_of, cos_of, exp_of, finite, program
 from .symmetry import (
     ClassifyError,
@@ -213,6 +213,8 @@ def resolve_generators(model, spec):
     raw = parse_vector_field(spec, model.chart)
     pts = model.sample_e(12)
     X, residual = classify_spacetime(model.chart, raw, pts)
+    if math.isnan(residual):
+        raise ValueError(f"field {spec!r}: residual of the time form is nan at a sample point")
     if X is None:
         raise NotASymmetryError(
             f"field does not preserve the time form (residual {residual:.3e})"
@@ -258,10 +260,11 @@ def _non_finite(v):
 
 
 def _mk_report(args, command, model, checks, extra=None):
+    """The report of ``checks``; with no checks it certifies nothing and fails."""
     _require_finite(command, checks)
     verdicts = [c.get("verdict") for c in checks if "verdict" in c]
     overall = "pass"
-    if any(v == "fail" for v in verdicts):
+    if not checks or any(v == "fail" for v in verdicts):
         overall = "fail"
     elif any(v == "inconclusive" for v in verdicts):
         overall = "inconclusive"
@@ -301,17 +304,13 @@ def _emit(args, payload, name):
     print(path)
 
 
-def _exit_code(report):
-    return 0 if report["verdict"] == "pass" else 2
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_derive(args, model):
     n = model.chart.n
     xs = _numbers("--point", args.point, 2 * n + 1) if args.point else model.anchor()
-    kv = model.K.values(xs)
+    kv, two_form = model.K.values(xs), model.omega.matrix(xs)
     payload = {
         "schema": SCHEMA,
         "command": "derive",
@@ -321,8 +320,8 @@ def cmd_derive(args, model):
             f"K[{lam},{mu}]": [value(v) for v in vals] for (lam, mu), vals in sorted(kv.items())
         },
         "acceleration": [value(v) for v in model.dyn.gamma00_values(xs)],
-        "two_form": [[value(v) for v in row] for row in model.omega.matrix(xs)],
-        "nondegeneracy_det": model.omega.nondegeneracy_det(xs),
+        "two_form": [[value(v) for v in row] for row in two_form],
+        "nondegeneracy_det": geometry.nondegeneracy_of(two_form),
     }
     if model.theta is not None:
         ham, _ = geometry.observed_split(model.theta, model.observer)
@@ -334,8 +333,7 @@ def cmd_derive(args, model):
     for key in sorted(payload):
         if (bad := _non_finite(payload[key])) is not None:
             raise ValueError(f"derive: {key} is {bad} at the point")
-    _emit(args, payload, "derive.json")
-    return 0
+    return payload
 
 
 def cmd_simulate(args, model):
@@ -365,8 +363,7 @@ def cmd_simulate(args, model):
             if not math.isfinite(c):
                 raise ValueError(f"simulate: {name} is {c} at step {k}")
         lines.append(",".join(map(repr, row + cells)))
-    _emit(args, "\n".join(lines) + "\n", "trajectory.csv")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def cmd_check_symmetry(args, model):
@@ -382,9 +379,7 @@ def cmd_check_symmetry(args, model):
         ok = rep.consistent()
         checks.append({"generator": X.label, "condition": "correspondence-consistency",
                        "residual": 0.0 if ok else 1.0, "verdict": "pass" if ok else "fail"})
-    report = _mk_report(args, "check-symmetry", model, checks, {"field": args.field})
-    _emit(args, report, "check-symmetry.json")
-    return _exit_code(report)
+    return _mk_report(args, "check-symmetry", model, checks, {"field": args.field})
 
 
 def cmd_noether(args, model):
@@ -394,11 +389,11 @@ def cmd_noether(args, model):
         )
     gens, _ = resolve_generators(model, args.field)
     pts = model.sample_phase(args.points, args.seed)
-    checks = []
+    checks, anchor = [], model.anchor()
     charges = noether_charges(gens, model.theta, pts, args.tol_pass)
     for X, (charge, residual, conserved) in zip(gens, charges):
-        gdot = max(abs(value(gamma_dot(charge, model.dyn, p))) for p in pts)
-        anchor = model.anchor()
+        gdot = worst([gamma_dot(charge, model.dyn, p) for p in pts])
+        anchor_value = value(charge.value(anchor))
         checks.append(
             {
                 "generator": X.label,
@@ -408,13 +403,11 @@ def cmd_noether(args, model):
                 "conserved": bool(conserved),
                 "time_scale": X.x0,
                 "motion_derivative_residual": gdot,
-                "anchor_value": value(charge.value(anchor)),
-                "anchor_value_opposite_sign": -value(charge.value(anchor)),
+                "anchor_value": anchor_value,
+                "anchor_value_opposite_sign": -anchor_value,
             }
         )
-    report = _mk_report(args, "noether", model, checks, {"field": args.field})
-    _emit(args, report, "noether.json")
-    return _exit_code(report)
+    return _mk_report(args, "noether", model, checks, {"field": args.field})
 
 
 def _require_actions(model):
@@ -438,6 +431,9 @@ def cmd_momentum_map(args, model):
     pts = model.sample_phase(args.points, args.seed)
     pts_e = model.sample_e(min(args.points, 10), args.seed)
     entries = momentum_map(action, model.theta, pts, anchor=model.anchor())
+    _require_finite("momentum-map", [  # momentum_map leaves a nan residual to its caller
+        {"generator": e.label, "condition": "potential-form-invariance",
+         "residual": e.symmetry_residual} for e in entries])
     checks = []
     for entry in entries:
         match = generator_match(entry, model.omega, pts[: min(len(pts), 25)])
@@ -445,7 +441,7 @@ def cmd_momentum_map(args, model):
         f0_err = 0.0
         try:
             validate = classify_special_quadratic(entry.charge.value, model.G).validate
-            f0_err = max(abs(validate(p) - entry.tau) for p in pts_e)
+            f0_err = worst([validate(p) - entry.tau for p in pts_e])
         except ClassifyError:
             quantisable = False
         ok = match < args.tol_pass and quantisable and f0_err < 1e-10
@@ -471,9 +467,7 @@ def cmd_momentum_map(args, model):
                 "verdict": "pass" if structure_res < 1e-8 else "fail",
             }
         )
-    report = _mk_report(args, "momentum-map", model, checks, extra)
-    _emit(args, report, "momentum-map.json")
-    return _exit_code(report)
+    return _mk_report(args, "momentum-map", model, checks, extra)
 
 
 def cmd_brackets(args, model):
@@ -481,9 +475,13 @@ def cmd_brackets(args, model):
     if model.theta is None:
         raise NotASymmetryError(f"model {model.name} has no potential form")
     pts = model.sample_phase(args.points, args.seed)
-    charges = catalog.named_charges(model, check_points=pts)
+    checked = catalog.checked_charges(model, check_points=pts)
+    charges = {key: charge for key, (charge, _, conserved) in checked.items() if conserved}
     labels = list(charges)
-    checks = []
+    # a charge whose invariance fails has no bracket to check: it fails here
+    checks = [{"generator": key.removeprefix("charge_"), "condition": "potential-form-invariance",
+               "residual": residual, "verdict": "fail"}
+              for key, (_, residual, conserved) in checked.items() if not conserved]
     sample = pts[: min(len(pts), 8)]
     lift = lift_operator(model.omega)
     # at each sample point, once: the jets of the lift operator and of each
@@ -503,23 +501,20 @@ def cmd_brackets(args, model):
             # homomorphism of the pair bracket into vector fields: the commutator
             # of the two lifts against the lift of the bracket's differential,
             # which the product rule builds from the jets held
-            worst = 0.0
-            for opjet, djets, lifts in at_points:
-                comm = commutator(lifts[la], lifts[lb])
-                lifted = apply_lift(opjet[0], bracket_jet(djets[la], djets[lb], opjet)[1], 0.0)
-                worst = max(worst, max(abs(value(a) - value(b)) for a, b in zip(comm, lifted)))
+            residual = worst([
+                value(a) - value(b) for opjet, djets, lifts in at_points
+                for a, b in zip(commutator(lifts[la], lifts[lb]), apply_lift(
+                    opjet[0], bracket_jet(djets[la], djets[lb], opjet)[1], 0.0))])
             checks.append(
                 {
                     "pair": [la, lb],
                     "condition": "bracket-closure-and-homomorphism",
-                    "residual": worst,
-                    "verdict": "pass" if (closed and worst < 1e-6) else "fail",
+                    "residual": residual,
+                    "verdict": "pass" if (closed and residual < 1e-6) else "fail",
                     "closed": closed,
                 }
             )
-    report = _mk_report(args, "brackets", model, checks)
-    _emit(args, report, "brackets.json")
-    return _exit_code(report)
+    return _mk_report(args, "brackets", model, checks)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -590,13 +585,14 @@ def build_parser():
     return p
 
 
+# each command's payload and the name of its artifact under --out
 _COMMANDS = {
-    "derive": cmd_derive,
-    "simulate": cmd_simulate,
-    "check-symmetry": cmd_check_symmetry,
-    "noether": cmd_noether,
-    "momentum-map": cmd_momentum_map,
-    "brackets": cmd_brackets,
+    "derive": (cmd_derive, "derive.json"),
+    "simulate": (cmd_simulate, "trajectory.csv"),
+    "check-symmetry": (cmd_check_symmetry, "check-symmetry.json"),
+    "noether": (cmd_noether, "noether.json"),
+    "momentum-map": (cmd_momentum_map, "momentum-map.json"),
+    "brackets": (cmd_brackets, "brackets.json"),
 }
 
 
@@ -621,7 +617,11 @@ def main(argv=None):
         model = catalog.load_model(args.config or args.model)
         if box:
             model.box = [tuple(box)] * model.chart.dim_phase
-        return _COMMANDS[args.command](args, model)
+        run, artifact = _COMMANDS[args.command]
+        payload = run(args, model)
+        _emit(args, payload, artifact)
+        # a report's verdict sets the code; derive and simulate have none
+        return 0 if isinstance(payload, str) or payload.get("verdict", "pass") == "pass" else 2
     except (catalog.ModelError, UnitMismatchError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -144,6 +144,23 @@ def value(x):
     return x.terms.get(0, 0.0) if isinstance(x, MultiDual) else float(x)
 
 
+def worst(residual, prev=None):
+    """Largest |entry| of a residual (nested lists of scalars) and of ``prev``
+    if given, 0.0 when there is none; nan when any entry is nan, which
+    ``max`` alone would drop.  Every residual over sample points is
+    reduced here.  It walks the lists with a stack, not a recursive closure,
+    so a call leaves no reference cycle for the garbage collector."""
+    sizes, stack = [], [residual] if prev is None else [prev, residual]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        else:
+            sizes.append(abs(value(x)))
+    total = sum(sizes)  # a sum of non-negative numbers is nan exactly when one is
+    return total if total != total else max(sizes, default=0.0)
+
+
 def _series(x, derivs):
     """Apply an analytic function with derivative list [f(a), f'(a), ...]."""
     a0 = x.terms.get(0, 0.0)

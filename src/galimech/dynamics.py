@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import value
+from .duals import value, worst
 
 
 class IntegrationError(RuntimeError):
@@ -101,15 +101,13 @@ def conserved_drift(fn, traj, dyn=None):
     connection is supplied) the max of its derivative along the motion
     direction, which is integration-independent."""
     vals = [value(fn(traj.phase_coords(k))) for k in range(len(traj))]
-    drift = max(abs(v - vals[0]) for v in vals)
+    drift = worst([v - vals[0] for v in vals])
     residual = None
     if dyn is not None:
         from .symmetry import gamma_dot
 
-        residual = max(
-            abs(value(gamma_dot(fn, dyn, traj.phase_coords(k))))
-            for k in range(0, len(traj), max(1, len(traj) // 64))
-        )
+        residual = worst([gamma_dot(fn, dyn, traj.phase_coords(k))
+                          for k in range(0, len(traj), max(1, len(traj) // 64))])
     return drift, residual
 
 

@@ -287,9 +287,11 @@ def program(fields, shape=None):
         out = [emit(f) for f in fields]
         for width in reversed((len(out),) if shape is None else shape):
             out = ["[" + ", ".join(out[i : i + width]) + "]" for i in range(0, len(out), width)]
+    del emit  # it calls itself through its closure cell: a reference cycle
     exec(_code("def run(xs):\n" + "".join(lines) + f"    return {out[0]}\n"), env)
-    env["run"].deps = support(*fields)
-    return env["run"]
+    run = env.pop("run")  # its globals are env, so left there it is a reference cycle
+    run.deps = support(*fields)
+    return run
 
 
 @functools.lru_cache(maxsize=128)

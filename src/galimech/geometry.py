@@ -421,15 +421,16 @@ class PhaseTwoForm:
         ]
 
     def nondegeneracy_det(self, xs):
-        """Determinant probe for dt ^ Omega^n: first row is dt, the rest are
-        the rows of Omega on the kernel basis of dt."""
-        n = self.chart.n
-        m = self.matrix(xs)
-        dim = 2 * n + 1
-        rows = [[1.0] + [0.0] * (dim - 1)]
-        for a in range(1, dim):
-            rows.append([float(x) for x in m[a]])
-        return float(np.linalg.det(np.array(rows)))
+        """:func:`nondegeneracy_of` the matrix at ``xs``."""
+        return nondegeneracy_of(self.matrix(xs))
+
+
+def nondegeneracy_of(m):
+    """Determinant probe for dt ^ Omega^n from the matrix ``m`` of Omega at
+    a point: first row is dt, the rest are the rows of Omega on the kernel
+    basis of dt."""
+    rows = [[1.0] + [0.0] * (len(m) - 1)] + [[float(x) for x in row] for row in m[1:]]
+    return float(np.linalg.det(np.array(rows)))
 
 
 def minimal_coupling(omega, em):
@@ -533,13 +534,8 @@ def closure_residual(omega, p):
     """Max cyclic-derivative residual of the two-form at a phase point."""
     dim = 2 * omega.chart.n + 1
     dm = duals.grad(omega.matrix, list(p))
-    worst = 0.0
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                r = dm[a][b][c] + dm[b][c][a] + dm[c][a][b]
-                worst = max(worst, abs(duals.value(r)))
-    return worst
+    return duals.worst([dm[a][b][c] + dm[b][c][a] + dm[c][a][b] for a in range(dim)
+                        for b in range(a + 1, dim) for c in range(b + 1, dim)])
 
 
 def reeb_residual(omega, dyn, p):
@@ -548,7 +544,4 @@ def reeb_residual(omega, dyn, p):
     xs = list(p)
     vec = dyn.vector_values(xs)
     contr = omega.contraction(vec, xs)
-    return (
-        max(abs(duals.value(c)) for c in contr),
-        abs(duals.value(vec[0]) - 1.0),
-    )
+    return duals.worst(contr), abs(duals.value(vec[0]) - 1.0)

@@ -14,10 +14,11 @@ the tests against a finite-flow pullback oracle (:mod:`galimech.oracles`).
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from . import duals
-from .duals import value
+from .duals import value, worst
 from .fields import Field, ONE, ZERO, as_field, constant, coordinate, program, support
 from .geometry import _sym_key, gamma00_of, lift_of, motion_row, quadratic_field
 
@@ -66,8 +67,8 @@ class SpacetimeVectorField:
     @functools.cached_property
     def values_e(self):
         """The time component and the components at a point."""
-        run = program(self.comps)
-        return lambda xs: [self.x0, *run(xs)]
+        run, x0 = program(self.comps), self.x0  # x0, not self: no cycle through the cache
+        return lambda xs: [x0, *run(xs)]
 
     @functools.cached_property
     def d1(self):
@@ -125,13 +126,11 @@ def classify_spacetime(chart, raw_comps, points, tol=TOL_PASS):
     """Classify a raw (n+1)-component field; returns (field_or_None, residual)."""
     comps = [as_field(c) for c in raw_comps]
     ld = lie_dt(chart, comps)
-    worst = 0.0
-    for xs in points:
-        worst = max(worst, max(abs(value(c(xs))) for c in ld))
-    if worst > tol:
-        return None, worst
+    residual = worst([[c(xs) for c in ld] for xs in points])
+    if not residual <= tol:  # a nan residual is no classification
+        return None, residual
     x0 = value(comps[0](points[0]))
-    return SpacetimeVectorField(chart, x0, comps[1:]), worst
+    return SpacetimeVectorField(chart, x0, comps[1:]), residual
 
 
 # -- Lie derivatives by coordinate formula ---------------------------------
@@ -376,18 +375,8 @@ class EquivalenceReport:
         return True
 
 
-def _worst(residual, prev=None):
-    """Largest |entry| of a residual (nested lists of scalars) and of ``prev``
-    if given; nan when any entry is nan, which ``max`` alone would drop."""
-    def leaves(r):
-        return [x for e in r for x in leaves(e)] if isinstance(r, list) else [r]
-
-    r = residual if prev is None else [prev, residual]
-    return max((abs(value(x)) for x in leaves(r)), key=lambda r: (r != r, r))
-
-
-def _note(worst, family, residual):
-    worst[family] = _worst(residual, worst.get(family))  # a running worst
+def _note(running, family, residual):
+    running[family] = worst(residual, running.get(family))
 
 
 def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2,
@@ -397,17 +386,17 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
     record the model's connections share, Omega, theta, dL, the motion row)
     are evaluated once, and every generator's families read them."""
     n, theta, e_row = model.chart.n, model.theta, _motion_row(model.dyn)
-    worst = [{} for _ in gens]
+    running = [{} for _ in gens]
     for te in points_te:
         kjet = duals.jet(model.K.blocks, te[: n + 1])
-        for X, w in zip(gens, worst):
+        for X, w in zip(gens, running):
             _note(w, "spacetime_connection", _lie_spacetime_connection(
                 kjet, te, X.values_e(te), X.d1(te), X.d2(te)))
     for xs in points_phase:
         kjet, mjet = duals.jet(model.pconn.blocks, xs[: n + 1]), duals.jet(model.omega.matrix, xs)
         if theta is not None:  # the form is its own splitting: its value is L
             cjet, dlag = duals.jet(theta.components, xs), duals.grad(theta.value, xs)
-        for X, w in zip(gens, worst):
+        for X, w in zip(gens, running):
             d1, d2, lift = _prolong_jet(X, xs)
             yjet = lift, duals.grad(X.prolong1_values, xs)
             _note(w, "phase_connection", _lie_phase_connection(kjet, xs, d1, d2, lift))
@@ -418,15 +407,15 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
                 _note(w, "lagrangian", _along(dlag, lift))
     for xs in points_e:
         gjet = model.G.jet(xs)
-        for X, w in zip(gens, worst):
+        for X, w in zip(gens, running):
             _note(w, "metric", _lie_metric(gjet, X.values_e(xs), X.d1(xs)))
     for j2 in points_j2:
         ejet = duals.jet(e_row, j2)
-        for X, w in zip(gens, worst):
+        for X, w in zip(gens, running):
             _note(w, "motion_form", _lie_euler_lagrange(ejet, j2, *_prolong_jet(X, j2)))
     name = getattr(model, "name", "?")
     return [EquivalenceReport(name, X.label or "X", w, tol_pass, tol_fail)
-            for X, w in zip(gens, worst)]
+            for X, w in zip(gens, running)]
 
 
 # -- quantisable phase functions -------------------------------------------
@@ -464,7 +453,7 @@ def noether_charges(gens, theta, check_points=None, tol=TOL_PASS):
     residuals = [None] * len(gens)
     for p in check_points or ():
         cjet = duals.jet(theta.components, p)
-        residuals = [_worst(_lie_one_form(cjet, duals.jet(X.prolong1_values, p)), r)
+        residuals = [worst(_lie_one_form(cjet, duals.jet(X.prolong1_values, p)), r)
                      for X, r in zip(gens, residuals)]
     out = []
     for X, residual in zip(gens, residuals):
@@ -515,7 +504,7 @@ class LieAlgebraAction:
 
     def closure_residual(self, points):
         """Commutator-closure defect against the declared constants."""
-        worst = 0.0
+        defects = []
         for (p, q), coeffs in self.structure.items():
             bracket = spacetime_commutator(self.generators[p], self.generators[q])
             for xs in points:
@@ -525,10 +514,8 @@ class LieAlgebraAction:
                     if c:
                         ge = self.generators[r].values_e(xs)
                         want = [w + c * g for w, g in zip(want, ge)]
-                worst = max(
-                    worst, max(abs(value(a) - value(b)) for a, b in zip(got, want))
-                )
-        return worst
+                defects.append([value(a) - value(b) for a, b in zip(got, want)])
+        return worst(defects)
 
 
 def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
@@ -537,13 +524,16 @@ def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
     Per generator the charge is the contraction charge and the time scale
     is the (constant) time component of the generator.  The additive gauge
     is fixed by recording the charge value at the anchor (chart origin with
-    zero velocity by default).
+    zero velocity by default).  A generator whose invariance residual is
+    above ``tol`` raises :class:`NotASymmetryError`; a nan residual (an
+    overflowing input, not a verdict) stays in its entry, ``conserved``
+    False, for the caller to report.
     """
     anchor = [0.0] * (2 * theta.chart.n + 1) if anchor is None else anchor
     entries = []
     charges = noether_charges(action.generators, theta, check_points, tol)
     for idx, (gen, (charge, residual, conserved)) in enumerate(zip(action.generators, charges)):
-        if not conserved:
+        if not (conserved or math.isnan(residual)):
             raise NotASymmetryError(
                 f"generator {gen.label or idx} of action {action.name}: "
                 f"invariance residual {residual:.3e}"
@@ -642,14 +632,9 @@ def generator_match(entry, omega, points):
     """Defect between the lifted charge (at its own time scale) and the
     holonomic lift of the generator; two-sided per the uniqueness of the
     lift in its time component."""
-    worst = 0.0
-    for xs in points:
-        lifted = tau_lift_values(entry.charge, entry.tau, omega, xs)
-        direct = entry.generator.prolong1_values(xs)
-        worst = max(
-            worst, max(abs(value(a) - value(b)) for a, b in zip(lifted, direct))
-        )
-    return worst
+    return worst([[value(a) - value(b) for a, b in zip(
+        tau_lift_values(entry.charge, entry.tau, omega, xs), entry.generator.prolong1_values(xs))]
+        for xs in points])
 
 
 # -- classification of quadratic phase functions ------------------------------

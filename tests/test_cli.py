@@ -13,7 +13,7 @@ from galimech.catalog import ModelError, load_model, model_from_config, named_ch
 from galimech.cli import ParseError, parse_vector_field
 from galimech.duals import value
 from galimech.fields import ZERO, Chart, coordinate
-from galimech.geometry import Metric
+from galimech.geometry import Metric, PhaseTwoForm
 from galimech.symmetry import SpecialQuadratic
 from galimech.units import UnitMismatchError
 from tests_support import COEFFICIENTS, field_specs
@@ -259,14 +259,14 @@ def test_brackets_lift_commutators_equal_the_lifted_brackets(name, tmp_path):
 
 
 def test_brackets_reports_a_varying_time_scale_as_not_closed(monkeypatch, capsys):
-    named = catalog.named_charges
+    checked = catalog.checked_charges
 
     def with_varying(model, *args, **kwargs):
         zeros = [ZERO] * model.chart.n
         varying = SpecialQuadratic(model.G, coordinate(1), zeros, ZERO)
-        return {**named(model, *args, **kwargs), "charge_x1": varying}
+        return {**checked(model, *args, **kwargs), "charge_x1": (varying, 0.0, True)}
 
-    monkeypatch.setattr(catalog, "named_charges", with_varying)
+    monkeypatch.setattr(catalog, "checked_charges", with_varying)
     assert run_cli(["brackets", "--model", "free3d", "--points", "2"]) == 2
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert len(checks) == 8 * 7 // 2
@@ -657,6 +657,99 @@ def test_a_non_finite_residual_names_the_check(capsys):
     err = _input_error(["check-symmetry", "--model", "free3d", "--field", field,
                         "--points", "2"], capsys)
     assert err == f"error: check-symmetry: residual of cartan_form for generator {field} is nan\n"
+
+
+NAN_TIME_SCALE = "(1e200*x1*1e200 - 1e200*x1*1e200)*x0 d0 + d1"  # nan off x1 = 0
+
+
+@pytest.mark.parametrize("command", ["check-symmetry", "noether"])
+def test_a_nan_time_form_residual_is_an_input_error(command, capsys):
+    err = _input_error([command, "--model", "free3d", "--field", NAN_TIME_SCALE], capsys)
+    assert err == (f"error: field {NAN_TIME_SCALE!r}: residual of the time form is nan "
+                   "at a sample point\n")
+
+
+def test_a_nan_invariance_residual_is_an_input_error_in_every_command(capsys):
+    for argv, command in [
+        (["noether", "--field", "translations", "--box=-1e300,1e300"], "noether"),
+        (["momentum-map", "--action", "translations", "--box=-1e300,1e300"], "momentum-map"),
+        (["brackets", "--box=-1e155,1e155"], "brackets"),
+    ]:
+        err = _input_error(argv + ["--model", "free3d"], capsys)
+        assert err == (f"error: {command}: residual of potential-form-invariance for "
+                       "generator d1 is nan\n")
+
+
+def test_a_finite_invariance_failure_is_a_check_failure(capsys):
+    # at |x| up to 1e6 the rotations' residual is rounding, far above --tol-pass
+    box = "--box=-1e6,1e6"
+    assert run_cli(["momentum-map", "--model", "rigidbody", "--action", "rotations",
+                    "--points", "4", box]) == 2
+    assert capsys.readouterr().err.startswith("check failed: generator Rx of action rotations")
+    assert run_cli(["brackets", "--model", "rigidbody", "--points", "4", box]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    skipped = [c for c in rep["checks"] if c["condition"] == "potential-form-invariance"]
+    assert [c["generator"] for c in skipped] == ["Rx", "Ry"]
+    assert all(c["verdict"] == "fail" and 1e-9 < c["residual"] < 1.0 for c in skipped)
+    assert rep["verdict"] == "fail"
+    assert all("charge_Rx" not in c.get("pair", ()) for c in rep["checks"])
+
+
+def test_a_report_with_no_checks_fails(monkeypatch, capsys):
+    # one conserved charge has no pair to bracket: the report certifies nothing
+    checked = catalog.checked_charges
+    monkeypatch.setattr(catalog, "checked_charges", lambda model, **kw: {
+        key: c for key, c in checked(model, **kw).items() if key == "charge_d1"})
+    assert run_cli(["brackets", "--model", "free3d", "--points", "1"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["checks"] == [] and rep["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive"],
+    ["simulate", "--T", "0.01"],
+    ["check-symmetry", "--field", "d1", "--points", "1"],
+    ["noether", "--field", "d1", "--points", "1"],
+    ["momentum-map", "--points", "1"],
+    ["brackets", "--points", "1"],
+])
+def test_main_writes_each_report_once(argv, monkeypatch, capsys):
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, name: emitted.append(name))
+    assert run_cli(argv + ["--model", "free3d"]) == 0
+    assert emitted == [cli._COMMANDS[argv[0]][1]]
+
+
+def test_derive_evaluates_the_two_form_once(monkeypatch, capsys):
+    calls = []
+    matrix = PhaseTwoForm.matrix
+    monkeypatch.setattr(PhaseTwoForm, "matrix", lambda self, xs: calls.append(xs) or matrix(self, xs))
+    for name in catalog.catalog_names():
+        calls.clear()
+        assert run_cli(["derive", "--model", name]) == 0
+        assert len(calls) == 1, name
+
+
+def test_noether_evaluates_each_charge_once_at_the_anchor(rigidbody, monkeypatch, capsys):
+    anchor, at_anchor = rigidbody.anchor(), []
+    noether_charges = cli.noether_charges
+
+    def counted(k, value):
+        def spy(xs):
+            if xs == anchor:
+                at_anchor.append(k)
+            return value(xs)
+        return spy
+
+    def spied(*args, **kwargs):
+        out = noether_charges(*args, **kwargs)
+        for k, (charge, _, _) in enumerate(out):
+            charge.value = counted(k, charge.value)
+        return out
+
+    monkeypatch.setattr(cli, "noether_charges", spied)
+    assert run_cli(["noether", "--model", "rigidbody", "--field", "rotations", "--points", "2"]) == 0
+    assert at_anchor == [0, 1, 2]
 
 
 def test_a_field_singular_at_a_sample_point_names_the_command(capsys):

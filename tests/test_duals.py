@@ -1,15 +1,31 @@
+import contextlib
+import dataclasses
+import gc
+import io
 import math
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from galimech import duals
+from galimech import cli, duals
 from galimech.duals import MultiDual, partial, partial2, partial_multi, value
 from galimech.catalog import load_model, named_charges
-from galimech.symmetry import check_equivalences, tau_lift_values
+from galimech.dynamics import conserved_drift, integrate
+from galimech.fields import ONE, ZERO, Chart, constant, coordinate, program, sin_of
+from galimech.geometry import closure_residual, reeb_residual
+from galimech.symmetry import (
+    LieAlgebraAction,
+    SpacetimeVectorField,
+    check_equivalences,
+    classify_spacetime,
+    generator_match,
+    momentum_map,
+    tau_lift_values,
+)
 
 
 def f_poly(xs):
@@ -344,3 +360,153 @@ def test_zero_rule_keeps_the_derivatives_of_a_lift(name, monkeypatch):
             m.setattr(MultiDual, "__rmul__", _dense_mul)
             want = _lift_derivatives(lift, xs)
         assert _leaf_values(got) == _leaf_values(want), label
+
+
+# -- one reduction of residuals over sample points ---------------------------------
+
+
+def test_worst_keeps_a_nan_wherever_it_is():
+    assert duals.worst([[0.5, -2.0], [MultiDual({0: -3.0, 1: 9.0})]]) == 3.0
+    assert math.isnan(duals.worst([[1.0], [0.0, math.nan], [2.0]]))
+    assert math.isnan(duals.worst([0.0], prev=math.nan))
+    assert duals.worst([]) == 0.0
+
+
+def _cyclic_garbage(make):
+    """The number of objects ``make()`` leaves for the cycle collector alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        make()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_reductions_and_programs_leave_no_reference_cycles():
+    # A check-symmetry run reduces dozens of residuals and compiles dozens of
+    # programs: each cycle they left would bring the collector's passes sooner.
+    x = coordinate(1)
+    assert _cyclic_garbage(lambda: duals.worst([[1.0, [2.0]], [MultiDual({0: -3.0})]], 0.5)) == 0
+    assert _cyclic_garbage(lambda: program([x * x, sin_of(x)])([0.0, 0.3, 0.0])) == 0
+    assert _cyclic_garbage(lambda: SpacetimeVectorField(Chart(2), 1.0, [x, x]).values_e) == 0
+
+
+def _off_axis(x):
+    """0, with first partial 0, at x == 0 and nan elsewhere, for a float or a
+    dual x: (1e200 x)^2 overflows to inf, and inf - inf is nan."""
+    big = 1e200 * x
+    return big * big - big * big
+
+
+def _off_axis_field():
+    big = constant(1e200) * coordinate(1)
+    return big * big - big * big
+
+
+def _first_on_axis(points):
+    """The points with x1 = 0 at the first one only."""
+    return [[p[0], 0.0, *p[2:]] if k == 0 else list(p) for k, p in enumerate(points)]
+
+
+def _classify(model, monkeypatch):
+    raw = [_off_axis_field(), ZERO, ZERO, ZERO]
+    X, residual = classify_spacetime(model.chart, raw, _first_on_axis(model.sample_e(3)))
+    assert X is None
+    return residual
+
+
+def _algebra_closure(model, monkeypatch):
+    d1 = SpacetimeVectorField(model.chart, 0.0, [ONE, ZERO, ZERO])
+    y = SpacetimeVectorField(model.chart, 0.0, [ZERO, _off_axis_field(), ZERO])
+    action = LieAlgebraAction("probe", [d1, y], {(0, 1): [0.0, 0.0]})
+    return action.closure_residual(_first_on_axis(model.sample_e(3)))
+
+
+def _generator_match(model, monkeypatch):
+    pts = _first_on_axis(model.sample_phase(3))
+    entry = momentum_map(model.actions["translations"], model.theta, pts)[0]
+    off = SpacetimeVectorField(model.chart, 0.0, [ONE + _off_axis_field(), ZERO, ZERO])
+    return generator_match(dataclasses.replace(entry, generator=off), model.omega, pts)
+
+
+def _two_form_closure(model, monkeypatch):
+    # d_1 of the (3, 4) entry is nan; the first index triple (0, 1, 2) does not read it
+    omega = SimpleNamespace(chart=model.chart, matrix=lambda xs: [
+        [_off_axis(xs[1]) if (a, b) == (3, 4) else 0.0 for b in range(7)] for a in range(7)])
+    return closure_residual(omega, [0.0, 0.1, 0.2, 0.3, 0.0, 0.0, 0.0])
+
+
+def _reeb(model, monkeypatch):
+    omega = SimpleNamespace(contraction=lambda vec, xs: [0.0, _off_axis(xs[1])])
+    return reeb_residual(omega, SimpleNamespace(vector_values=lambda xs: [1.0]), [0.0, 0.1])[0]
+
+
+def _drift(model, monkeypatch):
+    traj = integrate(model.dyn, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 0.01, 0.005)
+    return conserved_drift(lambda xs: _off_axis(xs[1]), traj)[0]
+
+
+def _motion_derivative(model, monkeypatch):
+    traj = integrate(model.dyn, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0], 0.01, 0.005)
+    return conserved_drift(lambda xs: _off_axis(xs[1]), traj, model.dyn)[1]
+
+
+def _nan_at_second_call(fn):
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        out = fn(*args)
+        if len(calls) != 2:
+            return out
+        return [math.nan] * len(out) if isinstance(out, list) else math.nan
+
+    return planted
+
+
+def _plant_in_validate(monkeypatch):
+    classify = cli.classify_special_quadratic
+
+    def planted(*args):
+        q = classify(*args)
+        q.validate = _nan_at_second_call(q.validate)
+        return q
+
+    monkeypatch.setattr(cli, "classify_special_quadratic", planted)
+
+
+def _cli(argv, plant, key):
+    """The value of ``key`` that the report reads when ``plant`` makes the
+    second sample point give nan; the run must end in an input error."""
+    def case(model, monkeypatch):
+        seen, require = [], cli._require_finite
+
+        def spy(command, checks):
+            seen.extend(checks)
+            require(command, checks)
+
+        plant(monkeypatch)
+        monkeypatch.setattr(cli, "_require_finite", spy)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 3
+        return next(c[key] for c in seen if key in c)
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    _classify, _algebra_closure, _generator_match, _two_form_closure, _reeb, _drift,
+    _motion_derivative,
+    _cli(["noether", "--model", "free3d", "--field", "translations", "--points", "3"],
+         lambda mp: mp.setattr(cli, "gamma_dot", _nan_at_second_call(cli.gamma_dot)),
+         "motion_derivative_residual"),
+    _cli(["momentum-map", "--model", "free3d", "--points", "3"], _plant_in_validate,
+         "time_scale_fit_error"),
+    _cli(["brackets", "--model", "free3d", "--points", "2"],
+         lambda mp: mp.setattr(cli, "commutator", _nan_at_second_call(cli.commutator)),
+         "residual"),
+], ids=["classify_spacetime", "algebra_closure", "generator_match", "two_form_closure",
+        "reeb_residual", "conserved_drift", "motion_derivative", "cli_noether",
+        "cli_momentum_map", "cli_brackets"])
+def test_a_nan_at_a_later_sample_point_is_the_residual(case, free3d, monkeypatch):
+    assert math.isnan(case(free3d, monkeypatch))
