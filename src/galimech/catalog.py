@@ -42,7 +42,7 @@ from .geometry import (
     poincare_cartan,
     spacetime_from_phase,
 )
-from .symmetry import LieAlgebraAction, SpacetimeVectorField
+from .symmetry import TOL_PASS, LieAlgebraAction, SpacetimeVectorField
 from .units import ScaledScalar, UnitDim, UnitMismatchError
 
 
@@ -422,11 +422,11 @@ def model_from_config(cfg):
 # -- named charges -------------------------------------------------------------
 
 
-def checked_charges(model, names=None, check_points=None):
+def checked_charges(model, names=None, check_points=None, tol=TOL_PASS):
     """The charge of every generator of every action (with ``names``, of
     the named ones) by label ``charge_<generator>``, with its
-    potential-form-invariance check: an ordered dict label ->
-    (SpecialQuadratic, residual, conserved) from one
+    potential-form-invariance check at tolerance ``tol``: an ordered dict
+    label -> (SpecialQuadratic, residual, conserved) from one
     :func:`~galimech.symmetry.noether_charges` call."""
     from .symmetry import noether_charges
 
@@ -436,16 +436,16 @@ def checked_charges(model, names=None, check_points=None):
     named = [(f"charge_{gen.label or action.name}", gen)
              for action in model.actions.values() for gen in action.generators]
     named = [(key, gen) for key, gen in named if names is None or key in names]
-    checked = noether_charges([gen for _, gen in named], model.theta, pts)
+    checked = noether_charges([gen for _, gen in named], model.theta, pts, tol)
     return {key: c for (key, _), c in zip(named, checked)}
 
 
-def named_charges(model, names=None, check_points=None):
+def named_charges(model, names=None, check_points=None, tol=TOL_PASS):
     """Charges by action for tracking along trajectories: the
-    :func:`checked_charges` whose invariance holds, label -> SpecialQuadratic
-    (skips the rest).  With ``names``, the result holds exactly the named
-    charges in that order."""
-    checked = checked_charges(model, names, check_points)
+    :func:`checked_charges` whose invariance holds at ``tol``, label ->
+    SpecialQuadratic (skips the rest).  With ``names``, the result holds
+    exactly the named charges in that order."""
+    checked = checked_charges(model, names, check_points, tol)
     out = {key: charge for key, (charge, _, conserved) in checked.items() if conserved}
     if names is not None:
         missing = [nm for nm in names if nm not in out]

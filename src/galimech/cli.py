@@ -195,6 +195,8 @@ def parse_vector_field(text, chart):
         body = toks[:-1]
         if body and body[-1] == "*":
             body = body[:-1]
+            if not body:
+                raise ParseError(f"dangling *: no coefficient before {last[1]}")
         if body:
             parser = _ExprParser(body, chart.n)
             coef = parser.parse_expr()
@@ -350,7 +352,7 @@ def cmd_simulate(args, model):
             if nm in wanted:
                 raise ParseError(f"--charges names {nm} more than once")
             wanted.append(nm)
-        charges = catalog.named_charges(model, wanted)
+        charges = catalog.named_charges(model, wanted, tol=args.tol_pass)
     try:
         traj = dynamics.integrate(model.dyn, [t0, *x0, *v0], T, h)
     except dynamics.StepError as exc:
@@ -430,7 +432,7 @@ def cmd_momentum_map(args, model):
     action = model.actions[action_name]
     pts = model.sample_phase(args.points, args.seed)
     pts_e = model.sample_e(min(args.points, 10), args.seed)
-    entries = momentum_map(action, model.theta, pts, anchor=model.anchor())
+    entries = momentum_map(action, model.theta, pts, anchor=model.anchor(), tol=args.tol_pass)
     _require_finite("momentum-map", [  # momentum_map leaves a nan residual to its caller
         {"generator": e.label, "condition": "potential-form-invariance",
          "residual": e.symmetry_residual} for e in entries])
@@ -475,7 +477,7 @@ def cmd_brackets(args, model):
     if model.theta is None:
         raise NotASymmetryError(f"model {model.name} has no potential form")
     pts = model.sample_phase(args.points, args.seed)
-    checked = catalog.checked_charges(model, check_points=pts)
+    checked = catalog.checked_charges(model, check_points=pts, tol=args.tol_pass)
     charges = {key: charge for key, (charge, _, conserved) in checked.items() if conserved}
     labels = list(charges)
     # a charge whose invariance fails has no bracket to check: it fails here

@@ -4,9 +4,9 @@ Coordinates are ordered (x0, x1..xn) on spacetime and (x0, x1..xn,
 v1..vn) on phase space, where v_i are the chart velocities.  A
 :class:`Field` is an expression graph whose operations carry their
 derivative rules, so its partials are fields too (exact to total order 2
-through :func:`Field.partial`).  :func:`program` compiles a list of fields
-into one straight-line function that evaluates each shared subexpression
-once per point, on floats and on dual numbers alike.
+through :func:`Field.partial`).  :func:`program` compiles any nesting of
+fields into one straight-line function that evaluates each shared
+subexpression once per point, on floats and on dual numbers alike.
 """
 
 import functools
@@ -85,7 +85,7 @@ class Field:
     def fn(self):
         """The one-field program, compiled on first use."""
         if self._fn is None:
-            self._fn = program([self], ())
+            self._fn = program(self)
         return self._fn
 
     def __call__(self, xs):
@@ -233,15 +233,14 @@ def matvec(m, vec):
     return [Field(None, support(m, *vec), "matvec", (m, vec, i)) for i in range(len(vec))]
 
 
-def program(fields, shape=None):
+def program(structure):
     """One straight-line function of a coordinate list giving the values of
-    ``fields``: a list, nested lists of ``shape`` filled row by row, with
-    shape () the value of one field, or for a dict of lists of fields the
-    same dict of lists of values.  Each structurally distinct subfield
-    is one line, the operation the graph records on its operands' values,
-    so it is evaluated once per point and every output is exactly its
-    field's value alone, on floats and on duals.  Its ``deps`` is the
-    :func:`support` of the fields.
+    the fields in ``structure``: a field, or lists, tuples and dicts of
+    them nested in any way, whose values it returns in that same nesting.
+    Each structurally distinct subfield is one line, the operation the
+    graph records on its operands' values, so it is evaluated once per
+    point and every output is exactly its field's value alone, on floats
+    and on duals.  Its ``deps`` is the :func:`support` of the fields.
     """
     env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp}
     lines, named, fns = [], {}, {}  # fns: id(callable) -> its name
@@ -279,19 +278,26 @@ def program(fields, shape=None):
         text[id(f)] = named[key] + (f"[{args[2]}]" if op == "matvec" else "")
         return text[id(f)]
 
-    if isinstance(fields, dict):
-        out = ["{" + ", ".join(f"{k!r}: [{', '.join(map(emit, fs))}]"
-                               for k, fs in fields.items()) + "}"]
-        fields = [f for fs in fields.values() for f in fs]
-    else:
-        out = [emit(f) for f in fields]
-        for width in reversed((len(out),) if shape is None else shape):
-            out = ["[" + ", ".join(out[i : i + width]) + "]" for i in range(0, len(out), width)]
+    fields = []
+    out = _nesting(structure, emit, fields)
     del emit  # it calls itself through its closure cell: a reference cycle
-    exec(_code("def run(xs):\n" + "".join(lines) + f"    return {out[0]}\n"), env)
+    exec(_code("def run(xs):\n" + "".join(lines) + f"    return {out}\n"), env)
     run = env.pop("run")  # its globals are env, so left there it is a reference cycle
     run.deps = support(*fields)
     return run
+
+
+def _nesting(structure, emit, fields):
+    """The expression of ``structure``'s values in its own nesting, each
+    field's by ``emit``; appends the fields to ``fields`` in order."""
+    if isinstance(structure, dict):
+        items = "".join(f"{k!r}: {_nesting(v, emit, fields)}, " for k, v in structure.items())
+        return f"{{{items}}}"
+    if isinstance(structure, (list, tuple)):
+        items = "".join(f"{_nesting(s, emit, fields)}, " for s in structure)
+        return f"[{items}]" if isinstance(structure, list) else f"({items})"
+    fields.append(as_field(structure))
+    return emit(fields[-1])
 
 
 @functools.lru_cache(maxsize=128)
@@ -369,44 +375,76 @@ def integer(x, what="a power"):
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def _number(x, what):
+    """A JSON number (not a bool); anything else is an input error."""
+    if type(x) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return x
+
+
+def _array(x, what):
+    """A JSON array; anything else is an input error."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be an array, got {x!r}")
+    return x
+
+
+def _terms(coeffs, what):
+    """The (coeff, {slot: power}) of each ``[coeff, [slot, power, ...]]``
+    term of a JSON array; anything else is an input error."""
+    terms = []
+    for term in _array(coeffs, what):
+        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], list)
+                and len(term[1]) % 2 == 0):
+            raise ValueError(f"a term of {what} must be [coeff, [slot, power, ...]], got {term!r}")
+        c, flat = term
+        terms.append((_number(c, "a coefficient"),
+                      {integer(k, "a slot"): integer(p) for k, p in zip(flat[::2], flat[1::2])}))
+    return terms
+
+
 def from_config(spec):
     """Build a field from a JSON-style constructor description.
 
     Supported kinds: constant, coord, polynomial (``coeffs`` is a list of
     ``[coeff, [slot, power, slot, power, ...]]``), sin/cos/exp of a nested
-    spec, sum, product, scale, pow.  A malformed spec raises ValueError.
+    spec, sum, product, scale, pow.  A malformed spec raises a one-line
+    ValueError naming it.
     """
-    if isinstance(spec, (int, float)):
+    if type(spec) in (int, float):  # a bool is not a number here
         return constant(spec)
     if not isinstance(spec, dict):
         raise ValueError(f"field spec must be a number or an object, got {spec!r}")
     kind = spec.get("kind")
 
-    def arg(key):
+    def arg(key, read=None):
+        """``spec[key]``, through ``read`` when given; its error names the spec."""
         if key not in spec:
             raise ValueError(f"field constructor {kind!r} needs {key!r}")
-        return spec[key]
+        if read is None:
+            return spec[key]
+        try:
+            return read(spec[key], repr(key))
+        except ValueError as exc:
+            raise ValueError(f"field spec {spec!r}: {exc}") from None
 
     if kind == "constant":
-        return constant(arg("value"))
+        return constant(arg("value", _number))
     if kind == "coord":
-        return coordinate(int(arg("index")))
+        return coordinate(arg("index", integer))
     if kind == "polynomial":
-        return polynomial([
-            (c, {int(flat[i]): integer(flat[i + 1]) for i in range(0, len(flat), 2)})
-            for c, flat in arg("coeffs")
-        ])
-    if kind in _OF_FIELD:
+        return polynomial(arg("coeffs", _terms))
+    if kind in ("sin", "cos", "exp"):  # a tuple, not the dict: a kind need not be hashable
         return _OF_FIELD[kind](from_config(arg("of")))
     if kind == "sum":
-        return sum((from_config(t) for t in arg("terms")), ZERO)
+        return sum(map(from_config, arg("terms", _array)), ZERO)
     if kind == "product":
-        return math.prod((from_config(t) for t in arg("factors")), start=ONE)
+        return math.prod(map(from_config, arg("factors", _array)), start=ONE)
     if kind == "scale":
-        return constant(arg("by")) * from_config(arg("of"))
+        return constant(arg("by", _number)) * from_config(arg("of"))
     if kind == "pow":
-        return from_config(arg("of")) ** integer(arg("exp"))
-    raise ValueError(f"unknown field constructor kind {kind!r}")
+        return from_config(arg("of")) ** arg("exp", integer)
+    raise ValueError(f"field spec {spec!r}: unknown field constructor kind {kind!r}")
 
 
 # -- deterministic sample points -----------------------------------------

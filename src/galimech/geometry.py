@@ -58,7 +58,7 @@ class Metric:
                 self._e[(a, b)] = as_field(f)
         self.deps = support(*self._e.values())
         self._g = [self.entry(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-        self.mat = program(self._g, (n, n))
+        self.mat = program(_rows(self._g, n))
         self.inv_node = inverse(self._g, lambda g, xs: self.inv(xs, g))
         if all(f.const_value is not None for f in self._e.values()):
             m = self.mat(None)  # constant entries read no slot
@@ -71,16 +71,12 @@ class Metric:
         return self._e[_sym_key(a, b)]
 
     @functools.cached_property
-    def _jet(self):
-        n, g = self.chart.n, self._g
-        return program(g + [f.d(lam) for lam in range(n + 1) for f in g], (n + 2, n, n))
-
-    def jet(self, xs):
+    def jet(self):
         """(G, [d_lam G for lam = 0..n]) at a point, from one pass of one
         program compiled on first use; a partial off an entry's support is
         the constant 0.0."""
-        m = self._jet(xs)
-        return m[0], m[1:]
+        g, n = self._g, self.chart.n
+        return program((_rows(g, n), [_rows([f.d(lam) for f in g], n) for lam in range(n + 1)]))
 
     def inv(self, xs, g=None):
         """G^-1 at a point, by the straight-line program of the chart
@@ -103,6 +99,11 @@ class Metric:
                 raise SingularMetricError(
                     f"metric not positive definite at {list(xs)}"
                 ) from None
+
+
+def _rows(fs, n):
+    """The n*n ``fs``, row by row, as n rows."""
+    return [fs[a * n : a * n + n] for a in range(n)]
 
 
 @functools.cache
@@ -128,7 +129,7 @@ def _inverse_program(n):
             m[i][j] = -sum((low[i][k] * m[k][j] for k in range(j, i)), ZERO)
     inv = {(i, j): sum((m[k][i] * m[k][j] * r[k] for k in range(j, n)), ZERO)
            for i in range(n) for j in range(i, n)}
-    return program([inv[_sym_key(i, j)] for i in range(n) for j in range(n)], (n, n))
+    return program([[inv[_sym_key(i, j)] for j in range(n)] for i in range(n)])
 
 
 def quadratic_field(G, f0, flin, fconst):
@@ -187,21 +188,32 @@ class _Coefficients:
         """The record's program, compiled on first use."""
         return program(self.sym if self.G is None else {**self.low, "G": self.G._g})
 
-    def raised(self, xs):
+    @functools.cached_property
+    def raised(self):
         """(blocks, G^-1) at a point from one run of :attr:`lowered`: each
         lowered block times G^-1 by the lines that evaluate ``sym``, a zero
-        block as it is.  A record without a metric gives its blocks, None."""
-        kv = self.lowered(xs)
-        if self.G is None:
-            return kv, None
-        ginv, mv = self.G.inv(xs, kv.pop("G")), _matvec(self.chart.n)
-        return {k: v if self.sym[k][0].is_zero else mv(ginv, v) for k, v in kv.items()}, ginv
+        block as it is.  A record without a metric gives its blocks, None.
+        It closes over what it reads, not over the record that caches it,
+        so it makes no reference cycle."""
+        lowered, G, mv = self.lowered, self.G, _matvec(self.chart.n)
+        zero = {k: fs[0].is_zero for k, fs in self.sym.items()}
+
+        def raised(xs):
+            kv = lowered(xs)
+            if G is None:
+                return kv, None
+            ginv = G.inv(xs, kv.pop("G"))
+            return {k: v if zero[k] else mv(ginv, v) for k, v in kv.items()}, ginv
+
+        return raised
 
     @functools.cached_property
     def blocks(self):
         """The raised blocks {(lam, mu): [n values]} as a callable of a point."""
+        raised = self.raised
+
         def blocks(xs):
-            return self.raised(xs)[0]
+            return raised(xs)[0]
 
         blocks.deps = self.deps
         return blocks

@@ -123,7 +123,7 @@ def lie_flow_metric(G, X, xs_e, s, time_row=None):
         return m
 
     def vfn(p):
-        return X.values_e(p)
+        return X.jet(p)[0]
 
     full = lie_flow_cov(ext, 2, vfn, list(xs_e), s)
     return [[full[a][b] for b in range(1, n + 1)] for a in range(1, n + 1)]

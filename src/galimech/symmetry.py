@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import duals
 from .duals import value, worst
-from .fields import Field, ONE, ZERO, as_field, constant, coordinate, program, support
+from .fields import Field, ZERO, as_field, constant, coordinate, program, support
 from .geometry import _sym_key, gamma00_of, lift_of, motion_row, quadratic_field
 
 
@@ -52,10 +52,10 @@ def _along(row, u):
 class SpacetimeVectorField:
     """Projectable vector field with constant time component.
 
-    ``d1`` and ``d2`` evaluate the first and second partials of the
-    components once per point; the tangent lift contracts them with a
-    direction.  The holonomic lift is a program of fields, so its ``deps``
-    come from the graph.
+    ``jet`` evaluates the components and their first partials, one program
+    per point; ``d2``, the second partials, is a second program, compiled
+    only when a family reads them.  The holonomic and tangent lifts are
+    contractions of the first partials with a direction.
     """
 
     def __init__(self, chart, x0, comps, label=""):
@@ -65,40 +65,70 @@ class SpacetimeVectorField:
         self.label = label
 
     @functools.cached_property
-    def values_e(self):
-        """The time component and the components at a point."""
-        run, x0 = program(self.comps), self.x0  # x0, not self: no cycle through the cache
-        return lambda xs: [x0, *run(xs)]
-
-    @functools.cached_property
-    def d1(self):
-        """d1[i][lam] = d_lam X^(i+1), lam = 0..n, as one program."""
-        e = range(self.chart.n + 1)
-        return program([c.d(lam) for c in self.comps for lam in e], (self.chart.n, len(e)))
+    def jet(self):
+        """(e, d1) at a point, one program: e the time component and the
+        components, d1[i][lam] = d_lam X^(i+1), lam = 0..n."""
+        e, comps = range(self.chart.n + 1), self.comps
+        return program(([constant(self.x0), *comps], [[c.d(lam) for lam in e] for c in comps]))
 
     @functools.cached_property
     def d2(self):
         """d2[i][lam][mu] = d_lam d_mu X^(i+1), as one program."""
         e = range(self.chart.n + 1)
-        return program([c.d(min(lam, mu)).d(max(lam, mu)) for c in self.comps for lam in e
-                        for mu in e], (self.chart.n, len(e), len(e)))
+        return program([[[c.d(min(lam, mu)).d(max(lam, mu)) for mu in e] for lam in e]
+                        for c in self.comps])
 
     @functools.cached_property
     def prolong1_values(self):
-        """Components of the holonomic lift on phase space, as one program:
-        x0, X^i and d/dt X^i = d_lam X^i u^lam along the contact direction
-        u = (1, v)."""
-        n = self.chart.n
-        u = [ONE] + [coordinate(self.chart.vel(k)) for k in range(1, n + 1)]
-        return program([constant(self.x0), *self.comps,
-                        *(_along([c.d(lam) for lam in range(n + 1)], u) for c in self.comps)])
+        """Components of the holonomic lift on phase space: x0, X^i and
+        d/dt X^i = d_lam X^i u^lam along the contact direction u = (1, v),
+        from :attr:`jet`.  It reads the components' slots and the velocity
+        of each direction some component varies along."""
+        jet, n = self.jet, self.chart.n
+
+        def lift(xs):
+            return _lift(*jet(xs), xs[n + 1 : 2 * n + 1])
+
+        varied = [k for k in range(1, n + 1) if not all(c.d(k).is_zero for c in self.comps)]
+        lift.deps = support(*self.comps, *(coordinate(self.chart.vel(k)) for k in varied))
+        return lift
 
     def prolongT_values(self, te_xs):
         """Components of the tangent lift on TE, coordinates (x, xdot)."""
         n = self.chart.n
         xdot = te_xs[n + 1 : 2 * n + 2]
+        e, d1 = self.jet(te_xs)
         # the time component is constant
-        return self.values_e(te_xs) + [0.0] + [_along(r, xdot) for r in self.d1(te_xs)]
+        return e + [0.0] + [_along(r, xdot) for r in d1]
+
+
+def _lift(e, d1, v):
+    """The holonomic lift's components x0, X^i and d_lam X^i u^lam,
+    u = (1, v), from a generator's jet (e, d1) at velocity ``v``."""
+    u = [1.0, *v]
+    return e + [_along(r, u) for r in d1]
+
+
+def _lift_partials(d1, d2, v):
+    """The partials of the holonomic lift's components along each phase
+    slot, in closed form: along x^mu they are 0, d_mu X^i and
+    d_mu d_lam X^i u^lam; along v^k they are 0, 0 and d_k X^i.  With ``d2``
+    None the velocity components' partials are left 0.0: a horizontal form
+    (:func:`noether_charges`) multiplies each of them by 0.0."""
+    n, u, zeros = len(d1), [1.0, *v], [0.0] * len(d1)
+    along_x = [[0.0, *(r[mu] for r in d1),
+                *(zeros if d2 is None else (_along(h[mu], u) for h in d2))] for mu in range(n + 1)]
+    return along_x + [[0.0, *zeros, *(zeros if d2 is None else (r[k] for r in d1))]
+                      for k in range(1, n + 1)]
+
+
+def _lagrangian_partials(cjet, v):
+    """dL of the Lagrangian L = theta_0 + theta_a v^a from the jet of the
+    potential form's components, which is its own contact splitting:
+    d_k L = d_k theta_0 + v^a d_k theta_a, plus theta_a along v^a."""
+    (c, dc), n = cjet, len(v)
+    return [d[0] + _along(d[1 : n + 1], v) + (c[k - n] if k > n else 0.0)
+            for k, d in enumerate(dc)]
 
 
 def spacetime_commutator(X, Y):
@@ -152,12 +182,13 @@ def _lie_metric(gjet, xe, d1):
 def lie_metric(X, G):
     """Vertical-restricted Lie derivative of the metric; returns a function
     of a spacetime point giving the symmetric n x n matrix."""
-    return lambda xs: _lie_metric(G.jet(xs), X.values_e(xs), X.d1(xs))
+    return lambda xs: _lie_metric(G.jet(xs), *X.jet(xs))
 
 
 def _prolong_jet(X, xs):
     """X's first and second partials and its holonomic lift at ``xs``."""
-    return X.d1(xs), X.d2(xs), X.prolong1_values(xs)
+    (e, d1), n = X.jet(xs), X.chart.n
+    return d1, X.d2(xs), _lift(e, d1, xs[n + 1 : 2 * n + 1])
 
 
 def _lie_phase_connection(kjet, xs, d1, d2, lift):
@@ -251,13 +282,16 @@ def lie_spacetime_connection(X, K):
     components i."""
     n = K.chart.n
     return lambda te: _lie_spacetime_connection(duals.jet(K.blocks, te[: n + 1]), te,
-                                                X.values_e(te), X.d1(te), X.d2(te))
+                                                *X.jet(te), X.d2(te))
 
 
 def lie_lagrangian(X, lag):
     """Directional derivative of the Lagrangian density along the holonomic
-    lift; vanishing is the Lagrangian form of invariance."""
-    return lambda xs: _along(duals.grad(lag.value, xs), X.prolong1_values(xs))
+    lift; vanishing is the Lagrangian form of invariance.  ``lag`` is the
+    potential form, whose jet gives dL (:func:`_lagrangian_partials`)."""
+    n = lag.chart.n
+    return lambda xs: _along(_lagrangian_partials(duals.jet(lag.components, xs),
+                                                  xs[n + 1 : 2 * n + 1]), X.prolong1_values(xs))
 
 
 # -- Lie derivative of forms from jets -------------------------------------------
@@ -383,22 +417,24 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
                        tol_pass=TOL_PASS, tol_fail=TOL_FAIL):
     """One :class:`EquivalenceReport` per generator of ``gens``.  At each
     point the jets that do not depend on the generator (G, the connection
-    record the model's connections share, Omega, theta, dL, the motion row)
-    are evaluated once, and every generator's families read them."""
+    record the model's connections share, Omega, theta and from it dL, the
+    motion row) are evaluated once, and every generator's families read
+    them; the holonomic lift's jet is in closed form from the generator's."""
     n, theta, e_row = model.chart.n, model.theta, _motion_row(model.dyn)
     running = [{} for _ in gens]
     for te in points_te:
         kjet = duals.jet(model.K.blocks, te[: n + 1])
         for X, w in zip(gens, running):
             _note(w, "spacetime_connection", _lie_spacetime_connection(
-                kjet, te, X.values_e(te), X.d1(te), X.d2(te)))
+                kjet, te, *X.jet(te), X.d2(te)))
     for xs in points_phase:
         kjet, mjet = duals.jet(model.pconn.blocks, xs[: n + 1]), duals.jet(model.omega.matrix, xs)
-        if theta is not None:  # the form is its own splitting: its value is L
-            cjet, dlag = duals.jet(theta.components, xs), duals.grad(theta.value, xs)
+        if theta is not None:
+            cjet = duals.jet(theta.components, xs)
+            dlag = _lagrangian_partials(cjet, xs[n + 1 : 2 * n + 1])
         for X, w in zip(gens, running):
             d1, d2, lift = _prolong_jet(X, xs)
-            yjet = lift, duals.grad(X.prolong1_values, xs)
+            yjet = lift, _lift_partials(d1, d2, xs[n + 1 : 2 * n + 1])
             _note(w, "phase_connection", _lie_phase_connection(kjet, xs, d1, d2, lift))
             _note(w, "dynamical_connection", _lie_dynamical(kjet, xs, d1, d2, lift))
             _note(w, "two_form", _lie_two_form(mjet, yjet))
@@ -408,7 +444,7 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
     for xs in points_e:
         gjet = model.G.jet(xs)
         for X, w in zip(gens, running):
-            _note(w, "metric", _lie_metric(gjet, X.values_e(xs), X.d1(xs)))
+            _note(w, "metric", _lie_metric(gjet, *X.jet(xs)))
     for j2 in points_j2:
         ejet = duals.jet(e_row, j2)
         for X, w in zip(gens, running):
@@ -448,13 +484,18 @@ def gamma_dot(fn, dyn, xs):
 
 def noether_charges(gens, theta, check_points=None, tol=TOL_PASS):
     """:func:`noether_charge` of each generator of ``gens``; at each check
-    point the form's jet is evaluated once for all of them."""
+    point the form's jet is evaluated once for all of them.  The form is
+    horizontal, so its Lie derivative reads only the partials of the lift's
+    spacetime components, the generator's first partials."""
     n, G = theta.chart.n, theta.G
+    assert all(f.is_zero for f in theta.fields[n + 1 :]), "the potential form is horizontal"
     residuals = [None] * len(gens)
     for p in check_points or ():
-        cjet = duals.jet(theta.components, p)
-        residuals = [worst(_lie_one_form(cjet, duals.jet(X.prolong1_values, p)), r)
-                     for X, r in zip(gens, residuals)]
+        cjet, v = duals.jet(theta.components, p), p[n + 1 : 2 * n + 1]
+        for k, X in enumerate(gens):
+            e, d1 = X.jet(p)
+            yjet = _lift(e, d1, v), _lift_partials(d1, None, v)
+            residuals[k] = worst(_lie_one_form(cjet, yjet), residuals[k])
     out = []
     for X, residual in zip(gens, residuals):
         flin = [-sum((X.comps[a - 1] * G.entry(a, b) for a in range(1, n + 1)), ZERO)
@@ -503,19 +544,20 @@ class LieAlgebraAction:
     structure: dict = field(default_factory=dict)
 
     def closure_residual(self, points):
-        """Commutator-closure defect against the declared constants."""
+        """Commutator-closure defect against the declared constants: the
+        fields [e_p, e_q] - sum_r c_r e_r of the declared pairs, time
+        component first, as one program evaluated at each point."""
         defects = []
         for (p, q), coeffs in self.structure.items():
             bracket = spacetime_commutator(self.generators[p], self.generators[q])
-            for xs in points:
-                got = bracket.values_e(xs)
-                want = [0.0] * len(got)
-                for r, c in enumerate(coeffs):
-                    if c:
-                        ge = self.generators[r].values_e(xs)
-                        want = [w + c * g for w, g in zip(want, ge)]
-                defects.append([value(a) - value(b) for a, b in zip(got, want)])
-        return worst(defects)
+            want = [0.0] + [ZERO] * len(bracket.comps)
+            for r, c in enumerate(coeffs):
+                if c:
+                    g = self.generators[r]
+                    want = [w + c * x for w, x in zip(want, [g.x0, *g.comps])]
+            defects.append([a - b for a, b in zip([bracket.x0, *bracket.comps], want)])
+        run = program(defects)
+        return worst([run(xs) for xs in points])
 
 
 def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
@@ -563,7 +605,7 @@ def lift_operator(omega):
     tau is tau u + Lam.df; its blocks are Lam[x^h][v^k] = -G^hk,
     Lam[v^h][x^k] = G^hk and Lam[v^h][v^k] = B^hk - B^kh with
     B = G^-1 gl_sp^T, and its time row and column are zero.  The blocks
-    and G^-1 are the record's :meth:`~galimech.geometry.PhaseConnection.raised`."""
+    and G^-1 are the record's :attr:`~galimech.geometry.PhaseConnection.raised`."""
     n, dim, conn = omega.chart.n, 2 * omega.chart.n + 1, omega.conn
 
     def op(xs):

@@ -138,7 +138,8 @@ def test_parse_simple_fields():
 
 def test_parse_errors():
     chart = Chart(3)
-    for bad in ("x1^2", "d9", "x9 d1", "foo d1", "x1 +", "(x1 d1", "", "   ", "d1 +", "d1 -"):
+    for bad in ("x1^2", "d9", "x9 d1", "foo d1", "x1 +", "(x1 d1", "", "   ", "d1 +", "d1 -",
+                "* d1", "x1 d2 + * d1"):
         with pytest.raises(ParseError):
             parse_vector_field(bad, chart)
 
@@ -858,3 +859,156 @@ def test_config_fuzz_ends_in_a_report_or_an_input_error(tmp_path_factory, cfg):
     assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") <= 1, cfg
     if code == 0 or out.getvalue():
         _strict_json(out.getvalue())
+
+
+# -- malformed config field specs ---------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "polynomial", "coeffs": [[1, [1]]]},
+    {"kind": "polynomial", "coeffs": [1]},
+    {"kind": "polynomial", "coeffs": 5},
+    {"kind": "polynomial", "coeffs": [[1, 5]]},
+    {"kind": "polynomial", "coeffs": [[True, [1, 1]]]},
+    {"kind": "sum", "terms": 5},
+    {"kind": "product", "factors": 5},
+    {"kind": "coord", "index": [1]},
+    {"kind": "coord", "index": 1.5},
+    {"kind": "coord", "index": True},
+    {"kind": "constant", "value": [1]},
+    {"kind": "scale", "by": "2", "of": 1.0},
+    {"kind": ["sin"]},
+    True,
+], ids=json.dumps)
+def test_a_malformed_config_field_spec_is_an_input_error_naming_it(spec, tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, {"n": 2, "metric": {"entries": {"1,2": spec}}})
+    assert repr(spec) in err
+
+
+_KINDS = ["constant", "coord", "polynomial", "sin", "cos", "exp", "sum", "product", "scale", "pow"]
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=2),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _spec_like(children):
+    """JSON arrays, and objects shaped like field specs over ``children``."""
+    keys = dict.fromkeys(("value", "index", "coeffs", "terms", "factors", "of", "by", "exp"),
+                         children)
+    return st.one_of(
+        st.lists(children, max_size=3),
+        st.fixed_dictionaries({"kind": st.one_of(st.sampled_from(_KINDS), children)},
+                              optional=keys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_json_leaf, _spec_like, max_leaves=8))
+def test_any_json_value_in_a_metric_entry_ends_in_a_report_or_an_input_error(
+        tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("spec") / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "metric": {"entries": {"1,2": spec}}}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["derive", "--model", str(path)])
+    assert code in (0, 2, 3), (spec, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (spec, err.getvalue())
+
+
+@pytest.mark.parametrize("command", ["check-symmetry", "noether"])
+def test_a_lone_star_before_a_basis_symbol_is_an_input_error(command, capsys):
+    args = [command, "--model", "free3d", "--field", "* d1", "--points", "2"]
+    assert "dangling *" in _input_error(args, capsys)
+
+
+# -- --tol-pass sets charge invariance in every command ------------------------------
+
+
+def test_tol_pass_sets_charge_invariance_in_brackets(capsys):
+    # at this box Rx and Ry are invariant to rounding of terms near 1e6: 1.86e-9
+    argv = ["brackets", "--model", "rigidbody", "--box=-1e3,1e3", "--points", "4"]
+    assert run_cli(argv) == 2
+    skipped = [c["generator"] for c in json.loads(capsys.readouterr().out)["checks"]
+               if c["condition"] == "potential-form-invariance"]
+    assert skipped == ["Rx", "Ry"]
+    assert run_cli(argv + ["--tol-pass=1e-8"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 6 and all("pair" in c and c["verdict"] == "pass" for c in checks)
+
+
+def test_tol_pass_sets_charge_invariance_in_momentum_map(capsys):
+    argv = ["momentum-map", "--model", "rigidbody", "--action", "rotations", "--points", "4",
+            "--box=0.7,2e3"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    residual = float(err.rsplit(" ", 1)[1])
+    assert "invariance residual" in err and 1e-9 < residual < 1e-6
+    assert run_cli(argv + ["--tol-pass=1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+def test_tol_pass_sets_charge_invariance_in_simulate(capsys):
+    argv = ["simulate", "--model", "rigidbody", "--box=0.7,2e3", "--charges", "Rx",
+            "--x0", "1,1,1", "--T", "0.002"]
+    assert "charge_Rx" in _input_error(argv, capsys)
+    assert run_cli(argv + ["--tol-pass=1e-6"]) == 0
+    assert capsys.readouterr().out.startswith("t,x1,x2,x3,v1,v2,v3,charge_Rx\n")
+
+
+# -- programs compiled per command ----------------------------------------------------
+
+
+def _spy_programs(monkeypatch):
+    """Count the calls of ``fields.program`` under every name a galimech
+    module binds it to, and the generators whose second partials are read."""
+    import functools
+    import sys
+
+    from galimech import fields
+    from galimech.symmetry import SpacetimeVectorField
+
+    counts = {"programs": 0, "d2": []}
+    program, d2 = fields.program, vars(SpacetimeVectorField)["d2"].func
+
+    def spy(structure):
+        counts["programs"] += 1
+        return program(structure)
+
+    def second_partials(X):
+        counts["d2"].append(X.label)
+        return d2(X)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "galimech" or name.startswith("galimech."):
+            for key, val in list(vars(mod).items()):
+                if val is program:
+                    monkeypatch.setattr(mod, key, spy)
+    cached = functools.cached_property(second_partials)
+    cached.__set_name__(SpacetimeVectorField, "d2")
+    monkeypatch.setattr(SpacetimeVectorField, "d2", cached)
+    return counts
+
+
+def test_check_symmetry_compiles_one_first_order_program_per_generator(monkeypatch, capsys):
+    argv = ["check-symmetry", "--model", "rigidbody", "--field", "rotations", "--points", "1"]
+    run_cli(argv)  # the first run compiles what a process keeps (the inverse of each dimension)
+    counts = _spy_programs(monkeypatch)
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    # G's matrix and jet, the connection record's program, θ's components, and
+    # for each of Rx, Ry and Rz its first-order program and its second partials
+    assert counts["programs"] <= 10
+    assert sorted(set(counts["d2"])) == ["Rx", "Ry", "Rz"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["noether", "--model", "rigidbody", "--field", "rotations", "--points", "2"],
+    ["brackets", "--model", "rigidbody", "--points", "2"],
+    ["momentum-map", "--model", "rigidbody", "--action", "rotations", "--points", "2"],
+    ["simulate", "--model", "rigidbody", "--T", "0.002", "--x0", "0.1,1.0,0.2",
+     "--charges", "d0,Rz,Rx"],
+], ids=lambda argv: argv[0])
+def test_commands_without_second_order_families_read_no_second_partials(argv, monkeypatch,
+                                                                          capsys):
+    counts = _spy_programs(monkeypatch)
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert counts["d2"] == [] and counts["programs"] > 0

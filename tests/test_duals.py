@@ -16,7 +16,7 @@ from galimech.duals import MultiDual, partial, partial2, partial_multi, value
 from galimech.catalog import load_model, named_charges
 from galimech.dynamics import conserved_drift, integrate
 from galimech.fields import ONE, ZERO, Chart, constant, coordinate, program, sin_of
-from galimech.geometry import closure_residual, reeb_residual
+from galimech.geometry import closure_residual, metric_record, reeb_residual
 from galimech.symmetry import (
     LieAlgebraAction,
     SpacetimeVectorField,
@@ -389,7 +389,22 @@ def test_reductions_and_programs_leave_no_reference_cycles():
     x = coordinate(1)
     assert _cyclic_garbage(lambda: duals.worst([[1.0, [2.0]], [MultiDual({0: -3.0})]], 0.5)) == 0
     assert _cyclic_garbage(lambda: program([x * x, sin_of(x)])([0.0, 0.3, 0.0])) == 0
-    assert _cyclic_garbage(lambda: SpacetimeVectorField(Chart(2), 1.0, [x, x]).values_e) == 0
+    assert _cyclic_garbage(
+        lambda: SpacetimeVectorField(Chart(2), 1.0, [x, x]).jet([0.0, 0.3, 0.5])) == 0
+
+
+def test_records_generators_and_closure_defects_leave_no_reference_cycles(rigidbody):
+    # A record caches its blocks callable, and a generator its programs: a
+    # closure over its owner would make each a cycle.  The loaded model's own
+    # cycles (its metric's inverse node) stay alive and are not counted.
+    n, G, low = rigidbody.chart.n, rigidbody.G, rigidbody.K.low
+    xs = rigidbody.sample_phase(1, seed=3)[0]
+    X = rigidbody.actions["rotations"].generators[0]
+    assert _cyclic_garbage(lambda: metric_record(G, low).blocks(xs[: n + 1])) == 0
+    assert _cyclic_garbage(lambda: SpacetimeVectorField(X.chart, X.x0, X.comps).jet(xs)) == 0
+    assert _cyclic_garbage(lambda: SpacetimeVectorField(X.chart, X.x0, X.comps).d2(xs)) == 0
+    action = rigidbody.actions["rotations"]
+    assert _cyclic_garbage(lambda: action.closure_residual(rigidbody.sample_e(2))) == 0
 
 
 def _off_axis(x):

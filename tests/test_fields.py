@@ -182,12 +182,22 @@ def test_operations_on_constants_fold():
 def test_program_deps_are_the_union_of_its_fields_supports():
     x1, x3 = coordinate(1), coordinate(3)
     assert program([x1, sin_of(x3)]).deps == {1, 3}
-    assert program([x1, ZERO], (2,)).deps == {1}
+    assert program((x1, ZERO)).deps == {1}
     assert program({"a": [x1], "b": [ZERO, x3 * x1]}).deps == {1, 3}
-    assert program([constant(2.0)], ()).deps == frozenset()
+    assert program(constant(2.0)).deps == frozenset()
     # a field whose support is unknown makes the program's unknown
     assert program([x1, Field(lambda xs: xs[2])]).deps is None
     assert program({"a": [x1], "b": [Field(lambda xs: xs[2]) * x3]}).deps is None
+
+
+def test_program_returns_the_nesting_it_is_given():
+    x1, x2 = coordinate(1), coordinate(2)
+    xs = [0.0, 2.0, 3.0]
+    assert program(x1 * x2)(xs) == 6.0
+    assert program([[x1, ZERO], [x2]])(xs) == [[2.0, 0.0], [3.0]]
+    assert program((x1, [x2, (x1 * x2,)]))(xs) == (2.0, [3.0, (6.0,)])
+    assert program({(0, 1): [x1], "G": ([x2], {})})(xs) == {(0, 1): [2.0], "G": ([3.0], {})}
+    assert program([])(xs) == [] and program(())(xs) == ()
 
 
 def test_programs_built_under_contention_match_serial():

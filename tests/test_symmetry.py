@@ -7,9 +7,13 @@ import pytest
 from galimech import duals
 from galimech.duals import jet, value
 from galimech.catalog import load_model, named_charges
-from galimech.fields import Chart, Field, ONE, ZERO, constant, coordinate, polynomial, sample_points
+from galimech.fields import (
+    Chart, Field, ONE, ZERO, constant, coordinate, polynomial, sample_points, sin_of,
+)
 from galimech.geometry import lagrangian_and_momentum, poincare_cartan
 from galimech.symmetry import (
+    _lagrangian_partials,
+    _lift_partials,
     ClassifyError,
     NotASymmetryError,
     SpacetimeVectorField,
@@ -521,9 +525,78 @@ def test_phase_fields_match_their_formulas(name):
             _assert_all_close([q.value(xs)], [0.5 * q.f0(xs) * norm + lin + q.fconst(xs)],
                               (name, "charge"))
         for X in gens:
-            velocity = [sum(r[lam] * u[lam] for lam in range(n + 1)) for r in X.d1(xs)]
-            _assert_all_close(X.prolong1_values(xs), X.values_e(xs) + velocity,
+            velocity = [sum(c.d(lam)(xs) * u[lam] for lam in range(n + 1)) for c in X.comps]
+            _assert_all_close(X.prolong1_values(xs), [X.x0, *(c(xs) for c in X.comps)] + velocity,
                               (name, X.label, "lift"))
+
+
+# -- the lift's partials and dL from jets already held --------------------------------
+
+
+_MODELS = ["free2d", "free3d", "cyclotron", "rigidbody", "random-0", "random-1", "random-2",
+           "random-3"]
+
+
+def _model_and_generators(name):
+    """A catalog or random model and generators to check on it: the model's
+    own (d0 and x1 d2 - x2 d1 for a model without actions), one that reads
+    the time and one with mixed second partials."""
+    if name.startswith("random"):
+        model = random_compatible_model(int(name[len("random-"):]))
+    else:
+        model = load_model(name)
+    n, chart = model.chart.n, model.chart
+    x0, x1, x2, rest = coordinate(0), coordinate(1), coordinate(2), [ZERO] * (n - 2)
+    gens = [X for action in model.actions.values() for X in action.generators]
+    if not gens:
+        gens = [vf(chart, 1.0, [ZERO] * n), vf(chart, 0.0, [-x2, x1, *rest])]
+    return model, gens + [vf(chart, 0.0, [x0, ZERO, *rest], "t d1"),
+                          vf(chart, 0.5, [ZERO, x0 * x2 * sin_of(x1), *rest],
+                             "d0/2 + t x2 sin(x1) d2")]
+
+
+def _assert_nested_close(got, want, what):
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), what
+        for g, w in zip(got, want):
+            _assert_nested_close(g, w, what)
+    else:
+        assert abs(value(got) - value(want)) <= 1e-12 * (1.0 + abs(value(want))), (what, got, want)
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_closed_form_lift_partials_match_a_seeded_pass(name):
+    model, gens = _model_and_generators(name)
+    n = model.chart.n
+    for xs in model.sample_phase(3, seed=21):
+        v = xs[n + 1 :]
+        for X in gens:
+            e, d1 = X.jet(xs)
+            want = duals.grad(X.prolong1_values, xs)
+            _assert_nested_close(_lift_partials(d1, X.d2(xs), v), want, (name, X.label))
+            # the horizontal reading keeps the partials of the spacetime components
+            horizontal = _lift_partials(d1, None, v)
+            _assert_nested_close([d[: n + 1] for d in horizontal], [d[: n + 1] for d in want],
+                                 (name, X.label, "horizontal"))
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_lagrangian_partials_from_theta_match_a_seeded_pass(name):
+    model, _ = _model_and_generators(name)
+    n, theta = model.chart.n, model.theta
+    for xs in model.sample_phase(3, seed=22):
+        got = _lagrangian_partials(duals.jet(theta.components, xs), xs[n + 1 :])
+        _assert_nested_close(got, duals.grad(theta.value, xs), name)
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_noether_residuals_match_the_seeded_lie_derivative_of_theta(name):
+    model, gens = _model_and_generators(name)
+    pts = model.sample_phase(3, seed=23)
+    for X, (_, residual, _) in zip(gens, noether_charges(gens, model.theta, pts)):
+        want = duals.worst([lie_one_form(X.prolong1_values, model.theta.components, p)
+                            for p in pts])
+        assert abs(residual - want) <= 1e-12 * (1.0 + want), (name, X.label, residual, want)
 
 
 # -- momentum maps --------------------------------------------------------------------
