@@ -34,7 +34,6 @@ from .symmetry import (
     check_equivalences,
     commutator,
     differential,
-    gamma_dot,
     generator_match,
     lift_jet,
     lift_operator,
@@ -329,7 +328,7 @@ def cmd_derive(args, model):
         ham, _ = geometry.observed_split(model.theta, model.observer)
         # one program for both: they share the lines of G and of the potential
         lagrangian, hamiltonian = program([model.theta.value, ham])(xs)
-        payload["cartan_form"] = [value(c) for c in model.theta.components(xs)]
+        payload["cartan_form"] = [value(c) for c in model.theta.jet(xs)[0]]
         payload["lagrangian"] = value(lagrangian)
         payload["hamiltonian"] = value(hamiltonian)
     for key in sorted(payload):
@@ -392,9 +391,8 @@ def cmd_noether(args, model):
     gens, _ = resolve_generators(model, args.field)
     pts = model.sample_phase(args.points, args.seed)
     checks, anchor = [], model.anchor()
-    charges = noether_charges(gens, model.theta, pts, args.tol_pass)
-    for X, (charge, residual, conserved) in zip(gens, charges):
-        gdot = worst([gamma_dot(charge, model.dyn, p) for p in pts])
+    charges = noether_charges(gens, model.theta, pts, args.tol_pass, model.dyn)
+    for X, (charge, residual, conserved, gdot) in zip(gens, charges):
         anchor_value = value(charge.value(anchor))
         checks.append(
             {

@@ -60,11 +60,11 @@ class Field:
     "call", the bare callable of ``Field(fn)`` in generic scalar arithmetic.
     An "inverse" node (:func:`inverse`) is matrix valued: only a matvec
     node reads it.  A field evaluates as its one-field :func:`program`
-    ``fn``.  ``const_value`` marks constants; an operation on constants is
-    folded into one when it is built.  ``deps`` is the set of slots the
-    field may read (None: unknown, so all).  Each operation has a
-    derivative rule (:meth:`d`); only a bare callable is differentiated by
-    a seeded dual pass.
+    ``fn``, a bare callable as itself.  ``const_value`` marks constants;
+    an operation on constants is folded into one when it is built.
+    ``deps`` is the set of slots the field may read (None: unknown, so
+    all).  Each operation has a derivative rule (:meth:`d`); only a bare
+    callable is differentiated by a seeded dual pass.
     """
 
     __slots__ = ("op", "args", "const_value", "deps", "_d", "_fn")
@@ -75,7 +75,7 @@ class Field:
         self.const_value = const_value
         self.deps = deps
         self._d = None  # allocated by the first d(): most nodes are never differentiated
-        self._fn = None
+        self._fn = fn if op == "call" else None
 
     @property
     def is_zero(self):
@@ -83,7 +83,8 @@ class Field:
 
     @property
     def fn(self):
-        """The one-field program, compiled on first use."""
+        """The one-field program, compiled on first use; a bare callable is
+        its own."""
         if self._fn is None:
             self._fn = program(self)
         return self._fn

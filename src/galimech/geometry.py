@@ -15,6 +15,7 @@ metric-compatible connection are minus the usual Christoffel symbols.
 """
 
 import functools
+import operator
 
 import numpy as np
 
@@ -442,7 +443,8 @@ def nondegeneracy_of(m):
     a point: first row is dt, the rest are the rows of Omega on the kernel
     basis of dt."""
     rows = [[1.0] + [0.0] * (len(m) - 1)] + [[float(x) for x in row] for row in m[1:]]
-    return float(np.linalg.det(np.array(rows)))
+    with np.errstate(all="ignore"):  # a non-finite determinant is the caller's to report
+        return float(np.linalg.det(np.array(rows)))
 
 
 def minimal_coupling(omega, em):
@@ -472,9 +474,12 @@ def motion_row(dyn, xs, accel):
 
 class PoincareCartan:
     """Horizontal potential one-form of metric and gauge data.  Its 2n+1
-    components are ``fields``, each a :func:`quadratic_field` over the
-    phase chart (-G(v, v)/2 + A_0, then G_ab v^b + A_a, then zeros), and
-    ``components`` is their program.  Each is built on first use.
+    components are ``fields`` over the phase chart (-G(v, v)/2 + A_0, then
+    A_a + G_ab v^b, then zeros), :func:`_potential_form` of G's entry
+    fields, A and the velocity coordinates.  :attr:`jet` gives the
+    components and their partials in closed form, the same function of
+    ``G.jet`` and the 1-jet of A; no command compiles ``components``, the
+    fields' program.  Each is built on first use.
 
     The form is also its own contact splitting: ``value`` is the Lagrangian
     field G(v, v)/2 + A_a v^a + A_0 (the time-horizontal d0 coefficient) and
@@ -488,10 +493,10 @@ class PoincareCartan:
 
     @functools.cached_property
     def fields(self):
-        G, n, zeros = self.G, self.chart.n, [ZERO] * self.chart.n
-        return [quadratic_field(G, -1.0, zeros, self.A[0]),
-                *(quadratic_field(G, ZERO, [G.entry(a, b) for b in range(1, n + 1)], self.A[a])
-                  for a in range(1, n + 1)), *zeros]
+        g, n = self.G._g, self.chart.n
+        v = [coordinate(self.chart.vel(a)) for a in range(1, n + 1)]
+        rows = [g[i * n : (i + 1) * n] for i in range(n)]
+        return _potential_form(rows, self.A, v, _form_shape(g, self.A, n), ZERO) + [ZERO] * n
 
     @functools.cached_property
     def value(self):
@@ -501,6 +506,39 @@ class PoincareCartan:
     def components(self):
         return program(self.fields)
 
+    @functools.cached_property
+    def jet(self):
+        """(components, partials) at a phase point, nested as
+        ``duals.jet(components, xs)``, in closed form from ``G.jet`` and one
+        program, the 1-jet of A over the spacetime slots:
+
+        - theta_0 = -G_ab v^a v^b / 2 + A_0 and theta_a = G_ab v^b + A_a;
+        - along x^lam the same form of d_lam G and d_lam A;
+        - along v^k, -G_kb v^b and G_ak;
+        - the velocity components and all their partials are 0.0.
+
+        The components are :func:`_potential_form` of G's and A's values
+        with the shape that builds ``fields``, so they are those of
+        ``components`` bit for bit.  It closes over what it reads, not over
+        the form that caches it, so it makes no reference cycle."""
+        G, A, n = self.G, self.A, self.chart.n
+        e = range(n + 1)
+        gjet, ajet = G.jet, program((A, [[a.d(lam) for a in A] for lam in e]))
+        # the structure of each form: the live entries of each row of G, and of A
+        shape = _form_shape(G._g, A, n)
+        d_shapes = [_form_shape([f.d(lam) for f in G._g], [a.d(lam) for a in A], n) for lam in e]
+        zeros = [0.0] * n
+
+        def jet(xs):
+            (g, dg), (a, da) = gjet(xs), ajet(xs)
+            v = xs[n + 1 : 2 * n + 1]
+            along_x = [_potential_form(dg[lam], da[lam], v, d_shapes[lam]) + zeros for lam in e]
+            along_v = [[-_sum([g[k][b] * v[b] for b in shape[0][k]]), *g[k], *zeros]
+                       for k in range(n)]
+            return _potential_form(g, a, v, shape) + zeros, along_x + along_v
+
+        return jet
+
     def theta0(self, xs):
         return self.fields[0](xs)
 
@@ -509,6 +547,38 @@ class PoincareCartan:
         return self.fields[a](xs)
 
     component = theta_spatial
+
+
+def _form_shape(g, a, n):
+    """(rows, live) of n*n metric-like fields ``g`` row by row and n+1
+    potential-like fields ``a``: rows[i] lists the columns j of row i whose
+    field is not structurally zero, live[mu] is whether a[mu] is not."""
+    return ([[j for j in range(n) if not g[i * n + j].is_zero] for i in range(n)],
+            [not f.is_zero for f in a])
+
+
+def _sum(terms, zero=0.0):
+    """t1 + t2 + ... from the left, as field algebra adds terms onto ZERO:
+    no leading zero (a -0.0 stays -0.0); ``zero`` when there are none."""
+    return functools.reduce(operator.add, terms) if terms else zero
+
+
+def _potential_form(g, a, v, shape, zero=0.0):
+    """[-g_ab v^a v^b / 2 + a_0, a_a + g_ab v^b for a = 1..n] of ``g`` (n
+    rows), ``a`` and velocity ``v``, with the terms :func:`_form_shape`
+    marks zero left out: of fields it builds the potential form's
+    components, of their values and of their partials' values it evaluates
+    them and their partials.  It is the one place that orders their terms,
+    so the two agree bit for bit, signed zeros included."""
+    rows, live = shape
+
+    def own(mu):
+        return [a[mu]] if live[mu] else []
+
+    norm = [g[i][j] * v[i] * v[j] for i, row in enumerate(rows) for j in row]
+    return [_sum(([-0.5 * _sum(norm)] if norm else []) + own(0), zero),
+            *(_sum(own(i + 1) + [g[i][j] * v[j] for j in row], zero)
+              for i, row in enumerate(rows))]
 
 
 def poincare_cartan(G, A):

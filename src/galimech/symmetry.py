@@ -122,6 +122,18 @@ def _lift_partials(d1, d2, v):
                       for k in range(1, n + 1)]
 
 
+def charge_differential(cjet, xjet):
+    """dF of the charge F = -(x0 theta_0 + X^a theta_a) of a generator, in
+    closed form from the jets of the potential form and of the generator
+    (:attr:`SpacetimeVectorField.jet`):
+    d_k F = -(x0 d_k theta_0 + X^a d_k theta_a + theta_a d_k X^a), where
+    d_k X^a is 0 along the velocities."""
+    (c, dc), (e, d1) = cjet, xjet
+    n = len(d1)
+    dx = [[r[k] for r in d1] for k in range(n + 1)] + [[0.0] * n] * n  # dx[k][a-1] = d_k X^a
+    return [-(_along(d[: n + 1], e) + _along(c[1 : n + 1], dxk)) for d, dxk in zip(dc, dx)]
+
+
 def _lagrangian_partials(cjet, v):
     """dL of the Lagrangian L = theta_0 + theta_a v^a from the jet of the
     potential form's components, which is its own contact splitting:
@@ -290,8 +302,8 @@ def lie_lagrangian(X, lag):
     lift; vanishing is the Lagrangian form of invariance.  ``lag`` is the
     potential form, whose jet gives dL (:func:`_lagrangian_partials`)."""
     n = lag.chart.n
-    return lambda xs: _along(_lagrangian_partials(duals.jet(lag.components, xs),
-                                                  xs[n + 1 : 2 * n + 1]), X.prolong1_values(xs))
+    return lambda xs: _along(_lagrangian_partials(lag.jet(xs), xs[n + 1 : 2 * n + 1]),
+                             X.prolong1_values(xs))
 
 
 # -- Lie derivative of forms from jets -------------------------------------------
@@ -430,7 +442,7 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
     for xs in points_phase:
         kjet, mjet = duals.jet(model.pconn.blocks, xs[: n + 1]), duals.jet(model.omega.matrix, xs)
         if theta is not None:
-            cjet = duals.jet(theta.components, xs)
+            cjet = theta.jet(xs)
             dlag = _lagrangian_partials(cjet, xs[n + 1 : 2 * n + 1])
         for X, w in zip(gens, running):
             d1, d2, lift = _prolong_jet(X, xs)
@@ -482,20 +494,26 @@ def gamma_dot(fn, dyn, xs):
     return _along(dyn.vector_values(xs), duals.grad(fn, list(xs)))
 
 
-def noether_charges(gens, theta, check_points=None, tol=TOL_PASS):
+def noether_charges(gens, theta, check_points=None, tol=TOL_PASS, dyn=None):
     """:func:`noether_charge` of each generator of ``gens``; at each check
     point the form's jet is evaluated once for all of them.  The form is
     horizontal, so its Lie derivative reads only the partials of the lift's
-    spacetime components, the generator's first partials."""
+    spacetime components, the generator's first partials.  With the
+    second-order connection ``dyn``, each entry also carries the worst
+    derivative of the charge along the motion over the check points, its
+    :func:`charge_differential` contracted with the motion's vector."""
     n, G = theta.chart.n, theta.G
     assert all(f.is_zero for f in theta.fields[n + 1 :]), "the potential form is horizontal"
-    residuals = [None] * len(gens)
-    for p in check_points or ():
-        cjet, v = duals.jet(theta.components, p), p[n + 1 : 2 * n + 1]
-        for k, X in enumerate(gens):
-            e, d1 = X.jet(p)
-            yjet = _lift(e, d1, v), _lift_partials(d1, None, v)
+    at = [(p, theta.jet(p), None if dyn is None else dyn.vector_values(p))
+          for p in check_points or ()]
+    residuals, rates = [None] * len(gens), [None] * len(gens)
+    for k, X in enumerate(gens):
+        for p, cjet, vec in at:
+            xjet, v = X.jet(p), p[n + 1 : 2 * n + 1]
+            yjet = _lift(*xjet, v), _lift_partials(xjet[1], None, v)
             residuals[k] = worst(_lie_one_form(cjet, yjet), residuals[k])
+            if dyn is not None:
+                rates[k] = worst(_along(vec, charge_differential(cjet, xjet)), rates[k])
     out = []
     for X, residual in zip(gens, residuals):
         flin = [-sum((X.comps[a - 1] * G.entry(a, b) for a in range(1, n + 1)), ZERO)
@@ -505,7 +523,7 @@ def noether_charges(gens, theta, check_points=None, tol=TOL_PASS):
             fconst = fconst - X.comps[a - 1] * theta.A[a]
         charge = SpecialQuadratic(G, constant(X.x0), flin, fconst)
         out.append((charge, residual, residual is None or residual < tol))
-    return out
+    return out if dyn is None else [(*c, rate) for c, rate in zip(out, rates)]
 
 
 def noether_charge(X, theta, check_points=None, tol=TOL_PASS):

@@ -13,7 +13,7 @@ from galimech.catalog import ModelError, load_model, model_from_config, named_ch
 from galimech.cli import ParseError, parse_vector_field
 from galimech.duals import value
 from galimech.fields import ZERO, Chart, coordinate
-from galimech.geometry import Metric, PhaseTwoForm
+from galimech.geometry import Metric, PhaseTwoForm, PoincareCartan
 from galimech.symmetry import SpecialQuadratic
 from galimech.units import UnitMismatchError
 from tests_support import COEFFICIENTS, field_specs
@@ -366,6 +366,18 @@ def test_a_non_finite_derived_value_is_an_input_error(capsys):
     assert err == "error: derive: cartan_form is -inf at the point\n"
 
 
+def test_an_overflowing_nondegeneracy_determinant_is_one_line(tmp_path, capsys):
+    # the determinant overflows: numpy's warning stays off stderr
+    err = _config_error(tmp_path, capsys, {"n": 2, "metric": {"entries": {"1,1": 1.7687e285}}})
+    assert err == "error: derive: nondegeneracy_det is inf at the point\n"
+
+
+def test_derive_keeps_the_sign_of_a_zero_cartan_component(capsys):
+    # -G(v, v)/2 at v = 0 is -0.0, and no zero potential is added to it
+    assert run_cli(["derive", "--model", "free2d"]) == 0
+    assert math.copysign(1.0, json.loads(capsys.readouterr().out)["cartan_form"][0]) == -1.0
+
+
 def test_an_acceleration_that_overflows_is_a_check_failure(tmp_path, capsys, recwarn):
     # x1**4 overflows a float at an RK4 stage of the first step from v0 = 1e100
     poly = {"kind": "polynomial", "coeffs": [[2.0, []], [1.0, [1, 4]]]}
@@ -389,6 +401,22 @@ def test_no_command_runs_a_generic_elimination(argv, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(duals, "solve_generic", lambda *a: calls.append(a))
     assert run_cli(argv) in (0, 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "rigidbody", "--T", "0.01", "--charges", "d0,Rz"],
+    ["noether", "--model", "rigidbody", "--field", "rotations", "--points", "3"],
+    ["derive", "--model", "rigidbody"],
+], ids=lambda argv: argv[0])
+def test_potential_form_and_charges_multiply_no_duals(argv, monkeypatch, capsys):
+    # theta's jet and each charge's differential are in closed form
+    calls = []
+    mul = duals.MultiDual.__mul__
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(duals.MultiDual, name, lambda a, b: calls.append(1) or mul(a, b))
+    assert run_cli(argv) == 0
+    capsys.readouterr()
     assert calls == []
 
 
@@ -744,13 +772,27 @@ def test_noether_evaluates_each_charge_once_at_the_anchor(rigidbody, monkeypatch
 
     def spied(*args, **kwargs):
         out = noether_charges(*args, **kwargs)
-        for k, (charge, _, _) in enumerate(out):
+        for k, (charge, *_) in enumerate(out):
             charge.value = counted(k, charge.value)
         return out
 
     monkeypatch.setattr(cli, "noether_charges", spied)
     assert run_cli(["noether", "--model", "rigidbody", "--field", "rotations", "--points", "2"]) == 0
     assert at_anchor == [0, 1, 2]
+
+
+def test_noether_evaluates_the_potential_forms_jet_once_per_point(monkeypatch, capsys):
+    # the invariance residual and the motion derivative read the same jets
+    calls, jet = [], PoincareCartan.jet.func
+
+    def counted(self):
+        fn = jet(self)
+        return lambda xs: calls.append(xs) or fn(xs)
+
+    monkeypatch.setattr(PoincareCartan, "jet", property(counted))
+    assert run_cli(["noether", "--model", "rigidbody", "--field", "rotations", "--points", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4
 
 
 def test_a_field_singular_at_a_sample_point_names_the_command(capsys):
@@ -993,7 +1035,7 @@ def test_check_symmetry_compiles_one_first_order_program_per_generator(monkeypat
     counts = _spy_programs(monkeypatch)
     assert run_cli(argv) == 0
     capsys.readouterr()
-    # G's matrix and jet, the connection record's program, θ's components, and
+    # G's matrix and jet, the connection record's program, the potential's jet, and
     # for each of Rx, Ry and Rz its first-order program and its second partials
     assert counts["programs"] <= 10
     assert sorted(set(counts["d2"])) == ["Rx", "Ry", "Rz"]

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from galimech import cli, duals
+from galimech import cli, duals, symmetry
 from galimech.duals import MultiDual, partial, partial2, partial_multi, value
 from galimech.catalog import load_model, named_charges
 from galimech.dynamics import conserved_drift, integrate
@@ -513,7 +513,8 @@ def _cli(argv, plant, key):
     _classify, _algebra_closure, _generator_match, _two_form_closure, _reeb, _drift,
     _motion_derivative,
     _cli(["noether", "--model", "free3d", "--field", "translations", "--points", "3"],
-         lambda mp: mp.setattr(cli, "gamma_dot", _nan_at_second_call(cli.gamma_dot)),
+         lambda mp: mp.setattr(symmetry, "charge_differential",
+                               _nan_at_second_call(symmetry.charge_differential)),
          "motion_derivative_residual"),
     _cli(["momentum-map", "--model", "free3d", "--points", "3"], _plant_in_validate,
          "time_scale_fit_error"),

@@ -200,6 +200,25 @@ def test_program_returns_the_nesting_it_is_given():
     assert program([])(xs) == [] and program(())(xs) == ()
 
 
+def _spy_compiles(monkeypatch):
+    """The texts ``fields.program`` compiles from now on."""
+    from galimech import fields
+
+    compiled, code = [], fields._code
+    monkeypatch.setattr(fields, "_code", lambda source: compiled.append(source) or code(source))
+    return compiled
+
+
+def test_a_bare_callable_field_evaluates_through_its_callable(monkeypatch):
+    def fn(xs):
+        return math.sin(xs[1]) * xs[2] - 0.0
+
+    compiled = _spy_compiles(monkeypatch)
+    f = Field(fn)
+    xs = [0.0, 0.7, -1.3]
+    assert f.fn is fn and repr(f(xs)) == repr(fn(xs)) and compiled == []
+
+
 def test_programs_built_under_contention_match_serial():
     # each thread evaluates every generator of one fresh model, starting at a
     # different one, so the lazily compiled programs are built concurrently

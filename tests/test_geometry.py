@@ -34,12 +34,14 @@ from galimech.geometry import (
 )
 from galimech.units import CHARGE, MASS, ScaledScalar
 from tests_support import (
+    POTENTIAL_MODELS,
     dphi_residual,
     euler_lagrange_matrix,
     explicit_connection,
     metric_compat_residual,
     nonmetric_two_form,
     observed_two_form,
+    potential_model,
     raised_motion_row,
     raised_two_form,
     random_compatible_model,
@@ -600,6 +602,23 @@ def test_poincare_cartan_values(free2d):
     assert value(theta.theta0(p)) == -0.5
     assert value(theta.theta_spatial(1, p)) == 1.0
     assert value(theta.theta_spatial(2, p)) == 0.0
+
+
+@pytest.mark.parametrize("name", POTENTIAL_MODELS)
+def test_theta_jet_is_the_seeded_jet_in_closed_form(name):
+    model = potential_model(name)
+    theta, n = model.theta, model.chart.n
+    pts = model.sample_phase(4, seed=11)
+    pts += [p[: n + 1] + [0.0] * n for p in pts[:2]] + [model.anchor()]  # v = 0
+    for p in pts:
+        comps, partials = theta.jet(p)
+        want, seeded = duals.jet(theta.components, p)
+        # the components bit for bit, signed zeros included
+        assert list(map(repr, comps)) == list(map(repr, want)), (name, p)
+        assert len(partials) == len(seeded) == 2 * n + 1
+        for k, (got, row) in enumerate(zip(partials, seeded)):
+            assert len(got) == 2 * n + 1
+            assert max(abs(g - w) for g, w in zip(got, row)) <= 1e-14, (name, p, k)
 
 
 def exterior_derivative_matrix(comp_fn, xs):

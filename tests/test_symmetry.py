@@ -19,6 +19,7 @@ from galimech.symmetry import (
     SpacetimeVectorField,
     SpecialQuadratic,
     bracket_jet,
+    charge_differential,
     check_equivalences,
     classify_spacetime,
     classify_special_quadratic,
@@ -57,7 +58,7 @@ from galimech.oracles import (
     vertical_projector_phase,
     vertical_projector_spacetime,
 )
-from tests_support import random_compatible_model
+from tests_support import POTENTIAL_MODELS, potential_model, random_compatible_model
 
 
 def vf(chart, x0, comps, label=""):
@@ -498,10 +499,7 @@ def _assert_all_close(got, want, what):
 def test_phase_fields_match_their_formulas(name):
     # theta's components, the Lagrangian, the charges and the holonomic lifts,
     # each a field program, against formulas over G.mat and the coefficient fields
-    if name.startswith("random"):
-        model = random_compatible_model(int(name[len("random-"):]))
-    else:
-        model = load_model(name)
+    model = potential_model(name)
     n, G, theta = model.chart.n, model.G, model.theta
     gens = [X for action in model.actions.values() for X in action.generators]
     x1, x2, rest = coordinate(1), coordinate(2), [ZERO] * (n - 2)
@@ -538,13 +536,10 @@ _MODELS = ["free2d", "free3d", "cyclotron", "rigidbody", "random-0", "random-1",
 
 
 def _model_and_generators(name):
-    """A catalog or random model and generators to check on it: the model's
+    """A model of :data:`POTENTIAL_MODELS` and generators to check on it: the model's
     own (d0 and x1 d2 - x2 d1 for a model without actions), one that reads
     the time and one with mixed second partials."""
-    if name.startswith("random"):
-        model = random_compatible_model(int(name[len("random-"):]))
-    else:
-        model = load_model(name)
+    model = potential_model(name)
     n, chart = model.chart.n, model.chart
     x0, x1, x2, rest = coordinate(0), coordinate(1), coordinate(2), [ZERO] * (n - 2)
     gens = [X for action in model.actions.values() for X in action.generators]
@@ -587,6 +582,21 @@ def test_lagrangian_partials_from_theta_match_a_seeded_pass(name):
     for xs in model.sample_phase(3, seed=22):
         got = _lagrangian_partials(duals.jet(theta.components, xs), xs[n + 1 :])
         _assert_nested_close(got, duals.grad(theta.value, xs), name)
+
+
+@pytest.mark.parametrize("name", POTENTIAL_MODELS)
+def test_charge_differential_is_the_seeded_gradient_of_the_charge(name):
+    model, gens = _model_and_generators(name)
+    n = model.chart.n
+    pts = model.sample_phase(3, seed=24)
+    pts += [p[: n + 1] + [0.0] * n for p in pts[:1]]  # v = 0
+    charges = noether_charges(gens, model.theta)
+    for xs in pts:
+        cjet = model.theta.jet(xs)
+        for X, (charge, _, _) in zip(gens, charges):
+            got, want = charge_differential(cjet, X.jet(xs)), duals.grad(charge.value, xs)
+            assert len(got) == 2 * n + 1, (name, X.label)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14, (name, X.label, xs)
 
 
 @pytest.mark.parametrize("name", _MODELS)

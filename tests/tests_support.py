@@ -5,7 +5,8 @@ checks only the tests read (metric compatibility, the observed two-form and
 its closure, the Euler-Lagrange matrix, the zero connection), the raised
 forms of the two-form, the motion row and the lift operator that the
 lowered forms must reproduce, and the numpy form of the RK4 loop that
-``dynamics.integrate`` must reproduce."""
+``dynamics.integrate`` must reproduce, and the models with a potential
+form that closed forms are checked on."""
 
 import math
 import random
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from galimech import duals
-from galimech.catalog import Model
+from galimech.catalog import Model, catalog_names, load_model, model_from_config
 from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial, program
 from galimech.dynamics import IntegrationError, StepError, law_of_motion_rhs
 from galimech.geometry import (
@@ -101,6 +102,40 @@ def random_compatible_model(seed, n=3):
             entries[(a, b)] = constant(base) + small_poly()
     A = [small_poly() for _ in range(n + 1)]
     return Model(f"random-{seed}", chart, Metric(chart, entries), A=A)
+
+
+def generated_model(n, seed=0):
+    """A model read from a JSON config as a generator writes one: a
+    polynomial metric near 2I and a polynomial gauge potential."""
+    rng = random.Random(seed)
+
+    def poly(base):
+        terms = [[base + rng.uniform(-0.12, 0.12), []]]
+        terms += [[rng.uniform(-0.12, 0.12), [slot, 1]] for slot in range(n + 1)]
+        terms.append([rng.uniform(-0.08, 0.08), [rng.randrange(n + 1), 2]])
+        return {"kind": "polynomial", "coeffs": terms}
+
+    return model_from_config({
+        "name": f"generated-n{n}",
+        "n": n,
+        "metric": {"entries": {f"{a},{b}": poly(2.0 if a == b else 0.0)
+                               for a in range(1, n + 1) for b in range(a, n + 1)}},
+        "potential": [poly(0.0) for _ in range(n + 1)],
+    })
+
+
+# models with a potential form: the catalog's, random ones and generated configs
+POTENTIAL_MODELS = [*catalog_names(), *(f"random-{s}" for s in range(4)),
+                    *(f"config-n{n}" for n in (2, 3, 4))]
+
+
+def potential_model(name):
+    """The model of a :data:`POTENTIAL_MODELS` name."""
+    if name.startswith("random-"):
+        return random_compatible_model(int(name[len("random-"):]))
+    if name.startswith("config-n"):
+        return generated_model(int(name[len("config-n"):]))
+    return load_model(name)
 
 
 def nonmetric_two_form():
