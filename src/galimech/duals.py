@@ -20,7 +20,6 @@ from a non-finite term shows as it would in float arithmetic.
 
 import math
 import threading
-from types import MethodType
 
 
 # Next free slot bit, one counter per thread.  Evaluations nest strictly
@@ -224,13 +223,8 @@ def _take(x, bit):
 
 
 def deps_of(fn):
-    """The slots ``fn`` declares it may read, or None (unknown: every slot).
-
-    A callable declares them as ``fn.deps``.  A bound method cannot carry
-    an attribute, so ``obj.name`` declares them as ``obj.name_deps``.
-    """
-    if isinstance(fn, MethodType):
-        return getattr(fn.__self__, f"{fn.__name__}_deps", None)
+    """The slots ``fn`` declares it may read as ``fn.deps``, or None
+    (unknown: every slot)."""
     return getattr(fn, "deps", None)
 
 

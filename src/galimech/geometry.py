@@ -164,10 +164,11 @@ class _Coefficients:
     with its (lam, mu) symmetry shared structurally.  A metric record keeps
     its metric ``G`` and lowered vectors ``low`` too: ``sym`` is ``low``
     raised by one :func:`~galimech.fields.matvec` by ``G.inv_node`` each.
-    The record has one program, ``lowered``: ``low`` and under "G" G's n*n
-    entries row by row (a record without a metric: ``sym``).  The
-    correspondence maps hand the record and its program on unchanged
-    (:meth:`read_as`); the classes differ only in reading it.
+    The record has one program of its ``fields``, ``lowered``: ``low`` and
+    under "G" G's n*n entries row by row (a record without a metric:
+    ``sym``), and one jet, their values and partials.  The correspondence
+    maps hand the record and its programs on unchanged (:meth:`read_as`);
+    the classes differ only in reading it.
     """
 
     def __init__(self, chart, sym, G=None, low=None):
@@ -176,10 +177,11 @@ class _Coefficients:
         self.sym = {k: sym.get(k, [ZERO] * chart.n) for k in keys}
         self.low = None if low is None else {k: low.get(k, [ZERO] * chart.n) for k in keys}
         self.deps = support(*(f for fs in self.sym.values() for f in fs))
+        self.fields = self.sym if G is None else {**self.low, "G": G._g}
 
     def read_as(self, cls):
         """This record read as a ``cls`` connection: the two share one state,
-        so also the program compiled for either."""
+        so also the programs compiled for either."""
         other = object.__new__(cls)
         other.__dict__ = self.__dict__
         return other
@@ -187,37 +189,45 @@ class _Coefficients:
     @functools.cached_property
     def lowered(self):
         """The record's program, compiled on first use."""
-        return program(self.sym if self.G is None else {**self.low, "G": self.G._g})
+        return program(self.fields)
+
+    @functools.cached_property
+    def jet(self):
+        """(values, [partials along x^lam for lam = 0..n]) of :attr:`lowered`
+        at a point, one program compiled on first use."""
+        kv, e = self.fields, range(self.chart.n + 1)
+        return program((kv, [{k: [f.d(lam) for f in fs] for k, fs in kv.items()} for lam in e]))
+
+    @functools.cached_property
+    def raise_(self):
+        """raise_(xs, kv, dkv=()) is (blocks, partials, G^-1) at the point
+        ``xs``: each lowered block of ``kv`` times G^-1 (a zero block as it
+        is), and from each of ``dkv``, lowered partials along one slot, the
+        blocks' by d(G^-1 w) = G^-1 (dw - dG G^-1 w); without a metric,
+        ``kv``, ``dkv``, None.  It closes over what it reads, not over the
+        record that caches it, so it makes no reference cycle."""
+        G, n, mv = self.G, self.chart.n, _matvec(self.chart.n)
+        zero = {k: fs[0].is_zero for k, fs in self.sym.items()}
+
+        def raise_(xs, kv, dkv=()):
+            if G is None:
+                return kv, dkv, None
+            ginv = G.inv(xs, kv["G"])
+            blocks = {k: kv[k] if z else mv(ginv, kv[k]) for k, z in zero.items()}
+            partials = []
+            for dk in dkv:
+                dg = _rows(dk["G"], n)
+                partials.append({k: dk[k] if z else mv(ginv, [
+                    d - s for d, s in zip(dk[k], mv(dg, blocks[k]))]) for k, z in zero.items()})
+            return blocks, partials, ginv
+
+        return raise_
 
     @functools.cached_property
     def raised(self):
-        """(blocks, G^-1) at a point from one run of :attr:`lowered`: each
-        lowered block times G^-1 by the lines that evaluate ``sym``, a zero
-        block as it is.  A record without a metric gives its blocks, None.
-        It closes over what it reads, not over the record that caches it,
-        so it makes no reference cycle."""
-        lowered, G, mv = self.lowered, self.G, _matvec(self.chart.n)
-        zero = {k: fs[0].is_zero for k, fs in self.sym.items()}
-
-        def raised(xs):
-            kv = lowered(xs)
-            if G is None:
-                return kv, None
-            ginv = G.inv(xs, kv.pop("G"))
-            return {k: v if zero[k] else mv(ginv, v) for k, v in kv.items()}, ginv
-
-        return raised
-
-    @functools.cached_property
-    def blocks(self):
-        """The raised blocks {(lam, mu): [n values]} as a callable of a point."""
-        raised = self.raised
-
-        def blocks(xs):
-            return raised(xs)[0]
-
-        blocks.deps = self.deps
-        return blocks
+        """(blocks, G^-1) at a point from one run of :attr:`lowered`."""
+        lowered, raise_ = self.lowered, self.raise_
+        return lambda xs: raise_(xs, lowered(xs))[::2]
 
 
 class SpacetimeConnection(_Coefficients):
@@ -229,7 +239,7 @@ class SpacetimeConnection(_Coefficients):
 
     def values(self, xs):
         """All coefficients at a point: dict {(lam, mu): [n values]}."""
-        return self.blocks(xs)
+        return self.raised(xs)[0]
 
 
 def metric_record(G, low):
@@ -270,7 +280,7 @@ class PhaseConnection(_Coefficients):
         """gl[k][lam]: value of the lift coefficient for component k along
         d^lam, as a full (affine in velocity) function of the phase point."""
         n = self.chart.n
-        return lift_of(self.blocks(xs), xs[n + 1 : 2 * n + 1])
+        return lift_of(self.raised(xs)[0], xs[n + 1 : 2 * n + 1])
 
 
 def lift_of(kv, v):
@@ -341,6 +351,17 @@ class DynamicalConnection(_Coefficients):
         n = self.chart.n
         return [1.0, *xs[n + 1 : 2 * n + 1], *self.gamma00_values(xs)]
 
+    def motion_jet(self, j2):
+        """(row, [partials along every slot]) of :func:`motion_of` at
+        j2 = (x, v, a), from one run of the record's jet: along x^lam the
+        row of the lowered partials, along v^k -2 lg_b^k, along a^k G_bk."""
+        n = self.chart.n
+        (kv, dkv), v, a = self.jet(j2), j2[n + 1 : 2 * n + 1], j2[2 * n + 1 :]
+        lg = lift_of(kv, v)
+        return motion_of(kv, v, a), ([motion_of(dk, v, a) for dk in dkv]
+                                     + [[-2.0 * r[k] for r in lg] for k in range(1, n + 1)]
+                                     + _rows(kv["G"], n))
+
 
 def dynamical_from_phase(gamma):
     return gamma.read_as(DynamicalConnection)
@@ -394,36 +415,25 @@ class PhaseTwoForm:
 
     Carries back-references to the record and its metric G; the associated
     second-order connection is the unique one annihilated by the form.  The
-    matrix reads the slots of G and of the connection, and the velocities.
+    matrix reads ``deps``: the slots of G and of the connection, and the
+    velocities.
     """
 
     def __init__(self, gamma_conn):
         self.chart, self.G, self.conn = gamma_conn.chart, gamma_conn.G, gamma_conn
         self.dyn = dynamical_from_phase(gamma_conn)
         vel = (coordinate(self.chart.vel(a)) for a in range(1, self.chart.n + 1))
-        self.matrix_deps = support(self.G, gamma_conn, *vel)
+        self.deps = support(self.G, gamma_conn, *vel)
 
     def matrix(self, xs):
-        """Omega = G_ab (dv^a - gl^a) ^ (dx^b - v^b dt) from the record's
-        lowered program: G, G.v and the lowered lift lg = G.gl, each
-        antisymmetric pair computed once."""
+        """:func:`omega_of` the record's lowered program at ``xs``."""
         n = self.chart.n
-        v = xs[n + 1 : 2 * n + 1]
-        kv = self.conn.lowered(xs)
-        g, lg = kv["G"], lift_of(kv, v)
-        dim = 2 * n + 1
-        m = [[0.0] * dim for _ in range(dim)]
-        for a in range(n):
-            gv = sum(g[a * n + b] * v[b] for b in range(n))
-            m[n + 1 + a][0], m[0][n + 1 + a] = -gv, gv
-            for b in range(n):
-                m[n + 1 + a][1 + b], m[1 + b][n + 1 + a] = g[a * n + b], -g[a * n + b]
-            for b in range(a + 1, n):
-                s = lg[a][1 + b] - lg[b][1 + a]
-                m[1 + a][1 + b], m[1 + b][1 + a] = s, -s
-            s = -lg[a][0] - sum(v[c] * lg[c][1 + a] for c in range(n))
-            m[0][1 + a], m[1 + a][0] = s, -s
-        return m
+        return omega_of(self.conn.lowered(xs), xs[n + 1 : 2 * n + 1])
+
+    def jet(self, xs):
+        """:func:`omega_jet` of the record's jet at ``xs``."""
+        n = self.chart.n
+        return omega_jet(self.conn.jet(xs), xs[n + 1 : 2 * n + 1])
 
     def contraction(self, vec_vals, xs):
         """Components of the one-form i_Y Omega for Y given by components."""
@@ -436,6 +446,51 @@ class PhaseTwoForm:
     def nondegeneracy_det(self, xs):
         """:func:`nondegeneracy_of` the matrix at ``xs``."""
         return nondegeneracy_of(self.matrix(xs))
+
+
+def omega_of(kv, v):
+    """Omega = G_ab (dv^a - gl^a) ^ (dx^b - v^b dt) from a record's lowered
+    values ``kv`` at velocity ``v``: G, G.v and the lowered lift lg = G.gl,
+    each antisymmetric pair computed once.  Linear in ``kv`` at fixed ``v``,
+    so of the lowered partials it gives Omega's."""
+    n, g, lg = len(v), kv["G"], lift_of(kv, v)
+    dim = 2 * n + 1
+    m = [[0.0] * dim for _ in range(dim)]
+    for a in range(n):
+        gv = sum(g[a * n + b] * v[b] for b in range(n))
+        m[n + 1 + a][0], m[0][n + 1 + a] = -gv, gv
+        for b in range(n):
+            m[n + 1 + a][1 + b], m[1 + b][n + 1 + a] = g[a * n + b], -g[a * n + b]
+        for b in range(a + 1, n):
+            s = lg[a][1 + b] - lg[b][1 + a]
+            m[1 + a][1 + b], m[1 + b][1 + a] = s, -s
+        s = -lg[a][0] - sum(v[c] * lg[c][1 + a] for c in range(n))
+        m[0][1 + a], m[1 + a][0] = s, -s
+    return m
+
+
+def omega_jet(kjet, v):
+    """(Omega, [partials along every phase slot]) from a record's jet
+    ``kjet`` at velocity ``v``: along x^lam :func:`omega_of` the lowered
+    partials; along v^k, with low_(lam,mu)a the lowered blocks and
+    lg = lift_of(kv, v), [v^a][t] = -G_ak, [x^a][x^b] = low_(b,k)a -
+    low_(a,k)b and [t][x^a] = -low_(0,k)a - lg_k^a - v^c low_(a,k)c, each
+    mirrored antisymmetrically, and 0.0 elsewhere."""
+    (kv, dkv), n = kjet, len(v)
+    g, lg, dim = kv["G"], lift_of(kv, v), 2 * n + 1
+    along_v = []
+    for k in range(1, n + 1):
+        m = [[0.0] * dim for _ in range(dim)]
+        for a in range(n):
+            low = kv[_sym_key(1 + a, k)]
+            m[n + 1 + a][0], m[0][n + 1 + a] = -g[a * n + k - 1], g[a * n + k - 1]
+            for b in range(a + 1, n):
+                s = kv[_sym_key(1 + b, k)][a] - low[b]
+                m[1 + a][1 + b], m[1 + b][1 + a] = s, -s
+            s = -kv[(0, k)][a] - lg[k - 1][1 + a] - sum(v[c] * low[c] for c in range(n))
+            m[0][1 + a], m[1 + a][0] = s, -s
+        along_v.append(m)
+    return omega_of(kv, v), [omega_of(dk, v) for dk in dkv] + along_v
 
 
 def nondegeneracy_of(m):
@@ -464,12 +519,13 @@ def minimal_coupling(omega, em):
     return PhaseTwoForm(phase_from_spacetime(metric_record(omega.G, low)))
 
 
-def motion_row(dyn, xs, accel):
-    """The motion residual G_ab accel^a - (G gamma)_b from the lowered
-    program of ``dyn``'s record: G and the lowered blocks' acceleration."""
-    n, kv = dyn.chart.n, dyn.lowered(xs)
-    g, lowered = kv["G"], gamma00_of(kv, xs[n + 1 : 2 * n + 1])
-    return [sum(g[b * n + a] * accel[a] for a in range(n)) - e for b, e in enumerate(lowered)]
+def motion_of(kv, v, accel):
+    """The motion row G_ab accel^a - (G gamma)_b from a record's lowered
+    values ``kv`` at velocity ``v``.  Linear in ``kv`` at fixed ``v`` and
+    ``accel``, so of the lowered partials it gives the row's."""
+    n, g = len(v), kv["G"]
+    return [sum(g[b * n + a] * accel[a] for a in range(n)) - e
+            for b, e in enumerate(gamma00_of(kv, v))]
 
 
 class PoincareCartan:
@@ -613,9 +669,10 @@ def observed_split(theta, observer):
 
 
 def closure_residual(omega, p):
-    """Max cyclic-derivative residual of the two-form at a phase point."""
+    """Max cyclic-derivative residual of the two-form at a phase point,
+    from its jet."""
     dim = 2 * omega.chart.n + 1
-    dm = duals.grad(omega.matrix, list(p))
+    dm = omega.jet(list(p))[1]
     return duals.worst([dm[a][b][c] + dm[b][c][a] + dm[c][a][b] for a in range(dim)
                         for b in range(a + 1, dim) for c in range(b + 1, dim)])
 

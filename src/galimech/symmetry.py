@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import duals
 from .duals import value, worst
 from .fields import Field, ZERO, as_field, constant, coordinate, program, support
-from .geometry import _sym_key, gamma00_of, lift_of, motion_row, quadratic_field
+from .geometry import _sym_key, gamma00_of, lift_of, omega_jet, quadratic_field
 
 
 TOL_PASS = 1e-9
@@ -197,6 +197,13 @@ def lie_metric(X, G):
     return lambda xs: _lie_metric(G.jet(xs), *X.jet(xs))
 
 
+def _raised_jet(conn, xs):
+    """The connection blocks and their partials along x^0..x^n at ``xs``,
+    from one run of the record's jet."""
+    n = conn.chart.n
+    return conn.raise_(xs[: n + 1], *conn.jet(xs))[:2]
+
+
 def _prolong_jet(X, xs):
     """X's first and second partials and its holonomic lift at ``xs``."""
     (e, d1), n = X.jet(xs), X.chart.n
@@ -230,9 +237,7 @@ def lie_phase_connection(X, pconn):
     """Lie derivative of the phase connection along the holonomic lift;
     returns a function of a phase point giving rows over d^mu and
     components i (an (n+1) x n array)."""
-    n = pconn.chart.n
-    return lambda xs: _lie_phase_connection(duals.jet(pconn.blocks, xs[: n + 1]), xs,
-                                            *_prolong_jet(X, xs))
+    return lambda xs: _lie_phase_connection(_raised_jet(pconn, xs), xs, *_prolong_jet(X, xs))
 
 
 def _lie_dynamical(kjet, xs, d1, d2, lift):
@@ -257,8 +262,7 @@ def lie_dynamical(X, dyn):
     """Lie derivative of the second-order connection along the holonomic
     lift (equivalently the bracket with the associated vector field);
     returns a function of a phase point giving the n components."""
-    n = dyn.chart.n
-    return lambda xs: _lie_dynamical(duals.jet(dyn.blocks, xs[: n + 1]), xs, *_prolong_jet(X, xs))
+    return lambda xs: _lie_dynamical(_raised_jet(dyn, xs), xs, *_prolong_jet(X, xs))
 
 
 def _lie_spacetime_connection(kjet, te, xe, d1, d2):
@@ -292,9 +296,7 @@ def lie_spacetime_connection(X, K):
     """Lie derivative of the spacetime connection along the tangent lift;
     returns a function of a TE point (x, xdot) giving rows over d^lam and
     components i."""
-    n = K.chart.n
-    return lambda te: _lie_spacetime_connection(duals.jet(K.blocks, te[: n + 1]), te,
-                                                *X.jet(te), X.d2(te))
+    return lambda te: _lie_spacetime_connection(_raised_jet(K, te), te, *X.jet(te), X.d2(te))
 
 
 def lie_lagrangian(X, lag):
@@ -340,17 +342,6 @@ def lie_two_form(vec_fn, mat_fn, xs):
     return _lie_two_form(duals.jet(mat_fn, xs), duals.jet(vec_fn, xs))
 
 
-def _motion_row(dyn):
-    """The motion row G_ab (a^a - gamma^a) of a point (x, v, a), with its deps."""
-    n = dyn.chart.n
-
-    def e_row(j2):
-        return motion_row(dyn, j2[: 2 * n + 1], j2[2 * n + 1 : 3 * n + 1])
-
-    e_row.deps = support(dyn.G, dyn, *(coordinate(k) for k in range(n + 1, 3 * n + 1)))
-    return e_row
-
-
 def _lie_euler_lagrange(ejet, j2, d1, d2, lift):
     (e0, d_e), n = ejet, len(d1)
     u = [1.0, *j2[n + 1 : 2 * n + 1]]
@@ -370,8 +361,7 @@ def _lie_euler_lagrange(ejet, j2, d1, d2, lift):
 def lie_euler_lagrange(X, G, dyn, j2_xs):
     """Lie derivative of the motion two-form (its row reads the metric ``G``
     of ``dyn``'s record) along the second holonomic lift, at (x, v, a)."""
-    return _lie_euler_lagrange(duals.jet(_motion_row(dyn), j2_xs), j2_xs,
-                               *_prolong_jet(X, j2_xs))
+    return _lie_euler_lagrange(dyn.motion_jet(j2_xs), j2_xs, *_prolong_jet(X, j2_xs))
 
 
 # -- invariance report ------------------------------------------------------
@@ -428,19 +418,22 @@ def _note(running, family, residual):
 def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2,
                        tol_pass=TOL_PASS, tol_fail=TOL_FAIL):
     """One :class:`EquivalenceReport` per generator of ``gens``.  At each
-    point the jets that do not depend on the generator (G, the connection
-    record the model's connections share, Omega, theta and from it dL, the
-    motion row) are evaluated once, and every generator's families read
-    them; the holonomic lift's jet is in closed form from the generator's."""
-    n, theta, e_row = model.chart.n, model.theta, _motion_row(model.dyn)
+    point the jets that do not depend on the generator (G, theta and from it
+    dL, and the connection record the model's connections share, whose one
+    jet gives the raised blocks', Omega's and the motion row's) are
+    evaluated once, and every generator's families read them; the
+    holonomic lift's jet is in closed form from the generator's."""
+    n, theta, pconn = model.chart.n, model.theta, model.pconn
     running = [{} for _ in gens]
     for te in points_te:
-        kjet = duals.jet(model.K.blocks, te[: n + 1])
+        kjet = _raised_jet(model.K, te)
         for X, w in zip(gens, running):
             _note(w, "spacetime_connection", _lie_spacetime_connection(
                 kjet, te, *X.jet(te), X.d2(te)))
     for xs in points_phase:
-        kjet, mjet = duals.jet(model.pconn.blocks, xs[: n + 1]), duals.jet(model.omega.matrix, xs)
+        ljet = pconn.jet(xs)  # the record of Omega too
+        kjet = pconn.raise_(xs[: n + 1], *ljet)[:2]
+        mjet = omega_jet(ljet, xs[n + 1 : 2 * n + 1])
         if theta is not None:
             cjet = theta.jet(xs)
             dlag = _lagrangian_partials(cjet, xs[n + 1 : 2 * n + 1])
@@ -458,7 +451,7 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
         for X, w in zip(gens, running):
             _note(w, "metric", _lie_metric(gjet, *X.jet(xs)))
     for j2 in points_j2:
-        ejet = duals.jet(e_row, j2)
+        ejet = model.dyn.motion_jet(j2)
         for X, w in zip(gens, running):
             _note(w, "motion_form", _lie_euler_lagrange(ejet, j2, *_prolong_jet(X, j2)))
     name = getattr(model, "name", "?")
@@ -639,7 +632,7 @@ def lift_operator(omega):
                 lam[n + 1 + h][n + 1 + k] = b[h][k] - b[k][h]
         return [1.0, *v, *(g[0] + _along(g[1:], v) for g in gl)], lam
 
-    op.deps = omega.matrix_deps
+    op.deps = omega.deps
     return op
 
 
@@ -669,7 +662,7 @@ def tau_lift_values(fn, tau, omega, xs):
 def tau_lift(fn, tau, omega):
     """The lift of :func:`tau_lift_values` as a callable of a phase point.
     It reads the operator and df, so its ``deps`` is the union of theirs:
-    the two-form's ``matrix_deps`` and ``fn``'s."""
+    the two-form's and ``fn``'s."""
 
     def lift(xs):
         return tau_lift_values(fn, tau, omega, xs)

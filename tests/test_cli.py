@@ -1041,6 +1041,34 @@ def test_check_symmetry_compiles_one_first_order_program_per_generator(monkeypat
     assert sorted(set(counts["d2"])) == ["Rx", "Ry", "Rz"]
 
 
+def test_check_symmetry_seeds_no_pass_and_inverts_no_metric_at_a_dual_point(monkeypatch,
+                                                                              capsys):
+    # every jet check-symmetry reads is a program or a closed form over one
+    calls = {"mul": 0, "seeded": 0, "inv": 0, "dual_inv": 0}
+    mul, partial_multi, inv = duals.MultiDual.__mul__, duals.partial_multi, Metric.inv
+
+    def counted(key, fn):
+        def spy(*args):
+            calls[key] += 1
+            return fn(*args)
+        return spy
+
+    def spy_inv(self, xs, g=None):
+        calls["inv"] += 1
+        calls["dual_inv"] += any(isinstance(x, duals.MultiDual) for x in [*xs, *(g or ())])
+        return inv(self, xs, g)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(duals.MultiDual, name, counted("mul", mul))
+    monkeypatch.setattr(duals, "partial_multi", counted("seeded", partial_multi))
+    monkeypatch.setattr(Metric, "inv", spy_inv)
+    argv = ["check-symmetry", "--model", "rigidbody", "--field", "rotations", "--points", "1"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    # one inverse at each of the TE and phase points, none for the motion row
+    assert calls == {"mul": 0, "seeded": 0, "inv": 2, "dual_inv": 0}
+
+
 @pytest.mark.parametrize("argv", [
     ["noether", "--model", "rigidbody", "--field", "rotations", "--points", "2"],
     ["brackets", "--model", "rigidbody", "--points", "2"],

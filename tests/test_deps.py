@@ -33,11 +33,9 @@ from galimech.fields import (
 from galimech.geometry import Metric, PhaseTwoForm, gamma00_of
 from galimech.oracles import pair_bracket
 from galimech.symmetry import (
-    _motion_row,
     SpacetimeVectorField,
     SpecialQuadratic,
     check_equivalences,
-    lie_two_form,
     lift_operator,
     noether_charge,
     poisson_bracket,
@@ -145,11 +143,11 @@ def _model_objects(model):
 
 
 def _model_methods(model):
-    """(label, undeclared callable, deps) for every bound method a form
-    family differentiates: the two-form, the potential form and the
-    holonomic lifts of the generators."""
-    omega, theta = model.omega, model.theta
-    out = [("omega.matrix", lambda xs: omega.matrix(xs), duals.deps_of(omega.matrix))]
+    """(label, undeclared callable, deps) for every callable a seeded pass
+    differentiates whole: the lift operator (the two-form's support), the
+    potential form and the holonomic lifts of the generators."""
+    omega, theta, op = model.omega, model.theta, lift_operator(model.omega)
+    out = [("lift_operator", lambda xs: op(xs), op.deps)]
     if theta is not None:
         out.append(("theta.components", lambda xs: theta.components(xs),
                     duals.deps_of(theta.components)))
@@ -235,11 +233,10 @@ def test_catalog_deps_are_sound(name):
     dim = model.chart.dim_phase
     for label, undeclared, deps in _model_objects(model):
         _assert_sound(undeclared, deps, xs, dim, what=(name, label))
-    # the connection evaluator's support, which the Lie families rely on
-    blocks = model.K.blocks
+    # the connection record's support, which the two-form's relies on
     for k in range(dim):
-        if k not in blocks.deps:
-            d = duals.partial_multi(blocks, xs, k)
+        if k not in model.K.deps:
+            d = duals.partial_multi(lambda ys: model.K.raised(ys)[0], xs, k)
             assert all(_is_float_zero(x) for vals in d.values() for x in vals), (name, k)
     # the forms and lifts that the form families differentiate whole
     for label, undeclared, deps in _model_methods(model):
@@ -254,8 +251,12 @@ def test_raised_values_are_the_sym_program_bit_for_bit(name):
     n, omega = model.chart.n, model.omega
     xs = model.sample_phase(1, seed=8)[0]
     at_points = [lambda f, ys: f(ys)] + [lambda f, ys, j=j: _outer(f, ys, j) for j in (0, 2)]
+
+    def blocks(ys):
+        return model.K.raised(ys)[0]
+
     for at in at_points:  # a float point, and a dual point seeded on t and on x2
-        got, want = at(model.K.blocks, xs[: n + 1]), at(program(model.K.sym), xs[: n + 1])
+        got, want = at(blocks, xs[: n + 1]), at(program(model.K.sym), xs[: n + 1])
         assert {k: [_exact(x) for x in v] for k, v in got.items()} == (
             {k: [_exact(x) for x in v] for k, v in want.items()}), name
         (u, lam), (u0, lam0) = at(lift_operator(omega), xs), at(program_lift_operator(omega), xs)
@@ -269,8 +270,8 @@ def test_two_form_and_motion_row_jets_invert_no_metric(name, monkeypatch):
     calls = []
     orig = Metric.inv
     monkeypatch.setattr(Metric, "inv", lambda self, *a: calls.append(1) or orig(self, *a))
-    duals.jet(model.omega.matrix, model.sample_phase(1, seed=9)[0])
-    duals.jet(_motion_row(model.dyn), model.sample_j2(1, seed=9)[0])
+    model.omega.jet(model.sample_phase(1, seed=9)[0])
+    model.dyn.motion_jet(model.sample_j2(1, seed=9)[0])
     assert calls == []
 
 
@@ -318,7 +319,7 @@ def test_metric_blocks_seed_only_the_metric_support(rigidbody, monkeypatch):
 
 def test_rigidbody_forms_declare_their_support(rigidbody):
     velocities = {4, 5, 6}
-    assert duals.deps_of(rigidbody.omega.matrix) == {2, 3} | velocities
+    assert lift_operator(rigidbody.omega).deps == {2, 3} | velocities
     assert duals.deps_of(rigidbody.theta.components) == {2, 3} | velocities
     rx, _, rz = rigidbody.actions["rotations"].generators
     assert duals.deps_of(rx.prolong1_values) == {1, 2, 4, 5}
@@ -326,6 +327,7 @@ def test_rigidbody_forms_declare_their_support(rigidbody):
 
 
 def test_rigidbody_two_form_is_never_seeded_along_t_or_phi(rigidbody, monkeypatch):
+    # the Lie families read Omega's jet in closed form: no slot is seeded
     seeds = []
     orig = duals.partial_multi
 
@@ -339,25 +341,17 @@ def test_rigidbody_two_form_is_never_seeded_along_t_or_phi(rigidbody, monkeypatc
     X = m.actions["rotations"].generators[0]
     check_equivalences(m, [X], m.sample_e(1, 4), m.sample_phase(1, 4), m.sample_te(1, 4),
                        m.sample_j2(1, 4))
-    lie_two_form(X.prolong1_values, m.omega.matrix, m.sample_phase(1, 5)[0])
-    assert sorted(set(seeds)) == [2, 3, 4, 5, 6]  # theta, psi and the velocities
-    assert len(seeds) == 10
+    assert seeds == []
 
 
-def test_the_two_form_is_seeded_once_per_point_for_every_generator(rigidbody, monkeypatch):
-    seeds = []
-    orig = duals.partial_multi
-
-    def spy(fn, xs, k):
-        if getattr(fn, "__func__", None) is PhaseTwoForm.matrix:
-            seeds.append(k)
-        return orig(fn, xs, k)
-
-    monkeypatch.setattr(duals, "partial_multi", spy)
+def test_the_record_jet_runs_once_per_point_for_every_generator(rigidbody, monkeypatch):
     m = rigidbody
+    runs, jet = [], m.pconn.jet
+    # the model's connections and its two-form share the record, so its one jet
+    monkeypatch.setitem(m.pconn.__dict__, "jet", lambda xs: runs.append(1) or jet(xs))
     check_equivalences(m, m.actions["rotations"].generators, m.sample_e(2, 4),
                        m.sample_phase(2, 4), m.sample_te(2, 4), m.sample_j2(2, 4))
-    assert len(seeds) == 10  # 5 slots at each of 2 points, not again per generator
+    assert len(runs) == 6  # at each of 2 points of TE, phase space and J2, not per generator
 
 
 def test_tau_lift_evaluates_a_translation_charge_once(free3d, monkeypatch):

@@ -254,7 +254,8 @@ def test_grad_gives_float_zero_blocks_outside_deps():
     assert len(calls) == 2
 
 
-def test_bound_method_declares_deps_on_its_owner():
+def test_a_bound_method_is_differentiated_in_every_slot():
+    # a method declares no support, whatever its owner carries
     class Form:
         def __init__(self):
             self.calls = 0
@@ -265,12 +266,8 @@ def test_bound_method_declares_deps_on_its_owner():
             return [xs[0] * xs[0], 2.0]
 
     f = Form()
-    assert duals.deps_of(f.comps) == {0}
-    assert duals.grad(f.comps, [3.0, 1.0]) == [[6.0, 0.0], [0.0, 0.0]] and f.calls == 1
-    # an owner without ``<name>_deps`` leaves the method undeclared
-    del f.comps_deps
     assert duals.deps_of(f.comps) is None
-    assert duals.grad(f.comps, [3.0, 1.0]) == [[6.0, 0.0], [0.0, 0.0]] and f.calls == 3
+    assert duals.grad(f.comps, [3.0, 1.0]) == [[6.0, 0.0], [0.0, 0.0]] and f.calls == 2
 
 
 def test_threads_allocate_slots_independently(rigidbody):
@@ -394,13 +391,20 @@ def test_reductions_and_programs_leave_no_reference_cycles():
 
 
 def test_records_generators_and_closure_defects_leave_no_reference_cycles(rigidbody):
-    # A record caches its blocks callable, and a generator its programs: a
-    # closure over its owner would make each a cycle.  The loaded model's own
-    # cycles (its metric's inverse node) stay alive and are not counted.
+    # A record caches its raise and its raised-blocks callables, and a
+    # generator its programs: a closure over its owner would make each a
+    # cycle.  The loaded model's own cycles (its metric's inverse node) stay
+    # alive and are not counted.
     n, G, low = rigidbody.chart.n, rigidbody.G, rigidbody.K.low
     xs = rigidbody.sample_phase(1, seed=3)[0]
     X = rigidbody.actions["rotations"].generators[0]
-    assert _cyclic_garbage(lambda: metric_record(G, low).blocks(xs[: n + 1])) == 0
+    assert _cyclic_garbage(lambda: metric_record(G, low).raised(xs[: n + 1])) == 0
+
+    def raised_jet():
+        record = metric_record(G, low)
+        return record.raise_(xs[: n + 1], *record.jet(xs))
+
+    assert _cyclic_garbage(raised_jet) == 0
     assert _cyclic_garbage(lambda: SpacetimeVectorField(X.chart, X.x0, X.comps).jet(xs)) == 0
     assert _cyclic_garbage(lambda: SpacetimeVectorField(X.chart, X.x0, X.comps).d2(xs)) == 0
     action = rigidbody.actions["rotations"]
@@ -447,8 +451,8 @@ def _generator_match(model, monkeypatch):
 
 def _two_form_closure(model, monkeypatch):
     # d_1 of the (3, 4) entry is nan; the first index triple (0, 1, 2) does not read it
-    omega = SimpleNamespace(chart=model.chart, matrix=lambda xs: [
-        [_off_axis(xs[1]) if (a, b) == (3, 4) else 0.0 for b in range(7)] for a in range(7)])
+    omega = SimpleNamespace(chart=model.chart, jet=lambda xs: duals.jet(lambda ys: [
+        [_off_axis(ys[1]) if (a, b) == (3, 4) else 0.0 for b in range(7)] for a in range(7)], xs))
     return closure_residual(omega, [0.0, 0.1, 0.2, 0.3, 0.0, 0.0, 0.0])
 
 

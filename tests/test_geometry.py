@@ -23,7 +23,7 @@ from galimech.geometry import (
     cartan_from_lagrangian,
     metric_connection,
     minimal_coupling,
-    motion_row,
+    motion_of,
     observed_split,
     phase_from_dynamical,
     phase_from_spacetime,
@@ -304,13 +304,13 @@ def test_two_form_and_motion_row_evaluate_each_trig_leaf_once(monkeypatch):
     monkeypatch.setattr(duals, "sin", lambda x: trig.append(1) or sin(x))
     monkeypatch.setattr(duals, "cos", lambda x: trig.append(1) or cos(x))
     model = load_model("rigidbody")
-    dim = model.chart.dim_phase
+    n, dim = model.chart.n, model.chart.dim_phase
     for j2 in model.sample_j2(2, seed=4):
         trig.clear()
         model.omega.matrix(j2[:dim])
         assert len(trig) == 4
         trig.clear()
-        motion_row(model.dyn, j2[:dim], j2[dim:])
+        motion_of(model.dyn.lowered(j2), j2[n + 1 : dim], j2[dim:])
         assert len(trig) == 4
 
 
@@ -380,7 +380,7 @@ def test_acceleration_program_matches_the_contracted_blocks(name):
     n = dyn.chart.n
 
     def by_blocks(xs):
-        return gamma00_of(dyn.blocks(xs), xs[n + 1 : 2 * n + 1])
+        return gamma00_of(dyn.raised(xs)[0], xs[n + 1 : 2 * n + 1])
 
     for p in points:
         assert all(_close(value(g), value(w), 1e-13)
@@ -535,11 +535,54 @@ def test_lowered_forms_match_the_raised_route(name):
         m = omega.matrix(xs)
         _near(m, raised_two_form(omega, xs), 1e-14, (name, "two_form"))
         assert all(m[a][b] == -m[b][a] for a in range(dim) for b in range(dim)), name
-        row = motion_row(model.dyn, j2[:dim], j2[dim:])
+        row = motion_of(model.dyn.lowered(j2), j2[n + 1 : dim], j2[dim:])
         _near(row, raised_motion_row(model.dyn, j2[:dim], j2[dim:]), 1e-14, (name, "motion"))
         # and their first partials, which the Lie derivative families read
         _near(duals.grad(omega.matrix, xs), duals.grad(lambda ys: raised_two_form(omega, ys), xs),
                1e-12, (name, "d two_form"))
+
+
+def _and_at_rest(points, n):
+    """The points, then the first two with their velocity at 0."""
+    return points + [p[: n + 1] + [0.0] * n + p[2 * n + 1 :] for p in points[:2]]
+
+
+@pytest.mark.parametrize("name", [*POTENTIAL_MODELS, "broken-field", "bare"])
+def test_record_jets_are_the_seeded_jets_in_closed_form(name):
+    # the raised blocks, Omega and the motion row from one run of the
+    # record's jet, against seeded passes through plain lambdas of their
+    # values, at sample points and at v = 0; a bare record has no metric
+    if name == "bare":
+        model, K = None, random_connection(Chart(3), random.Random(9))
+        n, pts = 3, sample_points(3, [(-1.0, 1.0)] * 7, 5)
+    else:
+        model = nonclosed_field_model() if name == "broken-field" else potential_model(name)
+        K, n, pts = model.K, model.chart.n, model.sample_phase(3, seed=23)
+    for p in _and_at_rest(pts, n):
+        blocks, partials = K.raise_(p[: n + 1], *K.jet(p))[:2]
+        want, seeded = duals.jet(lambda ys: K.raised(ys)[0], p[: n + 1])
+        assert blocks == want, (name, p)
+        assert len(partials) == len(seeded) == n + 1
+        for got, row in zip(partials, seeded):
+            _near([got[k] for k in sorted(row)], [row[k] for k in sorted(row)], 1e-13, (name, p))
+        if model is not None:
+            m, dm = model.omega.jet(p)
+            want, seeded = duals.jet(lambda ys: model.omega.matrix(ys), p)
+            assert m == want, (name, p)
+            _near(dm, seeded, 1e-13, (name, p, "two_form"))
+    if model is None:
+        return
+    if name == "broken-field":
+        assert min(closure_residual(model.omega, p) for p in pts) > 1e-3
+
+    def row(j2):
+        return motion_of(model.dyn.lowered(j2), j2[n + 1 : 2 * n + 1], j2[2 * n + 1 :])
+
+    for j2 in _and_at_rest(model.sample_j2(3, seed=24), n):
+        e, de = model.dyn.motion_jet(j2)
+        want, seeded = duals.jet(row, j2)
+        assert e == want, (name, j2)
+        _near(de, seeded, 1e-13, (name, j2, "motion"))
 
 
 def test_euler_lagrange_on_shell(cyclotron):

@@ -27,7 +27,7 @@ from galimech.geometry import (
     identity_metric,
     lift_of,
     metric_record,
-    motion_row,
+    motion_of,
     phase_from_spacetime,
 )
 from galimech.symmetry import _along
@@ -194,7 +194,7 @@ def euler_lagrange_matrix(G, dyn, p, accel):
     """Horizontal two-form of the motion residual at second-order data."""
     n = G.chart.n
     m = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for b, s in enumerate(motion_row(dyn, list(p), accel)):
+    for b, s in enumerate(motion_of(dyn.lowered(p), p[n + 1 : 2 * n + 1], accel)):
         m[0][1 + b] = s
         m[1 + b][0] = -s
     return m
