@@ -29,11 +29,11 @@ from .symmetry import (
     NotASymmetryError,
     apply_lift,
     bracket_jet,
+    charge_jets,
     classify_special_quadratic,
     classify_spacetime,
     check_equivalences,
     commutator,
-    differential,
     generator_match,
     lift_jet,
     lift_operator,
@@ -483,16 +483,15 @@ def cmd_brackets(args, model):
                "residual": residual, "verdict": "fail"}
               for key, (_, residual, conserved) in checked.items() if not conserved]
     sample = pts[: min(len(pts), 8)]
-    lift = lift_operator(model.omega)
-    # at each sample point, once: the jets of the lift operator and of each
-    # charge's differential, and from those the jet of the charge's lift at
-    # its own time scale
+    lift, djet = lift_operator(model.omega), charge_jets(charges.values(), model.chart.dim_phase)
+    # once per sample point: the jets of the operator and of each charge's
+    # dF, and from them each charge's lift jets at zero and at its time scale
     at_points = []
     for xs in sample:
-        opjet = jet(lift, xs)
-        djets = {la: jet(differential(f), xs) for la, f in charges.items()}
+        opjet, djets = jet(lift, xs), dict(zip(labels, djet(xs)))
+        hjets = {la: lift_jet(opjet, djets[la], 0.0) for la in labels}
         lifts = {la: lift_jet(opjet, djets[la], value(f.f0(xs))) for la, f in charges.items()}
-        at_points.append((opjet, djets, lifts))
+        at_points.append((opjet[0], djets, hjets, lifts))
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
             # charges with constant time scales have a special bracket
@@ -502,9 +501,9 @@ def cmd_brackets(args, model):
             # of the two lifts against the lift of the bracket's differential,
             # which the product rule builds from the jets held
             residual = worst([
-                value(a) - value(b) for opjet, djets, lifts in at_points
+                value(a) - value(b) for op, djets, hjets, lifts in at_points
                 for a, b in zip(commutator(lifts[la], lifts[lb]), apply_lift(
-                    opjet[0], bracket_jet(djets[la], djets[lb], opjet)[1], 0.0))])
+                    op, bracket_jet(hjets[la], djets[lb])[1], 0.0))])
             checks.append(
                 {
                     "pair": [la, lb],

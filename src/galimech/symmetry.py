@@ -210,12 +210,21 @@ def _prolong_jet(X, xs):
     return d1, X.d2(xs), _lift(e, d1, xs[n + 1 : 2 * n + 1])
 
 
-def _lie_phase_connection(kjet, xs, d1, d2, lift):
-    (kv, dkv), n = kjet, len(d1)
+def _lifted(kjet, xs):
+    """The record's raised jet ``kjet`` (partials along x^0..x^n) lifted at
+    the velocity of ``xs``, as no generator changes it: the blocks, gl =
+    lift_of and its partials along x^lam, gamma = gamma00_of and its
+    partials (the blocks' along x^lam, then 2 gl[i][k] along v^k)."""
+    (kv, dkv), n = kjet, len(kjet[1]) - 1
     v = xs[n + 1 : 2 * n + 1]
-    u = [1.0, *v]
-    # gl[i][mu] and its partials dgl[lam][i][mu] along x^lam at fixed velocity
-    gl, dgl = lift_of(kv, v), [lift_of(dk, v) for dk in dkv]
+    gl = lift_of(kv, v)
+    return kv, gl, [lift_of(dk, v) for dk in dkv], gamma00_of(kv, v), (
+        [gamma00_of(dk, v) for dk in dkv] + [[2.0 * g[k] for g in gl] for k in range(1, n + 1)])
+
+
+def _lie_phase_connection(lifted, xs, d1, d2, lift):
+    (kv, gl, dgl, _, _), n = lifted, len(d1)
+    u = [1.0, *xs[n + 1 : 2 * n + 1]]
     out = []
     for mu in range(0, n + 1):
         row = []
@@ -237,17 +246,13 @@ def lie_phase_connection(X, pconn):
     """Lie derivative of the phase connection along the holonomic lift;
     returns a function of a phase point giving rows over d^mu and
     components i (an (n+1) x n array)."""
-    return lambda xs: _lie_phase_connection(_raised_jet(pconn, xs), xs, *_prolong_jet(X, xs))
+    return lambda xs: _lie_phase_connection(
+        _lifted(_raised_jet(pconn, xs), xs), xs, *_prolong_jet(X, xs))
 
 
-def _lie_dynamical(kjet, xs, d1, d2, lift):
-    (kv, dkv), n = kjet, len(d1)
-    v = xs[n + 1 : 2 * n + 1]
-    u = [1.0, *v]
-    g00, gl = gamma00_of(kv, v), lift_of(kv, v)
-    # dg[d][i] = d_d gamma^i: from the blocks' partials along x^lam, and
-    # 2 gl[i][k] along v^k
-    dg = [gamma00_of(dk, v) for dk in dkv] + [[2.0 * g[k] for g in gl] for k in range(1, n + 1)]
+def _lie_dynamical(lifted, xs, d1, d2, lift):
+    (_, _, _, g00, dg), n = lifted, len(d1)
+    u = [1.0, *xs[n + 1 : 2 * n + 1]]
     out = []
     for i in range(n):
         s = _along([d[i] for d in dg], lift)
@@ -262,7 +267,7 @@ def lie_dynamical(X, dyn):
     """Lie derivative of the second-order connection along the holonomic
     lift (equivalently the bracket with the associated vector field);
     returns a function of a phase point giving the n components."""
-    return lambda xs: _lie_dynamical(_raised_jet(dyn, xs), xs, *_prolong_jet(X, xs))
+    return lambda xs: _lie_dynamical(_lifted(_raised_jet(dyn, xs), xs), xs, *_prolong_jet(X, xs))
 
 
 def _lie_spacetime_connection(kjet, te, xe, d1, d2):
@@ -420,9 +425,9 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
     """One :class:`EquivalenceReport` per generator of ``gens``.  At each
     point the jets that do not depend on the generator (G, theta and from it
     dL, and the connection record the model's connections share, whose one
-    jet gives the raised blocks', Omega's and the motion row's) are
-    evaluated once, and every generator's families read them; the
-    holonomic lift's jet is in closed form from the generator's."""
+    jet gives the raised blocks', lifted by :func:`_lifted`, Omega's and the
+    motion row's) are evaluated once, and every generator's families read
+    them; the holonomic lift's jet is in closed form from the generator's."""
     n, theta, pconn = model.chart.n, model.theta, model.pconn
     running = [{} for _ in gens]
     for te in points_te:
@@ -432,7 +437,7 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
                 kjet, te, *X.jet(te), X.d2(te)))
     for xs in points_phase:
         ljet = pconn.jet(xs)  # the record of Omega too
-        kjet = pconn.raise_(xs[: n + 1], *ljet)[:2]
+        lifted = _lifted(pconn.raise_(xs[: n + 1], *ljet)[:2], xs)
         mjet = omega_jet(ljet, xs[n + 1 : 2 * n + 1])
         if theta is not None:
             cjet = theta.jet(xs)
@@ -440,8 +445,8 @@ def check_equivalences(model, gens, points_e, points_phase, points_te, points_j2
         for X, w in zip(gens, running):
             d1, d2, lift = _prolong_jet(X, xs)
             yjet = lift, _lift_partials(d1, d2, xs[n + 1 : 2 * n + 1])
-            _note(w, "phase_connection", _lie_phase_connection(kjet, xs, d1, d2, lift))
-            _note(w, "dynamical_connection", _lie_dynamical(kjet, xs, d1, d2, lift))
+            _note(w, "phase_connection", _lie_phase_connection(lifted, xs, d1, d2, lift))
+            _note(w, "dynamical_connection", _lie_dynamical(lifted, xs, d1, d2, lift))
             _note(w, "two_form", _lie_two_form(mjet, yjet))
             if theta is not None:
                 _note(w, "cartan_form", _lie_one_form(cjet, yjet))
@@ -643,16 +648,6 @@ def apply_lift(op, df, tau):
     return [tau * a + _along(row, df) for a, row in zip(u, lam)]
 
 
-def differential(fn):
-    """df as a callable of a phase point; it reads what ``fn`` reads."""
-
-    def d(xs):
-        return duals.grad(fn, list(xs))
-
-    d.deps = duals.deps_of(fn)
-    return d
-
-
 def tau_lift_values(fn, tau, omega, xs):
     """Components of the covariant lift of a phase function at a point:
     tau u + Lam.df, with df honouring the ``deps`` of ``fn``."""
@@ -667,7 +662,7 @@ def tau_lift(fn, tau, omega):
     def lift(xs):
         return tau_lift_values(fn, tau, omega, xs)
 
-    lift.deps = support(differential(fn), lift_operator(omega))
+    lift.deps = support(Field(fn, duals.deps_of(fn)), lift_operator(omega))
     return lift
 
 
@@ -806,15 +801,20 @@ def commutator(ujet, vjet):
     return [sum(u[c] * dv[c][a] - v[c] * du[c][a] for c in dim) for a in dim]
 
 
-def bracket_jet(fjet, gjet, opjet):
-    """Jet of the Poisson bracket {f, g} = dg.Lam.df from the jets of df, dg
-    and :func:`lift_operator`, by the product rule:
-    d_k{f,g} = (d_k dg).Lam.df + dg.(d_k Lam).df + dg.Lam.(d_k df)."""
-    (df, ddf), (dg, ddg), (op, dop) = fjet, gjet, opjet
-    hf = apply_lift(op, df, 0.0)  # Lam.df, the zero-scale lift of f
-    dg_lam = [_along(dg, col) for col in zip(*op[1])]
-    return _along(dg, hf), [_along(a, hf) + _along(dg, apply_lift(dk, df, 0.0)) + _along(dg_lam, b)
-                            for a, dk, b in zip(ddg, dop, ddf)]
+def charge_jets(charges, dim):
+    """One program giving (dF, [d_k dF for k]) of each charge's field F
+    over the ``dim`` phase slots, by the field's derivative rules."""
+    e = range(dim)
+    return program([[[F.d(k) for k in e], [[F.d(min(k, h)).d(max(k, h)) for h in e] for k in e]]
+                    for F in (f.value for f in charges)])
+
+
+def bracket_jet(hjet, gjet):
+    """Jet of the Poisson bracket {f, g} = dg.h_f from the jets of dg and of
+    h_f = Lam.df, the zero-scale lift of f (:func:`lift_jet`), by the
+    product rule: d_k{f,g} = (d_k dg).h_f + dg.(d_k h_f)."""
+    (hf, dhf), (dg, ddg) = hjet, gjet
+    return _along(dg, hf), [_along(a, hf) + _along(dg, b) for a, b in zip(ddg, dhf)]
 
 
 def vector_commutator(u_fn, v_fn, xs):

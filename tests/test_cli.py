@@ -274,19 +274,20 @@ def test_brackets_reports_a_varying_time_scale_as_not_closed(monkeypatch, capsys
     assert all(c["closed"] == ("charge_x1" not in c["pair"]) for c in checks)
 
 
-def test_brackets_differentiates_each_lift_once_per_point(monkeypatch, capsys):
-    seeded = []
-    orig = duals.grad
-
-    def spy(fn, point):
-        seeded.append(getattr(fn, "__qualname__", ""))
-        return orig(fn, point)
-
-    monkeypatch.setattr(duals, "grad", spy)
+def test_brackets_seeds_only_the_lift_operator_once_per_point(monkeypatch, capsys):
+    jets, seeded = [], []
+    grad = duals.grad
+    monkeypatch.setattr(duals, "grad", lambda fn, point: jets.append(fn.__qualname__)
+                        or grad(fn, point))
+    for name in ("partial", "partial2", "partial_multi"):
+        orig = getattr(duals, name)
+        monkeypatch.setattr(duals, name, lambda fn, *a, orig=orig: seeded.append(
+            getattr(fn, "__qualname__", repr(fn))) or orig(fn, *a))
     assert run_cli(["brackets", "--model", "free3d", "--points", "2"]) == 0
-    # each of the 7 charges' differentials and the lift operator at each point, not once per pair
-    assert seeded.count("differential.<locals>.d") == 7 * 2
-    assert seeded.count("lift_operator.<locals>.op") == 2
+    # one seeded jet of the lift operator per point, along the 3 velocity
+    # slots the two-form reads; each charge's jet is its field's program
+    assert jets == ["lift_operator.<locals>.op"] * 2
+    assert seeded == ["lift_operator.<locals>.op"] * 2 * 3
 
 
 def test_brackets_inverts_the_metric_once_per_operator_evaluation(monkeypatch, capsys):

@@ -14,7 +14,6 @@ from galimech.geometry import (
     Observer,
     PhaseTwoForm,
     SingularMetricError,
-    SpacetimeConnection,
     closure_residual,
     dynamical_from_phase,
     gamma00_of,
@@ -45,23 +44,9 @@ from tests_support import (
     raised_motion_row,
     raised_two_form,
     random_compatible_model,
+    random_connection,
     zero_connection,
 )
-
-
-def random_connection(chart, rng):
-    """Symmetric random polynomial coefficient set."""
-    n = chart.n
-    sym = {}
-    for lam in range(0, n + 1):
-        for mu in range(lam, n + 1):
-            fields = []
-            for i in range(n):
-                terms = [(rng.uniform(-1, 1), {})]
-                terms.append((rng.uniform(-1, 1), {rng.randrange(0, n + 1): 1}))
-                fields.append(polynomial(terms))
-            sym[(lam, mu)] = fields
-    return SpacetimeConnection(chart, sym)
 
 
 # -- bijections ---------------------------------------------------------------

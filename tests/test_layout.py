@@ -79,3 +79,74 @@ def test_the_owner_deps_check_sees_each_form():
     for text in ["self.deps = x", "f.deps = support(x)", "y = obj.matrix_deps",
                  "getattr(fn, 'deps', None)", "from types import SimpleNamespace"]:
         assert not _declares_owner_deps(ast.parse(text)), text
+
+
+SEEDED = {"grad", "jet", "partial", "partial2", "partial_multi"}
+
+# every function outside duals and the oracles that runs a seeded dual pass
+SEEDED_CALLERS = {
+    "cli.cmd_brackets",  # the lift operator's jet, one per sample point
+    "fields.Field.d",  # the partial of a bare callable
+    "symmetry.lie_one_form",
+    "symmetry.lie_two_form",
+    "symmetry.gamma_dot",
+    "symmetry.tau_lift_values",
+    "symmetry.classify_special_quadratic",
+    "symmetry.poisson_bracket",
+    "symmetry.special_bracket",
+    "symmetry.vector_commutator",
+}
+
+
+def _seeded_callers(tree, module):
+    """The outermost function (``module.name``, or ``module.Class.name``
+    for a method) around each call of a seeded pass of ``duals``: a
+    ``duals.<name>(...)`` call, or a call of a name imported from it."""
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in ("duals", "galimech.duals")
+                for a in node.names if a.name in SEEDED}
+    found = set()
+
+    def visit(node, owner, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.ClassDef) and scope is None:
+                visit(child, f"{owner}.{child.name}", None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and scope is None:
+                inner = f"{owner}.{child.name}"
+            if isinstance(child, ast.Call) and inner is not None:
+                f = child.func
+                if (isinstance(f, ast.Attribute) and f.attr in SEEDED
+                        and isinstance(f.value, ast.Name) and f.value.id == "duals"
+                        or isinstance(f, ast.Name) and f.id in imported):
+                    found.add(inner)
+            visit(child, owner, inner)
+
+    visit(tree, module, None)
+    return found
+
+
+def test_seeded_passes_run_only_where_listed():
+    # a new seeded call site is a deliberate edit of SEEDED_CALLERS
+    sources = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("duals.py", "oracles.py"))
+    assert len(sources) > 5
+    found = set().union(*(_seeded_callers(ast.parse(p.read_text()), p.stem) for p in sources))
+    assert found == SEEDED_CALLERS
+
+
+def test_the_seeded_call_check_sees_each_form():
+    cases = {
+        "def f(x):\n    return duals.grad(g, x)": {"m.f"},
+        "from .duals import jet\ndef f(x):\n    return jet(g, x)": {"m.f"},
+        "from .duals import partial as p\ndef f(x):\n    return p(g, x, 0)": {"m.f"},
+        "class A:\n    def d(self, k):\n        return F(lambda xs: duals.partial(self, xs, k))":
+            {"m.A.d"},
+        "def f(x):\n    def g(y):\n        return duals.partial2(h, y, 0, 1)\n    return g":
+            {"m.f"},
+        "def f(x):\n    return [duals.partial_multi(h, x, i) for i in x]": {"m.f"},
+        "def f(x):\n    return X.jet(x), G.jet(x), theta.grad(x), duals.value(x)": set(),
+        "from .duals import value, worst\ndef f(x):\n    return jet(g, x), value(x)": set(),
+    }
+    for text, want in cases.items():
+        assert _seeded_callers(ast.parse(text), "m") == want, text

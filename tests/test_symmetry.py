@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from galimech import duals
+from galimech import duals, geometry, symmetry
 from galimech.duals import jet, value
 from galimech.catalog import load_model, named_charges
 from galimech.fields import (
@@ -20,10 +20,10 @@ from galimech.symmetry import (
     SpecialQuadratic,
     bracket_jet,
     charge_differential,
+    charge_jets,
     check_equivalences,
     classify_spacetime,
     classify_special_quadratic,
-    differential,
     gamma_dot,
     generator_match,
     lie_dt,
@@ -409,6 +409,27 @@ def test_generators_checked_together_equal_each_checked_alone(name):
             charges = noether_charges(gens, m.theta, pts[1])
             one_by_one = [noether_charge(X, m.theta, pts[1]) for X in gens]
             assert [c[1:] for c in charges] == [c[1:] for c in one_by_one]
+
+
+def test_the_record_is_lifted_once_per_point_for_all_generators(rigidbody, monkeypatch):
+    pts = suite_points(rigidbody, count=2)
+    gens = rigidbody.actions["rotations"].generators
+    check_equivalences(rigidbody, gens, *pts)  # compile the programs first
+    calls = []
+    for name in ("lift_of", "gamma00_of"):
+        orig = getattr(geometry, name)
+        spy = lambda *a, name=name, orig=orig: calls.append(name) or orig(*a)
+        monkeypatch.setattr(geometry, name, spy)
+        monkeypatch.setattr(symmetry, name, spy)
+
+    def counts(gens):
+        calls.clear()
+        check_equivalences(rigidbody, gens, *pts)
+        return calls.count("lift_of"), calls.count("gamma00_of")
+
+    one = counts(gens[:1])
+    assert one[0] > 0 and one[1] > 0
+    assert counts(gens) == one
 
 
 def test_equivalence_gauge_dependent_charge(cyclotron):
@@ -918,8 +939,29 @@ def _bracket_charges(name):
     return model, [c for c, _, _ in noether_charges(gens, model.theta)]
 
 
+def _seeded_djet(f, xs):
+    """The jet of the charge's differential by seeded dual passes."""
+    return jet(lambda ys: duals.grad(f.value, ys), xs)
+
+
 _BRACKET_MODELS = ["free2d", "free3d", "rigidbody", "cyclotron",
                    "random-0", "random-1", "random-2", "random-3"]
+
+
+@pytest.mark.parametrize("name", _BRACKET_MODELS)
+def test_charge_jets_equal_the_seeded_jets(name):
+    model, charges = _bracket_charges(name)
+    n, dim = model.chart.n, model.chart.dim_phase
+    pts = model.sample_phase(3, seed=65)
+    pts += [xs[: n + 1] + [0.0] * n for xs in pts]  # the same base points at v = 0
+    run = charge_jets(charges, dim)
+    for xs in pts:
+        for f, (df, ddf) in zip(charges, run(xs)):
+            want, dwant = _seeded_djet(f, xs)
+            pairs = list(zip(df, want)) + [(a, b) for r, s in zip(ddf, dwant) for a, b in zip(r, s)]
+            assert len(pairs) == dim + dim * dim
+            scale = max(1.0, *(abs(value(b)) for _, b in pairs))
+            assert max(abs(a - value(b)) for a, b in pairs) <= 1e-13 * scale, (name, xs)
 
 
 @pytest.mark.parametrize("name", _BRACKET_MODELS)
@@ -928,11 +970,11 @@ def test_bracket_jet_equals_the_seeded_pair_bracket(name):
     assert len(charges) >= 3
     om = model.omega
     xs = model.sample_phase(1, seed=61)[0]
-    djets = [jet(differential(f), xs) for f in charges]
+    djets = [_seeded_djet(f, xs) for f in charges]
     opjet = jet(lift_operator(om), xs)
     for i, f in enumerate(charges):
         for j in range(i + 1, len(charges)):
-            got, dgot = bracket_jet(djets[i], djets[j], opjet)
+            got, dgot = bracket_jet(lift_jet(opjet, djets[i], 0.0), djets[j])
             for tau in (0.0, 1.0):
                 for sigma in (0.0, 1.0):
                     want, dwant = duals.jet(pair_bracket((f, tau), (charges[j], sigma), om)[0], xs)
@@ -946,7 +988,7 @@ def test_lift_jet_is_the_jet_of_the_tau_lift(free3d, rigidbody):
         om, xs = model.omega, model.sample_phase(1, seed=63)[0]
         opjet = jet(lift_operator(om), xs)
         for f in named_charges(model).values():
-            djet = jet(differential(f), xs)
+            djet = _seeded_djet(f, xs)
             for tau in (0.0, 1.0, -0.5):
                 (h, dh), (w, dw) = lift_jet(opjet, djet, tau), jet(tau_lift(f, tau, om), xs)
                 assert max(abs(a - b) for a, b in zip(h, w)) <= 1e-13
