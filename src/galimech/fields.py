@@ -6,7 +6,9 @@ v1..vn) on phase space, where v_i are the chart velocities.  A
 derivative rules, so its partials are fields too (exact to total order 2
 through :func:`Field.partial`).  :func:`program` compiles any nesting of
 fields into one straight-line function that evaluates each shared
-subexpression once per point, on floats and on dual numbers alike.
+subexpression once per point, on floats and on dual numbers alike; a
+polynomial leaf is one call of an evaluator compiled once per monomial
+pattern, with the leaf's coefficients bound.
 """
 
 import functools
@@ -129,9 +131,10 @@ class Field:
             n, raised = len(vec), matvec(f, vec)
             return matvec(f, [w.d(k) - sum((a[h * n + j].d(k) * raised[j] for j in range(n)), ZERO)
                               for h, w in enumerate(vec)])[i]
-        if op == "poly":
-            return polynomial([(c * p, {**dict(expo), k: p - 1})
-                               for c, expo in args[0] for slot, p in expo if slot == k])
+        if op == "poly":  # the power rule term by term; slot k keeps its place in each term
+            return _poly(tuple((finite(c * p), tuple((s, q - 1) if s == k else (s, q)
+                                                     for s, q in expo if s != k or q != 1))
+                               for c, expo in f for slot, p in expo if slot == k))
         return ONE if op == "coord" else ZERO
 
     def partial(self, alpha, xs):
@@ -207,10 +210,13 @@ def _folded(fn, *consts):
 
 
 def _node(op, *fields):
-    """The ``op`` node over operand fields; it reads what they read."""
-    fields = tuple(map(as_field, fields))
-    folded = _folded(_FOLD[op], *(f.const_value for f in fields))
-    return folded or Field(None, support(*fields), op, fields)
+    """The ``op`` node over operand fields; it reads what they read.  On
+    constants alone it is folded (:func:`_folded`)."""
+    consts = [f.const_value for f in fields]
+    if None not in consts and (folded := _folded(_FOLD[op], *consts)):
+        return folded
+    sets = [f.deps for f in fields]
+    return Field(None, None if None in sets else frozenset().union(*sets), op, fields)
 
 
 def inverse(entries, fn):
@@ -245,6 +251,7 @@ def program(structure):
     """
     env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp}
     lines, named, fns = [], {}, {}  # fns: id(callable) -> its name
+    pats, ks = {}, {}  # a polynomial's monomial pattern, and its coefficients -> their names
     text = {}  # id(field) -> expression of its value
 
     def emit(f):
@@ -258,10 +265,14 @@ def program(structure):
             return text[id(f)]
         if op == "coord":
             key = expr = f"xs[{args[0]}]"
-        elif op == "poly":
-            key = expr = " + ".join(["0.0"] + ["".join(
-                [f"({c!r})"] + [f" * xs[{s}]" + (f" ** {p}" if p != 1 else "") for s, p in expo])
-                for c, expo in args[0]])
+        elif op == "poly":  # one call of its pattern's evaluator on its bound coefficients
+            coeffs, pattern = zip(*args[0])
+            name = pats.setdefault(pattern, f"p{len(pats)}")
+            env[name] = _evaluator(pattern)
+            # 0.0 == -0.0, so a zero coefficient's sign is told apart by its text
+            k = ks.setdefault(coeffs if all(coeffs) else tuple(map(repr, coeffs)), f"k{len(ks)}")
+            env[k] = coeffs
+            key = expr = f"{name}(xs, {k})"
         elif op in ("call", "inverse"):  # one line per callable, or per matrix over its entries
             name = fns.setdefault(id(args[0]), f"c{len(fns)}")
             env[name] = args[0]
@@ -307,6 +318,18 @@ def _code(source):
     return compile(source, "<fields.program>", "exec")
 
 
+@functools.lru_cache(maxsize=128)
+def _evaluator(pattern):
+    """A polynomial of terms with exponents ``pattern`` as a function of a
+    point and the terms' coefficients ``c``, built once per pattern: 0.0 +
+    c[0] * xs[s] ** p * ... + c[1] * ..., added left to right."""
+    terms = "".join(f" + c[{i}]" + "".join(f" * xs[{s}]" + (f" ** {p}" if p != 1 else "")
+                                           for s, p in expo) for i, expo in enumerate(pattern))
+    env = {}
+    exec(compile(f"def poly(xs, c):\n    return 0.0{terms}\n", "<fields.polynomial>", "exec"), env)
+    return env.pop("poly")  # left in env, its own globals, it would be a reference cycle
+
+
 @functools.cache
 def _matvec(n):
     """M v of an n x n matrix M given as nested lists and a vector of n
@@ -348,7 +371,7 @@ def as_field(f):
     raise TypeError(f"cannot treat {f!r} as a field")
 
 
-sin_of, cos_of, exp_of = (functools.partial(_node, op) for op in ("sin", "cos", "exp"))
+sin_of, cos_of, exp_of = (lambda f, op=op: _node(op, as_field(f)) for op in ("sin", "cos", "exp"))
 # the chain rule: the derivative of op at f, as a field
 _CHAIN = {"sin": cos_of, "cos": lambda f: -sin_of(f), "exp": exp_of}
 
@@ -357,8 +380,14 @@ def polynomial(terms):
     """Sparse multivariate polynomial: ``terms = [(coeff, {slot: power})]``;
     zero powers are dropped, so ``deps`` is the slots with a non-zero power.
     Its partials are polynomials, by the power rule term by term."""
-    cooked = tuple((finite(c), tuple(sorted((k, p) for k, p in e.items() if p))) for c, e in terms)
-    # with no non-zero power it is the constant of its terms, added up as evaluated
+    return _poly(tuple((finite(c), tuple(sorted((k, p) for k, p in e.items() if p)))
+                       for c, e in terms))
+
+
+def _poly(cooked):
+    """The polynomial of terms (coeff, ((slot, power), ...)), slots sorted
+    and powers non-zero; with no power at all it is the constant of its
+    terms, added up as evaluated."""
     folded = _folded(lambda *cs: functools.reduce(operator.add, cs, 0.0),
                      *(None if expo else c for c, expo in cooked))
     deps = frozenset(slot for _, expo in cooked for slot, _ in expo)

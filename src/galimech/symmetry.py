@@ -54,8 +54,9 @@ class SpacetimeVectorField:
 
     ``jet`` evaluates the components and their first partials, one program
     per point; ``d2``, the second partials, is a second program, compiled
-    only when a family reads them.  The holonomic and tangent lifts are
-    contractions of the first partials with a direction.
+    only when a family reads them (none for constant components).  The
+    holonomic and tangent lifts are contractions of the first partials with
+    a direction.
     """
 
     def __init__(self, chart, x0, comps, label=""):
@@ -73,8 +74,11 @@ class SpacetimeVectorField:
 
     @functools.cached_property
     def d2(self):
-        """d2[i][lam][mu] = d_lam d_mu X^(i+1), as one program."""
-        e = range(self.chart.n + 1)
+        """d2[i][lam][mu] = d_lam d_mu X^(i+1), as one program; fresh zeros,
+        with no program, when every component is constant."""
+        e, m = range(self.chart.n + 1), len(self.comps)
+        if all(c.const_value is not None for c in self.comps):
+            return lambda xs: [[[0.0 for _ in e] for _ in e] for _ in range(m)]
         return program([[[c.d(min(lam, mu)).d(max(lam, mu)) for mu in e] for lam in e]
                         for c in self.comps])
 
@@ -543,6 +547,7 @@ class MomentumMapEntry:
     label: str
     generator: SpacetimeVectorField
     charge: SpecialQuadratic
+    theta: object  # the potential form; the charge is -(x0 theta_0 + X^a theta_a)
     tau: float
     anchor_point: list
     anchor_value: float
@@ -601,6 +606,7 @@ def momentum_map(action, theta, check_points, anchor=None, tol=TOL_PASS):
                 label=gen.label or f"{action.name}[{idx}]",
                 generator=gen,
                 charge=charge,
+                theta=theta,
                 tau=gen.x0,
                 anchor_point=list(anchor),
                 anchor_value=value(charge.value(anchor)),
@@ -679,10 +685,13 @@ def lift_jet(opjet, djet, tau):
 def generator_match(entry, omega, points):
     """Defect between the lifted charge (at its own time scale) and the
     holonomic lift of the generator; two-sided per the uniqueness of the
-    lift in its time component."""
-    return worst([[value(a) - value(b) for a, b in zip(
-        tau_lift_values(entry.charge, entry.tau, omega, xs), entry.generator.prolong1_values(xs))]
-        for xs in points])
+    lift in its time component.  The charge's dF is its
+    :func:`charge_differential` from the jets of the potential form and of
+    the generator."""
+    op, theta, X = lift_operator(omega), entry.theta, entry.generator
+    return worst([[a - b for a, b in zip(
+        apply_lift(op(xs), charge_differential(theta.jet(xs), X.jet(xs)), entry.tau),
+        X.prolong1_values(xs))] for xs in points])
 
 
 # -- classification of quadratic phase functions ------------------------------

@@ -611,6 +611,16 @@ def test_singular_metric_at_explicit_point_is_check_failure(capsys):
     assert err.startswith("check failed: metric is singular at [0.0, 0.0, 0.0, 0.0")
 
 
+@pytest.mark.parametrize("argv", [["derive"], ["noether", "--field", "d0", "--points", "2"]])
+def test_a_polynomial_partial_that_overflows_is_an_input_error(tmp_path, capsys, argv):
+    # d_2 (1e308 x2^2) = 2e308 x2 has a coefficient that is not finite
+    big = {"kind": "polynomial", "coeffs": [[1e308, [2, 2]]]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"n": 2, "metric": {"entries": {}}, "potential": [0, big, 0]}))
+    assert run_cli([*argv, "--model", str(path)]) == 3
+    assert capsys.readouterr().err == "error: a coefficient must be finite, got inf\n"
+
+
 @pytest.mark.parametrize("argv", [["derive", "--point", "0,0,0,0,0"],
                                   ["simulate", "--x0=0,0", "--v0=0.1,0.1", "--T", "0.01"]])
 def test_a_metric_entry_dividing_by_zero_is_a_field_error(tmp_path, capsys, argv):

@@ -15,7 +15,7 @@ from galimech import cli, duals, symmetry
 from galimech.duals import MultiDual, partial, partial2, partial_multi, value
 from galimech.catalog import load_model, named_charges
 from galimech.dynamics import conserved_drift, integrate
-from galimech.fields import ONE, ZERO, Chart, constant, coordinate, program, sin_of
+from galimech.fields import ONE, ZERO, Chart, constant, coordinate, polynomial, program, sin_of
 from galimech.geometry import closure_residual, metric_record, reeb_residual
 from galimech.symmetry import (
     LieAlgebraAction,
@@ -386,6 +386,9 @@ def test_reductions_and_programs_leave_no_reference_cycles():
     x = coordinate(1)
     assert _cyclic_garbage(lambda: duals.worst([[1.0, [2.0]], [MultiDual({0: -3.0})]], 0.5)) == 0
     assert _cyclic_garbage(lambda: program([x * x, sin_of(x)])([0.0, 0.3, 0.0])) == 0
+    # a polynomial leaf calls its pattern's evaluator, compiled here for a new pattern
+    poly = polynomial([(1.5, {1: 4, 2: 5}), (-2.0, {})])
+    assert _cyclic_garbage(lambda: program([poly * x, poly.d(2)])([0.0, 0.3, 0.5])) == 0
     assert _cyclic_garbage(
         lambda: SpacetimeVectorField(Chart(2), 1.0, [x, x]).jet([0.0, 0.3, 0.5])) == 0
 

@@ -4,9 +4,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from galimech import duals
-from galimech.duals import value
+from galimech import duals, fields
+from galimech.duals import MultiDual, value
 from galimech.fields import (
     Chart,
     DerivativeOrderError,
@@ -177,6 +178,11 @@ def test_operations_on_constants_fold():
     # a value that is not finite stays an operation, to fail where it is evaluated
     assert (constant(1e300) * constant(1e300)).op == "mul"
     assert (constant(0.0) ** -1).op == "pow"
+    big = constant(1e308) * constant(10.0)
+    assert big.const_value is None and big.deps == frozenset() and big([0.0]) == math.inf
+    assert exp_of(1e3).op == "exp" and (constant(1e308) + constant(1e308)).op == "add"
+    # sin_of, cos_of and exp_of also take a number
+    assert exp_of(0.0).const_value == 1.0 and (constant(6.0) / constant(4.0)).const_value == 1.5
 
 
 def test_program_deps_are_the_union_of_its_fields_supports():
@@ -200,10 +206,84 @@ def test_program_returns_the_nesting_it_is_given():
     assert program([])(xs) == [] and program(())(xs) == ()
 
 
+def test_a_node_reads_the_union_of_its_operands_supports():
+    x1, x2, bare = coordinate(1), coordinate(2), Field(lambda xs: xs[3])
+    assert (x1 + x2).deps == {1, 2} and (x1 * x2 / x1).deps == {1, 2}
+    assert (-x1).deps == {1} and sin_of(x2).deps == {2} and (x1 - constant(3.0)).deps == {1}
+    # an operand whose support is unknown makes the node's unknown
+    assert (x1 * bare).deps is None and (bare + x2).deps is None and cos_of(bare).deps is None
+
+
+def _literal_sum(terms, xs):
+    """The test-side oracle of a polynomial: 0.0 plus each term c * x_s ** p
+    * ... in turn, its factors in slot order, a power 1 as the coordinate
+    itself and a power 0 left out."""
+    total = 0.0
+    for c, expo in terms:
+        t = c
+        for slot, p in sorted(expo.items()):
+            if p:
+                t = t * (xs[slot] if p == 1 else xs[slot] ** p)
+        total = total + t
+    return total
+
+
+_coeffs = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e300, -1e300, 7e307]))
+
+
+@st.composite
+def _polynomials(draw):
+    """(n, terms) of a polynomial over the 2n+1 phase slots, n = 2..4: 1 to 6
+    terms, each a coefficient and up to 3 factors of power 0 to 3."""
+    n = draw(st.integers(2, 4))
+    expo = st.dictionaries(st.integers(0, 2 * n), st.integers(0, 3), max_size=3)
+    return n, draw(st.lists(st.tuples(_coeffs, expo), min_size=1, max_size=6))
+
+
+def _dual_point(xs):
+    """``xs`` as duals along two infinitesimals, with first parts that differ by slot."""
+    return [MultiDual({0: x, 1: 1.0 + k, 2: 0.5 * x}) for k, x in enumerate(xs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polynomials(), st.data())
+def test_polynomial_programs_are_their_literal_terms_exactly(poly, data):
+    n, terms = poly
+    xs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n + 1, max_size=2 * n + 1))
+    f = polynomial(terms)
+    run = program([f, [coordinate(1), f]])
+    for point in (xs, _dual_point(xs)):
+        want = _literal_sum(terms, point)
+        assert repr(run(point)) == repr([want, [point[1], want]])
+        assert repr(f(point)) == repr(want)
+
+
+def test_polynomials_of_one_pattern_share_one_evaluator(monkeypatch):
+    compiled, real = [], compile
+    monkeypatch.setattr(fields, "compile", lambda src, *a: compiled.append(src) or real(src, *a),
+                        raising=False)
+    fields._evaluator.cache_clear()
+    xs = [0.1 * k - 0.4 for k in range(12)]
+    first, second = ([(c, {7: 3, 11: 2}), (d, {}), (e, {5: 1})]
+                     for c, d, e in ([1.5, -2.0, 0.25], [-3.0, 0.5, 1e-3]))
+    assert program([polynomial(first)])(xs) == [_literal_sum(first, xs)]
+    assert compiled[0].startswith("def poly(")  # the pattern's evaluator, built on first use
+    compiled.clear()
+    # the same pattern: its evaluator and the program's text are both there already
+    assert program([polynomial(second)])(xs) == [_literal_sum(second, xs)]
+    assert compiled == []
+
+
+def test_zero_coefficients_of_either_sign_stay_apart_in_one_program():
+    # on an infinite dual the sign of a zero coefficient shows in the first part
+    plus, minus = polynomial([(0.0, {1: 1})]), polynomial([(-0.0, {1: 1})])
+    xs = [0.0, MultiDual({0: math.inf, 1: 1.0})]
+    assert repr(program([plus, minus])(xs)) == repr([plus(xs), minus(xs)])
+    assert repr(plus(xs)) != repr(minus(xs))
+
+
 def _spy_compiles(monkeypatch):
     """The texts ``fields.program`` compiles from now on."""
-    from galimech import fields
-
     compiled, code = [], fields._code
     monkeypatch.setattr(fields, "_code", lambda source: compiled.append(source) or code(source))
     return compiled

@@ -81,6 +81,37 @@ def test_the_owner_deps_check_sees_each_form():
         assert not _declares_owner_deps(ast.parse(text)), text
 
 
+CODE_BUILTINS = {"exec", "compile", "eval"}
+
+
+def _generates_code(tree):
+    """Whether ``tree`` calls ``exec``, ``compile`` or ``eval``, by name or
+    through ``builtins``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in CODE_BUILTINS
+                    or isinstance(f, ast.Attribute) and f.attr in CODE_BUILTINS
+                    and isinstance(f.value, ast.Name) and f.value.id == "builtins"):
+                return True
+    return False
+
+
+def test_only_fields_generates_code():
+    # fields.program and its per-pattern and matvec helpers are the one code generator
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 5
+    assert [p.name for p in sources if _generates_code(ast.parse(p.read_text()))] == ["fields.py"]
+
+
+def test_the_code_generation_check_sees_each_form():
+    for text in ["exec(s, env)", "code = compile(s, 'f', 'exec')", "x = eval('1')",
+                 "import builtins\nbuiltins.exec(s)", "def f():\n    return [compile(t, n, m)]"]:
+        assert _generates_code(ast.parse(text)), text
+    for text in ["re.compile(p)", "pattern.compile()", "self.exec(s)", "execute(s)", "f = exec"]:
+        assert not _generates_code(ast.parse(text)), text
+
+
 SEEDED = {"grad", "jet", "partial", "partial2", "partial_multi"}
 
 # every function outside duals and the oracles that runs a seeded dual pass

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ from galimech import duals, geometry, symmetry
 from galimech.duals import jet, value
 from galimech.catalog import load_model, named_charges
 from galimech.fields import (
-    Chart, Field, ONE, ZERO, constant, coordinate, polynomial, sample_points, sin_of,
+    Chart, Field, ONE, ZERO, constant, coordinate, polynomial, program, sample_points, sin_of,
 )
 from galimech.geometry import lagrangian_and_momentum, poincare_cartan
 from galimech.symmetry import (
@@ -752,6 +753,44 @@ def test_generator_match_and_offset(free3d):
     e2 = copy.copy(e)
     e2.tau = e.tau + 1.0
     assert generator_match(e2, free3d.omega, pts) >= 1.0 - 1e-9
+
+
+def test_generator_match_lifts_the_closed_form_charge_differential(catalog_models, monkeypatch):
+    # the reference is the lift of the charge itself, its dF by a seeded pass
+    want = {}
+    for model in catalog_models:
+        pts = model.sample_phase(4, seed=8)
+        for action in model.actions.values():
+            for e in momentum_map(action, model.theta, pts, anchor=model.anchor()):
+                for tau in (e.tau, e.tau + 1.0):
+                    want[model.name, e.label, tau] = duals.worst([
+                        [value(a) - value(b) for a, b in zip(
+                            tau_lift_values(e.charge, tau, model.omega, xs),
+                            e.generator.prolong1_values(xs))] for xs in pts])
+    for name in ("grad", "jet", "partial", "partial2", "partial_multi"):
+        monkeypatch.setattr(duals, name, None)  # the match seeds no pass
+    for model in catalog_models:
+        pts = model.sample_phase(4, seed=8)
+        for action in model.actions.values():
+            for e in momentum_map(action, model.theta, pts, anchor=model.anchor()):
+                for tau in (e.tau, e.tau + 1.0):
+                    got = generator_match(dataclasses.replace(e, tau=tau), model.omega, pts)
+                    assert abs(got - want[model.name, e.label, tau]) <= 1e-15, (model.name, e.label)
+
+
+def test_a_constant_generator_has_second_partials_without_a_program(rigidbody, monkeypatch):
+    built = []
+    monkeypatch.setattr(symmetry, "program", lambda s: built.append(s) or program(s))
+    xs = rigidbody.sample_e(1, seed=2)[0]
+    X = SpacetimeVectorField(rigidbody.chart, 1.0, [ZERO, constant(2.0), ONE])
+    first, again = X.d2(xs), X.d2(xs)
+    assert built == [] and first == [[[0.0] * 4] * 4] * 3
+    # fresh lists at every call: a caller may change its own
+    assert first is not again and first[0] is not again[0] and first[0][0] is not again[0][0]
+    rz = rigidbody.actions["rotations"].generators[2]
+    assert all(c.const_value is not None for c in rz.comps) and rz.d2(xs) == first
+    Y = SpacetimeVectorField(rigidbody.chart, 0.0, [coordinate(2) ** 2, ZERO, ZERO])
+    assert Y.d2(xs)[0][2][2] == 2.0 and len(built) == 1
 
 
 # -- quadratic classification -----------------------------------------------------------
