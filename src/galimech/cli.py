@@ -346,7 +346,8 @@ def cmd_simulate(args, model):
     if args.charges:  # an unknown name is rejected before the run
         wanted = []
         for nm in args.charges.split(","):
-            nm = nm.strip()
+            if not (nm := nm.strip()):
+                raise ParseError(f"--charges {args.charges!r} has an empty entry")
             nm = nm if nm.startswith("charge_") else f"charge_{nm}"
             if nm in wanted:
                 raise ParseError(f"--charges names {nm} more than once")
@@ -358,8 +359,9 @@ def cmd_simulate(args, model):
         raise ValueError(f"simulate: --T {args.T} and --h {args.h}: {exc}") from None
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"v{i}" for i in range(1, n + 1)]
     lines = [",".join(header + list(charges))]
+    cells_of = program([fn.value for fn in charges.values()])  # a row's charge cells
     for k, row in enumerate(traj.rows.tolist()):
-        cells = [float(value(fn.value(row))) for fn in charges.values()]
+        cells = cells_of(row)
         for name, c in zip(charges, cells):
             if not math.isfinite(c):
                 raise ValueError(f"simulate: {name} is {c} at step {k}")

@@ -342,6 +342,38 @@ def _matvec(n):
     return env["matvec"]
 
 
+@functools.cache
+def rk4_step(n):
+    """One classical RK4 step of (t, x, v)' = (1, v, acc(t, x, v)) on a
+    state of 2n+1 floats, as one straight-line function built once per
+    dimension: ``step(state, acc, half, h, sixth)``, with ``acc`` the n
+    accelerations at a state and half = h/2, sixth = h/6.  Slot by slot it
+    makes the float operations of the array form in its order, stage
+    s + half k or s + h k and step s + sixth (((k1 + 2 k2) + 2 k3) + k4), so
+    the states are bit for bit those of numpy arithmetic on arrays.  It
+    returns the new state as a list, or None as soon as a stage state or
+    the new state is not finite; ``acc`` reads only finite states, and
+    ``state`` is taken to be one."""
+    dim = 2 * n + 1
+    s = [f"s{i}" for i in range(dim)]
+    lines, ks, at, arg = [f"{', '.join(s)}, = state"], [], s, "state"
+    for j, (name, by) in enumerate((("u", "half"), ("w", "half"), ("z", "h"), ("r", None))):
+        acc = [f"a{j}_{i}" for i in range(n)]
+        lines.append(f"{', '.join(acc)}, = acc({arg})")
+        ks.append(["1.0", *at[n + 1 :], *acc])  # the slope of each slot at the stage state
+        at = [f"{name}{i}" for i in range(dim)]
+        lines += [f"{r} = s{i} + {by} * {ks[j][i]}" if by else
+                  f"{r} = s{i} + sixth * ((({ks[0][i]} + 2.0 * {ks[1][i]}) + 2.0 * {ks[2][i]})"
+                  f" + {ks[3][i]})" for i, r in enumerate(at)]
+        lines += [f"if not ({' and '.join(f'isfinite({r})' for r in at)}):", "    return None"]
+        arg = f"[{', '.join(at)}]"
+    env = {"isfinite": math.isfinite}
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(compile(f"def step(state, acc, half, h, sixth):\n{body}    return {arg}\n",
+                 "<fields.rk4_step>", "exec"), env)
+    return env.pop("step")  # left in env, its own globals, it would be a reference cycle
+
+
 def finite(x, what="a coefficient"):
     """``x`` as a float; a non-finite value is an input error."""
     if not math.isfinite(x := float(x)):

@@ -48,7 +48,8 @@ from galimech.oracles import (
     vertical_projector_phase,
     vertical_projector_spacetime,
 )
-from galimech.dynamics import conserved_drift, convergence_order, integrate
+from galimech.dynamics import integrate
+from tests_support import conserved_drift, convergence_order
 
 
 def report(num, desc, ok, detail=""):

@@ -177,6 +177,31 @@ def test_a_repeated_charge_is_an_input_error(monkeypatch, capsys):
     assert calls == [] and "charge_R1 more than once" in err
 
 
+@pytest.mark.parametrize("charges", [",d0", "d0,", "d0,,Rz"])
+def test_an_empty_charge_entry_is_an_input_error(charges, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.dynamics, "integrate", lambda *a: calls.append(a))
+    err = _input_error(["simulate", "--model", "rigidbody", f"--charges={charges}"], capsys)
+    assert calls == [] and err == f"error: --charges {charges!r} has an empty entry\n"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("rigidbody", ["--T", "0.05", "--charges", "d0,Rz,Rx"]),
+    ("cyclotron", ["--T", "0.05", "--v0", "1,0,0.2", "--charges", "d0"]),
+])
+def test_simulate_charge_cells_are_each_charge_value_bit_for_bit(name, argv, capsys):
+    # one program gives every charge's cell; each is the charge's own value
+    assert run_cli(["simulate", "--model", name, *argv]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    names = header.split(",")[7:]
+    charges = named_charges(load_model(name), names)
+    assert len(lines) == 51 and list(charges) == names
+    for line in lines:
+        cells = line.split(",")
+        row = [float(c) for c in cells[:7]]
+        assert cells[7:] == [repr(q.value(row)) for q in charges.values()]
+
+
 def test_simulate_csv(tmp_path, capsys):
     code = run_cli([
         "simulate", "--model", "free3d", "--x0", "0,0,0", "--v0", "1,0,0",

@@ -14,7 +14,7 @@ import pytest
 from galimech import cli, duals, symmetry
 from galimech.duals import MultiDual, partial, partial2, partial_multi, value
 from galimech.catalog import load_model, named_charges
-from galimech.dynamics import conserved_drift, integrate
+from galimech.dynamics import integrate
 from galimech.fields import ONE, ZERO, Chart, constant, coordinate, polynomial, program, sin_of
 from galimech.geometry import closure_residual, metric_record, reeb_residual
 from galimech.symmetry import (
@@ -26,6 +26,7 @@ from galimech.symmetry import (
     momentum_map,
     tau_lift_values,
 )
+from tests_support import conserved_drift
 
 
 def f_poly(xs):

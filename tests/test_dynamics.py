@@ -3,20 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from galimech import dynamics, fields
 from galimech.catalog import load_model
 from galimech.duals import value
 from galimech.dynamics import (
     IntegrationError,
     Trajectory,
-    conserved_drift,
-    convergence_order,
     integrate,
     law_of_motion_rhs,
 )
 from galimech.fields import Chart, ZERO, constant, coordinate
 from galimech.geometry import DynamicalConnection
 from galimech.symmetry import noether_charge
-from tests_support import numpy_rk4, random_compatible_model
+from tests_support import (
+    conserved_drift,
+    convergence_order,
+    generated_model,
+    numpy_rk4,
+    random_compatible_model,
+)
 
 
 def test_rhs_flat(free3d):
@@ -104,10 +109,19 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _model(name):
+    if name.startswith("random-"):
+        return random_compatible_model(int(name[-1]))
+    if name.startswith("config-n"):
+        return generated_model(int(name[-1]))
+    return load_model(name)
+
+
 @pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody",
-                                  "random-0", "random-1", "random-2", "random-3"])
+                                  "random-0", "random-1", "random-2", "random-3",
+                                  "config-n2", "config-n4"])
 def test_integrate_equals_the_numpy_loop_bit_for_bit(name):
-    model = random_compatible_model(int(name[-1])) if name.startswith("random") else load_model(name)
+    model = _model(name)
     p0 = model.sample_phase(1, seed=5)[0]
     traj = integrate(model.dyn, p0, 0.5, 0.01)
     ts, xs, vs = numpy_rk4(model.dyn, p0, 0.5, 0.01)
@@ -127,6 +141,25 @@ def test_integrate_fails_at_the_step_of_the_numpy_loop(accel, h, why):
         with pytest.raises(IntegrationError) as exc:
             run(dyn, [0.0, 1.0, 0.0, 1.0, 0.0], 100.0, h)
         assert str(exc.value) == why
+
+
+def test_integrate_reads_the_acceleration_through_law_of_motion_rhs(rigidbody, monkeypatch):
+    # four stages a step, each through the module's name, which a tracer may wrap
+    calls, rhs = [], dynamics.law_of_motion_rhs
+    monkeypatch.setattr(dynamics, "law_of_motion_rhs",
+                        lambda dyn, xs: calls.append(xs) or rhs(dyn, xs))
+    traj = integrate(rigidbody.dyn, rigidbody.sample_phase(1, seed=2)[0], 0.07, 0.01)
+    assert len(traj) == 8 and len(calls) == 4 * 7
+
+
+def test_one_rk4_step_serves_every_model_of_a_dimension(free3d, rigidbody, monkeypatch):
+    assert fields.rk4_step(3) is fields.rk4_step(3)
+    assert fields.rk4_step(2) is not fields.rk4_step(3)
+    steps = []
+    monkeypatch.setattr(dynamics, "rk4_step", lambda n: steps.append(fields.rk4_step(n)) or steps[-1])
+    for model in (free3d, rigidbody):
+        integrate(model.dyn, model.sample_phase(1, seed=3)[0], 0.02, 0.01)
+    assert len(steps) == 2 and steps[0] is steps[1] is fields.rk4_step(3)
 
 
 def test_conserved_drift_momentum_free(free3d):

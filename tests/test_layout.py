@@ -98,7 +98,8 @@ def _generates_code(tree):
 
 
 def test_only_fields_generates_code():
-    # fields.program and its per-pattern and matvec helpers are the one code generator
+    # fields.program, its per-pattern and matvec helpers and the RK4 step
+    # helper rk4_step are the one code generator
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 5
     assert [p.name for p in sources if _generates_code(ast.parse(p.read_text()))] == ["fields.py"]

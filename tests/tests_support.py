@@ -5,8 +5,9 @@ checks only the tests read (metric compatibility, the observed two-form and
 its closure, the Euler-Lagrange matrix, the zero connection), the raised
 forms of the two-form, the motion row and the lift operator that the
 lowered forms must reproduce, and the numpy form of the RK4 loop that
-``dynamics.integrate`` must reproduce, and the models with a potential
-form that closed forms are checked on."""
+``dynamics.integrate`` must reproduce, the models with a potential form
+that closed forms are checked on, and the drift of a phase function along
+a trajectory and the empirical order of the integrator."""
 
 import math
 import random
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from galimech import duals
 from galimech.catalog import Model, catalog_names, load_model, model_from_config
 from galimech.fields import Chart, Field, ZERO, constant, coordinate, polynomial, program
-from galimech.dynamics import IntegrationError, StepError, law_of_motion_rhs
+from galimech.dynamics import IntegrationError, StepError, integrate, law_of_motion_rhs
 from galimech.geometry import (
     Metric,
     PhaseTwoForm,
@@ -30,7 +31,7 @@ from galimech.geometry import (
     motion_of,
     phase_from_spacetime,
 )
-from galimech.symmetry import _along
+from galimech.symmetry import _along, gamma_dot
 
 
 def random_connection(chart, rng):
@@ -365,3 +366,38 @@ def numpy_rk4(dyn, p0, T, h):
                 raise IntegrationError(f"non-finite state at step {k}")
             ts[k], xs[k], vs[k] = state[0], state[1 : n + 1], state[n + 1 :]
     return ts, xs, vs
+
+
+def conserved_drift(fn, traj, dyn=None):
+    """Max drift of a phase function along a trajectory, and (when the
+    connection is supplied) the max of its derivative along the motion
+    direction, which is integration-independent."""
+    vals = [duals.value(fn(traj.phase_coords(k))) for k in range(len(traj))]
+    drift = duals.worst([v - vals[0] for v in vals])
+    residual = None
+    if dyn is not None:
+        residual = duals.worst([gamma_dot(fn, dyn, traj.phase_coords(k))
+                                for k in range(0, len(traj), max(1, len(traj) // 64))])
+    return drift, residual
+
+
+def convergence_order(dyn, p0, T, exact_fn, hs):
+    """Empirical order fit: log2 error ratios against an analytic solution.
+
+    ``exact_fn(t)`` returns the exact (x, v) arrays at time t.
+    """
+    errs = []
+    for h in hs:
+        traj = integrate(dyn, p0, T, h)
+        xe, ve = exact_fn(traj.t[-1])
+        errs.append(
+            max(
+                np.max(np.abs(traj.x[-1] - np.asarray(xe))),
+                np.max(np.abs(traj.v[-1] - np.asarray(ve))),
+            )
+        )
+    orders = [
+        np.log(errs[i] / errs[i + 1]) / np.log(hs[i] / hs[i + 1])
+        for i in range(len(hs) - 1)
+    ]
+    return errs, orders
