@@ -8,10 +8,13 @@ through :func:`Field.partial`).  :func:`program` compiles any nesting of
 fields into one straight-line function that evaluates each shared
 subexpression once per point, on floats and on dual numbers alike; a
 polynomial leaf is one call of an evaluator compiled once per monomial
-pattern, with the leaf's coefficients bound.
+pattern, with the leaf's coefficients bound.  A polynomial's partials
+are polynomial leaves, so a program's text depends on its graph's shape
+only: models whose graphs have one shape share one compiled program.
 """
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -132,8 +135,8 @@ class Field:
             return matvec(f, [w.d(k) - sum((a[h * n + j].d(k) * raised[j] for j in range(n)), ZERO)
                               for h, w in enumerate(vec)])[i]
         if op == "poly":  # the power rule term by term; slot k keeps its place in each term
-            return _poly(tuple((finite(c * p), tuple((s, q - 1) if s == k else (s, q)
-                                                     for s, q in expo if s != k or q != 1))
+            return _poly(tuple((_scaled(c, p, k), tuple((s, q - 1) if s == k else (s, q)
+                                                        for s, q in expo if s != k or q != 1))
                                for c, expo in f for slot, p in expo if slot == k))
         return ONE if op == "coord" else ZERO
 
@@ -247,11 +250,15 @@ def program(structure):
     Each structurally distinct subfield is one line, the operation the
     graph records on its operands' values, so it is evaluated once per
     point and every output is exactly its field's value alone, on floats
-    and on duals.  Its ``deps`` is the :func:`support` of the fields.
+    and on duals.  Constants are literals; each polynomial leaf's evaluator
+    and coefficients are bound under names of its own, numbered in the
+    order the leaves are visited, so programs whose graphs have one shape
+    have one text, compiled once.  Its ``deps`` is the :func:`support` of
+    the fields.
     """
     env = {"sin": duals.sin, "cos": duals.cos, "exp": duals.exp}
     lines, named, fns = [], {}, {}  # fns: id(callable) -> its name
-    pats, ks = {}, {}  # a polynomial's monomial pattern, and its coefficients -> their names
+    leaves = itertools.count()  # numbers each polynomial leaf's names in visiting order
     text = {}  # id(field) -> expression of its value
 
     def emit(f):
@@ -267,12 +274,9 @@ def program(structure):
             key = expr = f"xs[{args[0]}]"
         elif op == "poly":  # one call of its pattern's evaluator on its bound coefficients
             coeffs, pattern = zip(*args[0])
-            name = pats.setdefault(pattern, f"p{len(pats)}")
-            env[name] = _evaluator(pattern)
-            # 0.0 == -0.0, so a zero coefficient's sign is told apart by its text
-            k = ks.setdefault(coeffs if all(coeffs) else tuple(map(repr, coeffs)), f"k{len(ks)}")
-            env[k] = coeffs
-            key = expr = f"{name}(xs, {k})"
+            j = next(leaves)  # names of its own: the text does not depend on the data
+            env[f"p{j}"], env[f"k{j}"] = _evaluator(pattern), coeffs
+            key = expr = f"p{j}(xs, k{j})"
         elif op in ("call", "inverse"):  # one line per callable, or per matrix over its entries
             name = fns.setdefault(id(args[0]), f"c{len(fns)}")
             env[name] = args[0]
@@ -411,19 +415,36 @@ _CHAIN = {"sin": cos_of, "cos": lambda f: -sin_of(f), "exp": exp_of}
 def polynomial(terms):
     """Sparse multivariate polynomial: ``terms = [(coeff, {slot: power})]``;
     zero powers are dropped, so ``deps`` is the slots with a non-zero power.
-    Its partials are polynomials, by the power rule term by term."""
-    return _poly(tuple((finite(c), tuple(sorted((k, p) for k, p in e.items() if p)))
-                       for c, e in terms))
+    With no power at all it is the constant of its terms, added up as
+    evaluated.  Its partials are polynomials, by the power rule term by term."""
+    cooked = tuple((finite(c), tuple(sorted((k, p) for k, p in e.items() if p)))
+                   for c, e in terms)
+    return _folded(_sum, *(None if expo else c for c, expo in cooked)) or _poly(cooked)
+
+
+def _sum(*cs):
+    return functools.reduce(operator.add, cs, 0.0)
 
 
 def _poly(cooked):
-    """The polynomial of terms (coeff, ((slot, power), ...)), slots sorted
-    and powers non-zero; with no power at all it is the constant of its
-    terms, added up as evaluated."""
-    folded = _folded(lambda *cs: functools.reduce(operator.add, cs, 0.0),
-                     *(None if expo else c for c, expo in cooked))
+    """The polynomial leaf of terms (coeff, ((slot, power), ...)), slots
+    sorted and powers non-zero, or ZERO when its terms are constants that
+    add up to zero.  Other constants alone are a leaf too, not folded, so
+    the partials of a polynomial have one graph shape whatever its
+    coefficients."""
     deps = frozenset(slot for _, expo in cooked for slot, _ in expo)
-    return folded or Field(None, deps, "poly", (cooked,))
+    if not deps and _folded(_sum, *(c for c, _ in cooked)) is ZERO:
+        return ZERO
+    return Field(None, deps, "poly", (cooked,))
+
+
+def _scaled(c, p, k):
+    """c * p, the coefficient the power rule gives along x_k of a term c x_k^p ...;
+    one that overflows is an input error."""
+    if not math.isfinite(cp := c * p):
+        raise ValueError(f"the partial along x{k} of a polynomial term overflows: "
+                         f"{c!r} * {p} = {cp!r}")
+    return cp
 
 
 _OF_FIELD = {"sin": sin_of, "cos": cos_of, "exp": exp_of}

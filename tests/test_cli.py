@@ -16,7 +16,7 @@ from galimech.fields import ZERO, Chart, coordinate
 from galimech.geometry import Metric, PhaseTwoForm, PoincareCartan
 from galimech.symmetry import SpecialQuadratic
 from galimech.units import UnitMismatchError
-from tests_support import COEFFICIENTS, field_specs
+from tests_support import COEFFICIENTS, field_specs, generated_config
 
 
 # -- config ingestion -----------------------------------------------------------
@@ -643,7 +643,19 @@ def test_a_polynomial_partial_that_overflows_is_an_input_error(tmp_path, capsys,
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({"n": 2, "metric": {"entries": {}}, "potential": [0, big, 0]}))
     assert run_cli([*argv, "--model", str(path)]) == 3
-    assert capsys.readouterr().err == "error: a coefficient must be finite, got inf\n"
+    assert capsys.readouterr().err == ("error: the partial along x2 of a polynomial term "
+                                       "overflows: 1e+308 * 2 = inf\n")
+
+
+@pytest.mark.parametrize("argv", [["derive"], ["noether", "--field", "d0"], ["simulate"],
+                                  ["check-symmetry", "--field", "d0"]], ids=lambda a: a[0])
+def test_an_overflowing_partial_names_its_slot_and_product(tmp_path, capsys, argv):
+    # every coefficient given is finite: the power rule's 1e308 * 2 is not
+    big = {"kind": "polynomial", "coeffs": [[2.0, []], [1e308, [1, 2]]]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"n": 2, "metric": {"entries": {"1,1": big, "2,2": 1.0}}}))
+    err = _input_error([argv[0], "--model", str(path), *argv[1:]], capsys)
+    assert err == "error: the partial along x1 of a polynomial term overflows: 1e+308 * 2 = inf\n"
 
 
 @pytest.mark.parametrize("argv", [["derive", "--point", "0,0,0,0,0"],
@@ -1118,3 +1130,41 @@ def test_commands_without_second_order_families_read_no_second_partials(argv, mo
     assert run_cli(argv) == 0
     capsys.readouterr()
     assert counts["d2"] == [] and counts["programs"] > 0
+
+
+def _square_slots(cfg):
+    """The slot of each polynomial's square in a :func:`generated_config`."""
+    return [p["coeffs"][-1][1][0] for p in [*cfg["metric"]["entries"].values(), *cfg["potential"]]]
+
+
+def _coefficients(cfg):
+    return [c for p in [*cfg["metric"]["entries"].values(), *cfg["potential"]]
+            for c, _ in p["coeffs"]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_generated_config_of_a_dimension_seen_compiles_nothing_new(n, tmp_path, monkeypatch,
+                                                                      capsys):
+    # a program's text depends on its graph's shape alone, so a second config
+    # of the dimension, with other coefficients and square slots, reuses each one
+    from galimech import fields
+
+    first, second = generated_config(n, seed=1), generated_config(n, seed=2)
+    assert _square_slots(first) != _square_slots(second)
+    assert all(a != b for a, b in zip(_coefficients(first), _coefficients(second)))
+    texts, code = [], fields._code
+    monkeypatch.setattr(fields, "_code", lambda source: texts.append(source) or code(source))
+    argvs = [["derive"], ["noether", "--field", "x1 d2 - x2 d1", "--points", "4"],
+             ["simulate", "--T", "0.05", "--h", "0.01"]]
+    seen = []
+    for i, cfg in enumerate((first, second)):
+        path = tmp_path / f"config-{i}.json"
+        path.write_text(json.dumps(cfg))
+        texts.clear()
+        misses = code.cache_info().misses
+        for argv in argvs:
+            assert run_cli([argv[0], "--model", str(path), *argv[1:]]) in (0, 2)
+        seen.append(list(texts))
+    capsys.readouterr()
+    assert seen[1] and set(seen[1]) <= set(seen[0])
+    assert code.cache_info().misses == misses

@@ -234,10 +234,19 @@ _coeffs = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e300, -1e
 @st.composite
 def _polynomials(draw):
     """(n, terms) of a polynomial over the 2n+1 phase slots, n = 2..4: 1 to 6
-    terms, each a coefficient and up to 3 factors of power 0 to 3."""
+    terms, each a coefficient and up to 3 factors of power 0 to 3, or one
+    linear factor, so some partials are constants alone."""
     n = draw(st.integers(2, 4))
-    expo = st.dictionaries(st.integers(0, 2 * n), st.integers(0, 3), max_size=3)
+    slot = st.integers(0, 2 * n)
+    expo = st.one_of(st.dictionaries(slot, st.integers(0, 3), max_size=3),
+                     slot.map(lambda s: {s: 1}))
     return n, draw(st.lists(st.tuples(_coeffs, expo), min_size=1, max_size=6))
+
+
+def _literal_partial(terms, k):
+    """The test-side power rule: the terms c * p, x_k ** (p - 1), ... of the
+    partial along slot k, for each term c, x_k ** p, ... with p > 0."""
+    return [(c * e[k], {**e, k: e[k] - 1}) for c, e in terms if e.get(k)]
 
 
 def _dual_point(xs):
@@ -256,6 +265,41 @@ def test_polynomial_programs_are_their_literal_terms_exactly(poly, data):
         want = _literal_sum(terms, point)
         assert repr(run(point)) == repr([want, [point[1], want]])
         assert repr(f(point)) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polynomials(), st.data())
+def test_polynomial_partials_are_the_literal_power_rule_exactly(poly, data):
+    n, terms = poly
+    xs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n + 1, max_size=2 * n + 1))
+    slots = st.sampled_from(sorted({s for _, e in terms for s in e} | {0, 2 * n}))
+    f, lit = polynomial(terms), terms
+    for k in (data.draw(slots), data.draw(slots)):  # the first and a second partial
+        lit = _literal_partial(lit, k)
+        if not all(map(math.isfinite, (c for c, _ in lit))):
+            with pytest.raises(ValueError, match=f"the partial along x{k} of a polynomial term"):
+                f.d(k)
+            return
+        f = f.d(k)
+        run = program([f, [coordinate(1), f]])
+        for point in (xs, _dual_point(xs)):
+            want = _literal_sum(lit, point)
+            assert repr(run(point)) == repr([want, [point[1], want]])
+        constants = not any(p for _, e in lit for p in e.values())
+        # constants alone read no slot, and the partial is ZERO when they add up to zero
+        assert not constants or f.deps == frozenset()
+        assert (f is ZERO) == (constants and _literal_sum(lit, xs) == 0.0)
+
+
+def test_partials_of_constants_alone_stay_polynomial_leaves():
+    xs = [0.3, -0.7, 1.1]
+    d1 = polynomial([(1.5, {1: 1}), (-0.25, {1: 1}), (2.0, {2: 2})]).d(1)
+    assert d1.op == "poly" and d1.deps == frozenset() and d1.d(1) is ZERO
+    assert repr(d1(xs)) == repr(0.0 + 1.5 + -0.25) and d1.const_value is None
+    # constants that add up to zero, signed zeros among them, are ZERO
+    assert polynomial([(1.5, {1: 1}), (-1.5, {1: 1}), (1.0, {2: 1})]).d(1) is ZERO
+    assert polynomial([(0.0, {1: 1}), (-0.0, {1: 1}), (1.0, {2: 1})]).d(1) is ZERO
+    assert polynomial([(-0.0, {1: 1}), (1.0, {2: 1})]).d(1) is ZERO
 
 
 def test_polynomials_of_one_pattern_share_one_evaluator(monkeypatch):

@@ -105,9 +105,10 @@ def random_compatible_model(seed, n=3):
     return Model(f"random-{seed}", chart, Metric(chart, entries), A=A)
 
 
-def generated_model(n, seed=0):
-    """A model read from a JSON config as a generator writes one: a
-    polynomial metric near 2I and a polynomial gauge potential."""
+def generated_config(n, seed=0):
+    """A JSON config as a generator writes one: a polynomial metric near 2I
+    and a polynomial gauge potential, each polynomial a constant, the n+1
+    linear terms and one square in a random slot."""
     rng = random.Random(seed)
 
     def poly(base):
@@ -116,13 +117,18 @@ def generated_model(n, seed=0):
         terms.append([rng.uniform(-0.08, 0.08), [rng.randrange(n + 1), 2]])
         return {"kind": "polynomial", "coeffs": terms}
 
-    return model_from_config({
+    return {
         "name": f"generated-n{n}",
         "n": n,
         "metric": {"entries": {f"{a},{b}": poly(2.0 if a == b else 0.0)
                                for a in range(1, n + 1) for b in range(a, n + 1)}},
         "potential": [poly(0.0) for _ in range(n + 1)],
-    })
+    }
+
+
+def generated_model(n, seed=0):
+    """The model of :func:`generated_config`."""
+    return model_from_config(generated_config(n, seed))
 
 
 # models with a potential form: the catalog's, random ones and generated configs
