@@ -15,6 +15,7 @@ codes: 0 all checks pass, 2 a symmetry or consistency check failed,
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -27,18 +28,15 @@ from .fields import ZERO, constant, coordinate, sin_of, cos_of, exp_of, finite, 
 from .symmetry import (
     ClassifyError,
     NotASymmetryError,
-    apply_lift,
-    bracket_jet,
     charge_jets,
     classify_special_quadratic,
     classify_spacetime,
     check_equivalences,
-    commutator,
     generator_match,
-    lift_jet,
     lift_operator,
     momentum_map,
     noether_charges,
+    pair_defects,
 )
 from .units import UnitMismatchError
 
@@ -486,35 +484,27 @@ def cmd_brackets(args, model):
               for key, (_, residual, conserved) in checked.items() if not conserved]
     sample = pts[: min(len(pts), 8)]
     lift, djet = lift_operator(model.omega), charge_jets(charges.values(), model.chart.dim_phase)
-    # once per sample point: the jets of the operator and of each charge's
-    # dF, and from them each charge's lift jets at zero and at its time scale
-    at_points = []
-    for xs in sample:
-        opjet, djets = jet(lift, xs), dict(zip(labels, djet(xs)))
-        hjets = {la: lift_jet(opjet, djets[la], 0.0) for la in labels}
-        lifts = {la: lift_jet(opjet, djets[la], value(f.f0(xs))) for la, f in charges.items()}
-        at_points.append((opjet[0], djets, hjets, lifts))
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1 :]:
-            # charges with constant time scales have a special bracket
-            # (criterion 14 checks its algebra; it is not validated here)
-            closed = all(charges[c].f0.const_value is not None for c in (la, lb))
-            # homomorphism of the pair bracket into vector fields: the commutator
-            # of the two lifts against the lift of the bracket's differential,
-            # which the product rule builds from the jets held
-            residual = worst([
-                value(a) - value(b) for op, djets, hjets, lifts in at_points
-                for a, b in zip(commutator(lifts[la], lifts[lb]), apply_lift(
-                    op, bracket_jet(hjets[la], djets[lb])[1], 0.0))])
-            checks.append(
-                {
-                    "pair": [la, lb],
-                    "condition": "bracket-closure-and-homomorphism",
-                    "residual": residual,
-                    "verdict": "pass" if (closed and residual < 1e-6) else "fail",
-                    "closed": closed,
-                }
-            )
+    pairs = list(itertools.combinations(range(len(labels)), 2))
+    # homomorphism of the pair bracket into vector fields: at each sample
+    # point, from the jets of the operator and of each charge's dF, the
+    # commutator of each pair's lifts against the lift of its bracket's
+    # differential
+    defects = [pair_defects(jet(lift, xs), djet(xs), [value(f.f0(xs)) for f in charges.values()],
+                            pairs) for xs in sample]
+    for p, (la, lb) in enumerate(itertools.combinations(labels, 2)):
+        # charges with constant time scales have a special bracket
+        # (criterion 14 checks its algebra; it is not validated here)
+        closed = all(charges[c].f0.const_value is not None for c in (la, lb))
+        residual = worst([d[p] for d in defects])
+        checks.append(
+            {
+                "pair": [la, lb],
+                "condition": "bracket-closure-and-homomorphism",
+                "residual": residual,
+                "verdict": "pass" if (closed and residual < 1e-6) else "fail",
+                "closed": closed,
+            }
+        )
     return _mk_report(args, "brackets", model, checks)
 
 

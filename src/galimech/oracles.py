@@ -8,7 +8,8 @@ tensors of the connections; ``tau_lift_solve`` solves the lift's
 constrained contraction system numerically; ``contraction_bracket`` is
 the Poisson bracket as the contraction hg.Omega.hf of two zero-scale
 lifts; ``pair_bracket`` is the Poisson bracket as a callable of a phase
-point, whose seeded grad cross-checks ``symmetry.bracket_jet``;
+point, whose seeded grad cross-checks the brackets' gradients in
+``symmetry.pair_defects``;
 ``fd_oracle`` is a central finite difference.
 """
 

@@ -17,6 +17,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import duals
 from .duals import value, worst
 from .fields import Field, ZERO, as_field, constant, coordinate, program, support
@@ -672,14 +674,47 @@ def tau_lift(fn, tau, omega):
     return lift
 
 
-def lift_jet(opjet, djet, tau):
-    """Jet of the lift tau u + Lam.df from the jets of :func:`lift_operator`
-    and of df, by the product rule:
-    d_k(tau u + Lam.df) = tau d_k u + (d_k Lam).df + Lam.(d_k df)."""
-    (op, dop), (df, ddf) = opjet, djet
-    return apply_lift(op, df, tau), [
-        [a + _along(row, dd) for a, row in zip(apply_lift(dk, df, tau), op[1])]
-        for dk, dd in zip(dop, ddf)]
+def _dot(a, b):
+    """sum_k a[..., k] b[..., k] over the last axis of numpy arrays, in
+    :func:`_along`'s order, so each entry is the float that ``_along``
+    gives."""
+    s = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        s = s + a[..., k] * b[..., k]
+    return s
+
+
+def pair_defects(opjet, djets, taus, pairs):
+    """The defect [h_f, h_g] - Lam.d{f, g} of each charge pair (i, j) in
+    ``pairs`` at one point, as lists of components: the commutator of the
+    two lifts at their time scales ``taus`` against the zero-scale lift of
+    the bracket's gradient, from the jets of :func:`lift_operator` and of
+    :func:`charge_jets`.  Each charge's Lam.dF and its partials
+    d_k(Lam.dF) = (d_k Lam).dF + Lam.(d_k dF) are formed once, the lift at
+    scale t is t u + Lam.dF, and the bracket's gradient is
+    d_k{f, g} = (d_k dg).h_f + dg.(d_k h_f) with h_f the zero-scale lift.
+    Every contraction is one numpy op per term over the charge and pair
+    axes, summed in :func:`_along`'s order, and the commutator sums from 0
+    as :func:`commutator` does, so each float is the one that per-pair
+    arithmetic gives."""
+    if not pairs:
+        return []
+    (u, lam), dop = opjet
+    u, lam, du, dlam, df, ddf = (np.array(a, dtype=float) for a in (
+        u, lam, [d[0] for d in dop], [d[1] for d in dop], [d[0] for d in djets],
+        [d[1] for d in djets]))
+    tau, (i, j) = np.array(taus, dtype=float)[:, None], np.array(pairs).T
+    with np.errstate(all="ignore"):
+        # axes: charge, partial k, component a, contracted slot last
+        h = _dot(lam, df[:, None])
+        dh_lam, dh_df = _dot(dlam, df[:, None, None]), _dot(lam, ddf[:, :, None])
+        hs, dhs = tau * u + h, (tau[:, :, None] * du + dh_lam) + dh_df  # at own scales
+        h0, dh0 = 0.0 * u + h, (0.0 * du + dh_lam) + dh_df
+        comm = 0.0
+        for c in range(len(u)):
+            comm = comm + (hs[i, c, None] * dhs[j, c] - hs[j, c, None] * dhs[i, c])
+        grad = _dot(ddf[j], h0[i, None]) + _dot(df[j, None], dh0[i])
+        return (comm - (0.0 * u + _dot(lam, grad[:, None]))).tolist()
 
 
 def generator_match(entry, omega, points):
@@ -816,14 +851,6 @@ def charge_jets(charges, dim):
     e = range(dim)
     return program([[[F.d(k) for k in e], [[F.d(min(k, h)).d(max(k, h)) for h in e] for k in e]]
                     for F in (f.value for f in charges)])
-
-
-def bracket_jet(hjet, gjet):
-    """Jet of the Poisson bracket {f, g} = dg.h_f from the jets of dg and of
-    h_f = Lam.df, the zero-scale lift of f (:func:`lift_jet`), by the
-    product rule: d_k{f,g} = (d_k dg).h_f + dg.(d_k h_f)."""
-    (hf, dhf), (dg, ddg) = hjet, gjet
-    return _along(dg, hf), [_along(a, hf) + _along(dg, b) for a, b in zip(ddg, dhf)]
 
 
 def vector_commutator(u_fn, v_fn, xs):

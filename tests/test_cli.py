@@ -3,12 +3,13 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galimech import catalog, cli, duals
+from galimech import catalog, cli, duals, symmetry
 from galimech.catalog import ModelError, load_model, model_from_config, named_charges
 from galimech.cli import ParseError, parse_vector_field
 from galimech.duals import value
@@ -313,6 +314,46 @@ def test_brackets_seeds_only_the_lift_operator_once_per_point(monkeypatch, capsy
     # slots the two-form reads; each charge's jet is its field's program
     assert jets == ["lift_operator.<locals>.op"] * 2
     assert seeded == ["lift_operator.<locals>.op"] * 2 * 3
+
+
+def test_brackets_contracts_no_pair_through_along(monkeypatch, capsys):
+    # the pair phase is numpy arithmetic; every _along call is the charges'
+    # invariance check or the lift operator's, at its value and seeded pass
+    phase, calls = ["other"], []
+    along, checked, lift = symmetry._along, catalog.checked_charges, cli.lift_operator
+
+    def within(name, fn):
+        def run(*a, **k):
+            phase.append(name)
+            try:
+                return fn(*a, **k)
+            finally:
+                phase.pop()
+        run.deps = getattr(fn, "deps", None)
+        return run
+
+    monkeypatch.setattr(symmetry, "_along", lambda *a: calls.append(phase[-1]) or along(*a))
+    monkeypatch.setattr(catalog, "checked_charges", within("checked", checked))
+    monkeypatch.setattr(cli, "lift_operator", lambda omega: within("lift", lift(omega)))
+    monkeypatch.setattr(cli, "pair_defects", within("pairs", cli.pair_defects))
+    assert run_cli(["brackets", "--model", "free3d", "--points", "2"]) == 0
+    assert calls.count("pairs") == 0
+    assert set(calls) == {"checked", "lift"}
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--model", "rigidbody", "--box=-1e150,1e150", "--points", "2"], 2, ""),
+    (["--model", "free3d", "--box=-1e155,1e155"], 3,
+     "error: brackets: residual of potential-form-invariance for generator d1 is nan\n"),
+    # the pair defects overflow before the nan invariance residual is reported
+    (["--model", "rigidbody", "--box=-3e153,3e153", "--points", "2"], 3,
+     "error: brackets: residual of potential-form-invariance for generator Rx is nan\n"),
+], ids=["rigidbody-1e150", "free3d-1e155", "rigidbody-3e153"])
+def test_brackets_at_an_overflowing_box_warns_nothing(argv, code, err, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["brackets", *argv]) == code
+    assert capsys.readouterr().err == err
 
 
 def test_brackets_inverts_the_metric_once_per_operator_evaluation(monkeypatch, capsys):

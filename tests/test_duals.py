@@ -527,7 +527,7 @@ def _cli(argv, plant, key):
     _cli(["momentum-map", "--model", "free3d", "--points", "3"], _plant_in_validate,
          "time_scale_fit_error"),
     _cli(["brackets", "--model", "free3d", "--points", "2"],
-         lambda mp: mp.setattr(cli, "commutator", _nan_at_second_call(cli.commutator)),
+         lambda mp: mp.setattr(cli, "pair_defects", _nan_at_second_call(cli.pair_defects)),
          "residual"),
 ], ids=["classify_spacetime", "algebra_closure", "generator_match", "two_form_closure",
         "reeb_residual", "conserved_drift", "motion_derivative", "cli_noether",

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -19,12 +20,12 @@ from galimech.symmetry import (
     NotASymmetryError,
     SpacetimeVectorField,
     SpecialQuadratic,
-    bracket_jet,
     charge_differential,
     charge_jets,
     check_equivalences,
     classify_spacetime,
     classify_special_quadratic,
+    commutator,
     gamma_dot,
     generator_match,
     lie_dt,
@@ -36,11 +37,11 @@ from galimech.symmetry import (
     lie_phase_connection,
     lie_spacetime_connection,
     lie_two_form,
-    lift_jet,
     lift_operator,
     momentum_map,
     noether_charge,
     noether_charges,
+    pair_defects,
     poisson_bracket,
     special_bracket,
     spacetime_commutator,
@@ -59,7 +60,9 @@ from galimech.oracles import (
     vertical_projector_phase,
     vertical_projector_spacetime,
 )
-from tests_support import POTENTIAL_MODELS, potential_model, random_compatible_model
+from tests_support import (
+    POTENTIAL_MODELS, per_pair_defects, potential_model, random_compatible_model,
+)
 
 
 def vf(chart, x0, comps, label=""):
@@ -979,8 +982,9 @@ def _bracket_charges(name):
 
 
 def _seeded_djet(f, xs):
-    """The jet of the charge's differential by seeded dual passes."""
-    return jet(lambda ys: duals.grad(f.value, ys), xs)
+    """The jet of the differential of a charge (its field) or of a bare
+    phase function, by seeded dual passes."""
+    return jet(lambda ys: duals.grad(getattr(f, "value", f), ys), xs)
 
 
 _BRACKET_MODELS = ["free2d", "free3d", "rigidbody", "cyclotron",
@@ -1003,41 +1007,89 @@ def test_charge_jets_equal_the_seeded_jets(name):
             assert max(abs(a - value(b)) for a, b in pairs) <= 1e-13 * scale, (name, xs)
 
 
-@pytest.mark.parametrize("name", _BRACKET_MODELS)
-def test_bracket_jet_equals_the_seeded_pair_bracket(name):
-    model, charges = _bracket_charges(name)
-    assert len(charges) >= 3
-    om = model.omega
-    xs = model.sample_phase(1, seed=61)[0]
-    djets = [_seeded_djet(f, xs) for f in charges]
-    opjet = jet(lift_operator(om), xs)
-    for i, f in enumerate(charges):
-        for j in range(i + 1, len(charges)):
-            got, dgot = bracket_jet(lift_jet(opjet, djets[i], 0.0), djets[j])
-            for tau in (0.0, 1.0):
-                for sigma in (0.0, 1.0):
-                    want, dwant = duals.jet(pair_bracket((f, tau), (charges[j], sigma), om)[0], xs)
-                    scale = 1.0 + max(abs(want), *map(abs, dwant))
-                    assert abs(got - want) <= 1e-12 * scale, (name, i, j)
-                    assert max(abs(a - b) for a, b in zip(dgot, dwant)) <= 1e-12 * scale
-
-
-def test_lift_jet_is_the_jet_of_the_tau_lift(free3d, rigidbody):
-    for model in (free3d, rigidbody):
-        om, xs = model.omega, model.sample_phase(1, seed=63)[0]
-        opjet = jet(lift_operator(om), xs)
-        for f in named_charges(model).values():
-            djet = _seeded_djet(f, xs)
-            for tau in (0.0, 1.0, -0.5):
-                (h, dh), (w, dw) = lift_jet(opjet, djet, tau), jet(tau_lift(f, tau, om), xs)
-                assert max(abs(a - b) for a, b in zip(h, w)) <= 1e-13
-                assert max(abs(a - b) for r, s in zip(dh, dw) for a, b in zip(r, s)) <= 1e-12
-
-
 def _mixed_functions(n):
     """Two phase functions that are neither quadratic nor of one slot kind."""
     return (lambda xs: xs[n + 1] * xs[1] + xs[2] ** 2 * xs[n + 2] + xs[0] * xs[n + 1] ** 3,
             lambda xs: xs[n + 2] ** 2 + xs[1] * xs[n] + xs[0] * xs[2] * xs[2 * n])
+
+
+def _kernel_defects(model, fns, taus, xs):
+    """pair_defects over every pair of ``fns`` at ``xs``, from the seeded
+    jets of the lift operator and of each function's differential."""
+    pairs = list(itertools.combinations(range(len(fns)), 2))
+    opjet = jet(lift_operator(model.omega), xs)
+    return pairs, pair_defects(opjet, [_seeded_djet(f, xs) for f in fns], taus, pairs)
+
+
+def _assert_defect(got, comm, lifted, where):
+    scale = 1.0 + max(abs(value(a)) for a in [*comm, *lifted])
+    assert max(abs(d - (value(a) - value(b))) for d, a, b in zip(got, comm, lifted)) \
+        <= 1e-12 * scale, where
+
+
+@pytest.mark.parametrize("name", _BRACKET_MODELS)
+def test_bracket_jet_equals_the_seeded_pair_bracket(name):
+    # at zero time scale the kernel's defect is the commutator of the seeded
+    # Hamiltonian lifts against the lift of the seeded pair bracket
+    model, charges = _bracket_charges(name)
+    assert len(charges) >= 3
+    om = model.omega
+    xs = model.sample_phase(1, seed=61)[0]
+    fns = charges + list(_mixed_functions(model.chart.n))
+    pairs, got = _kernel_defects(model, fns, [0.0] * len(fns), xs)
+    lifts = [jet(tau_lift(f, 0.0, om), xs) for f in fns]
+    for (i, j), d in zip(pairs, got):
+        comm = commutator(lifts[i], lifts[j])
+        for tau in (0.0, 1.0):
+            for sigma in (0.0, 1.0):
+                bracket = pair_bracket((fns[i], tau), (fns[j], sigma), om)[0]
+                _assert_defect(d, comm, tau_lift_values(bracket, 0.0, om, xs), (name, i, j))
+
+
+def test_lift_jet_is_the_jet_of_the_tau_lift(free3d, rigidbody):
+    # at time scales other than the charges' own the commutators do not
+    # cancel the lifted brackets, so the defects read the kernel's lift jets
+    for model in (free3d, rigidbody):
+        om, xs = model.omega, model.sample_phase(1, seed=63)[0]
+        fns = list(named_charges(model).values()) + list(_mixed_functions(model.chart.n))
+        lifts = {(k, tau): jet(tau_lift(f, tau, om), xs)
+                 for k, f in enumerate(fns) for tau in (0.0, 1.0, -0.5)}
+        brackets = {}
+        for shift in range(3):
+            taus = [(0.0, 1.0, -0.5)[(k + shift) % 3] for k in range(len(fns))]
+            pairs, got = _kernel_defects(model, fns, taus, xs)
+            for (i, j), d in zip(pairs, got):
+                if (i, j) not in brackets:
+                    bracket = pair_bracket((fns[i], 0.0), (fns[j], 0.0), om)[0]
+                    brackets[i, j] = tau_lift_values(bracket, 0.0, om, xs)
+                comm = commutator(lifts[i, taus[i]], lifts[j, taus[j]])
+                _assert_defect(d, comm, brackets[i, j], (model.name, i, j, taus[i], taus[j]))
+            assert max(abs(x) for d in got for x in d) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["free2d", "free3d", "cyclotron", "rigidbody"])
+def test_pair_defects_are_the_per_pair_floats(name, monkeypatch):
+    # bit for bit, by repr so that -0.0 and nan count: the kernel's sums run
+    # in the per-pair order; points at zero and -0.0 velocity, and two in a
+    # box where rigidbody's defects overflow to nan
+    model = load_model(name)
+    n, dim, charges = model.chart.n, model.chart.dim_phase, list(named_charges(model).values())
+    pts = model.sample_phase(5, seed=67)
+    pts += [xs[: n + 1] + [z] * n for xs, z in zip(pts, (0.0, -0.0))]
+    pts += sample_points(2, [(-1e154, 1e154)] * dim, 67)
+    lift = lift_operator(model.omega)
+    for count in (0, 1, 2, len(charges)):
+        subset = charges[:count]
+        pairs = list(itertools.combinations(range(count), 2))
+        djet = charge_jets(subset, dim)
+        for xs in pts:
+            args = jet(lift, xs), djet(xs), [value(f.f0(xs)) for f in subset], pairs
+            with monkeypatch.context() as m:
+                if not pairs:  # no pairs, no arrays
+                    m.setattr(symmetry, "np", None)
+                got = pair_defects(*args)
+            assert repr(got) == repr(per_pair_defects(*args)), (name, count, xs)
+            assert len(got) == len(pairs)
 
 
 @pytest.mark.parametrize("name", _BRACKET_MODELS)

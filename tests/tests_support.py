@@ -4,9 +4,10 @@ non-metric two-form, a strategy for config field specs, and the structure
 checks only the tests read (metric compatibility, the observed two-form and
 its closure, the Euler-Lagrange matrix, the zero connection), the raised
 forms of the two-form, the motion row and the lift operator that the
-lowered forms must reproduce, and the numpy form of the RK4 loop that
-``dynamics.integrate`` must reproduce, the models with a potential form
-that closed forms are checked on, and the drift of a phase function along
+lowered forms must reproduce, the per-pair product-rule form of the
+bracket defects that ``symmetry.pair_defects`` must reproduce, and the
+numpy form of the RK4 loop that ``dynamics.integrate`` must reproduce, the
+models with a potential form that closed forms are checked on, and the drift of a phase function along
 a trajectory and the empirical order of the integrator."""
 
 import math
@@ -31,7 +32,7 @@ from galimech.geometry import (
     motion_of,
     phase_from_spacetime,
 )
-from galimech.symmetry import _along, gamma_dot
+from galimech.symmetry import _along, apply_lift, commutator, gamma_dot
 
 
 def random_connection(chart, rng):
@@ -331,6 +332,35 @@ def program_lift_operator(omega):
         return [1.0, *v, *(g[0] + _along(g[1:], v) for g in gl)], lam
 
     return op
+
+
+def lift_jet(opjet, djet, tau):
+    """Jet of the lift tau u + Lam.df from the jets of ``lift_operator``
+    and of df, by the product rule:
+    d_k(tau u + Lam.df) = tau d_k u + (d_k Lam).df + Lam.(d_k df)."""
+    (op, dop), (df, ddf) = opjet, djet
+    return apply_lift(op, df, tau), [
+        [a + _along(row, dd) for a, row in zip(apply_lift(dk, df, tau), op[1])]
+        for dk, dd in zip(dop, ddf)]
+
+
+def bracket_jet(hjet, gjet):
+    """Jet of the Poisson bracket {f, g} = dg.h_f from the jets of dg and of
+    h_f = Lam.df, the zero-scale lift of f (:func:`lift_jet`), by the
+    product rule: d_k{f,g} = (d_k dg).h_f + dg.(d_k h_f)."""
+    (hf, dhf), (dg, ddg) = hjet, gjet
+    return _along(dg, hf), [_along(a, hf) + _along(dg, b) for a, b in zip(ddg, dhf)]
+
+
+def per_pair_defects(opjet, djets, taus, pairs):
+    """``symmetry.pair_defects`` one pair at a time in plain floats: each
+    charge's lift jets at zero and at its time scale, then per pair the
+    commutator of the two lifts minus the zero-scale lift of the bracket's
+    gradient."""
+    hjets = [lift_jet(opjet, d, 0.0) for d in djets]
+    lifts = [lift_jet(opjet, d, tau) for d, tau in zip(djets, taus)]
+    return [[a - b for a, b in zip(commutator(lifts[i], lifts[j]), apply_lift(
+        opjet[0], bracket_jet(hjets[i], djets[j])[1], 0.0))] for i, j in pairs]
 
 
 def numpy_rk4(dyn, p0, T, h):
